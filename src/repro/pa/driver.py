@@ -47,6 +47,7 @@ from repro.pa.legality import (
     sp_fragile_functions,
 )
 from repro.pa.liveness import lr_live_out_blocks
+from repro.verify.absint import AuditMemo
 from repro.verify.validate import (
     TranslationValidationError,
     snapshot_module,
@@ -229,7 +230,8 @@ def collect_candidates(module: Module, config: PAConfig,
                        miner=None,
                        warm: Optional[List[Candidate]] = None,
                        deadline: Optional[float] = None,
-                       blocklist: Optional[Set[str]] = None
+                       blocklist: Optional[Set[str]] = None,
+                       audit_memo: Optional[AuditMemo] = None,
                        ) -> List[Candidate]:
     """Mine one round; return extractable candidates, best first.
 
@@ -239,7 +241,8 @@ def collect_candidates(module: Module, config: PAConfig,
     both quantities are antimonotone, so the prune never loses the
     optimum of the "best extractable candidate" query.  Candidates
     scored along the way (before the floor overtook them) are kept for
-    batch application.
+    batch application.  A run passes one *audit_memo* to every round
+    (see :func:`~repro.pa.legality.sp_fragile_functions`).
     """
     dfgs = build_dfgs(module, min_nodes=0, mined_kinds=config.mined_kinds)
     if not dfgs:
@@ -250,7 +253,7 @@ def collect_candidates(module: Module, config: PAConfig,
     lr_live = lr_live_out_blocks(module)
     # frameless outlined procedures address the caller's frame through
     # sp; fragments calling one must not gain a sp-shifting bracket.
-    fragile = sp_fragile_functions(module)
+    fragile = sp_fragile_functions(module, audit_memo)
     best: List[Optional[Candidate]] = [None]
     collected: List[Candidate] = []
     for candidate in warm or ():
@@ -697,6 +700,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
     )
     carryover: List[Candidate] = []
     blocklist: Set[str] = set()
+    audit_memo = AuditMemo()
     scale = None
     if config.workers:
         # one cache + delta planner per run: the cache carries shard
@@ -749,7 +753,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             outcome = _run_round(
                 module, config, governor, result, round_index,
-                carryover, blocklist, state, scale,
+                carryover, blocklist, state, audit_memo, scale,
             )
         except KeyboardInterrupt:
             # Anytime semantics: the interrupted round is rolled back
@@ -807,7 +811,8 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
 def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
                result: PAResult, round_index: int,
                carryover: List[Candidate], blocklist: Set[str],
-               state: _ckpt.ModuleState, scale=None):
+               state: _ckpt.ModuleState, audit_memo: AuditMemo,
+               scale=None):
     """One mining + apply round, with verify-failure recovery.
 
     Returns ``None`` at fixpoint, else ``(records, candidates,
@@ -823,7 +828,7 @@ def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             return _round_once(
                 module, config, governor, result, round_index,
-                carryover, blocklist, applied, scale,
+                carryover, blocklist, applied, audit_memo, scale,
             )
         except TranslationValidationError as error:
             _ckpt.restore_state(module, state)
@@ -871,7 +876,8 @@ def _verify_offenders(error: TranslationValidationError,
 def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                 result: PAResult, round_index: int,
                 carryover: List[Candidate], blocklist: Set[str],
-                applied: List[Candidate], scale=None):
+                applied: List[Candidate], audit_memo: AuditMemo,
+                scale=None):
     with _TELEMETRY.span("pa.round", round=round_index), \
             _LEDGER.context(round=round_index):
         if _LEDGER.enabled:
@@ -890,7 +896,7 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
             cache, planner = scale
             with _TELEMETRY.span("pa.collect", round=round_index):
                 candidates, scale_stats = run_sharded_round(
-                    module, config, governor, cache, planner
+                    module, config, governor, cache, planner, audit_memo
                 )
             if blocklist:
                 # Verify-failure recovery: shard results are mined
@@ -930,7 +936,7 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                 candidates = collect_candidates(
                     module, config, miner=miner,
                     warm=carryover, deadline=governor.deadline,
-                    blocklist=blocklist,
+                    blocklist=blocklist, audit_memo=audit_memo,
                 )
             round_lattice_nodes = miner.visited_nodes
             result.lattice_nodes += miner.visited_nodes

@@ -38,7 +38,7 @@ from repro.mining.embeddings import Embedding
 from repro.mining.gspan import Fragment
 from repro.mining.pruning import is_convex
 from repro.report.ledger import GLOBAL as _LEDGER
-from repro.verify.absint import module_summaries
+from repro.verify.absint import AuditMemo, module_summaries
 
 
 class ExtractionMethod(enum.Enum):
@@ -72,7 +72,9 @@ def _call_target(insn: Instruction) -> Optional[str]:
     return None
 
 
-def sp_fragile_functions(module) -> FrozenSet[str]:
+def sp_fragile_functions(module,
+                         memo: Optional[AuditMemo] = None
+                         ) -> FrozenSet[str]:
     """Names of functions whose correctness depends on the caller's ``sp``.
 
     The ``bl`` exemption in :func:`_classify_call` models callees as
@@ -97,8 +99,11 @@ def sp_fragile_functions(module) -> FrozenSet[str]:
     directly or transitively through a fragile callee.  Each fragile
     function's evidence is recorded in the decision ledger as a
     ``legality.sp_fragile`` record.
+
+    A PA run passes one *memo* to every round's call, so each round
+    re-solves only the CFG components its rewrites changed.
     """
-    summaries = module_summaries(module)
+    summaries = module_summaries(module, memo=memo)
     fragile = {
         name for name, summary in summaries.items() if summary.fragile
     }

@@ -34,6 +34,7 @@ from repro.pa.legality import (
     sp_fragile_functions,
 )
 from repro.pa.liveness import lr_live_out_blocks
+from repro.verify.absint import AuditMemo
 
 
 @dataclass
@@ -84,10 +85,11 @@ def _lr_read_positions(block: BasicBlock) -> List[int]:
     ]
 
 
-def _collect_candidates(module: Module, config: SFXConfig):
+def _collect_candidates(module: Module, config: SFXConfig,
+                        audit_memo: AuditMemo):
     """Index all repeated n-grams and score them."""
     lr_live = lr_live_out_blocks(module)
-    fragile = sp_fragile_functions(module)
+    fragile = sp_fragile_functions(module, audit_memo)
     grams: Dict[Tuple[str, ...], List[Tuple[_Run, BasicBlock]]] = {}
     for func_name, bi, block in _eligible_blocks(module):
         texts = [str(insn) for insn in block.instructions]
@@ -213,8 +215,9 @@ def run_sfx(module: Module, config: Optional[SFXConfig] = None) -> PAResult:
         instructions_before=module.num_instructions,
         instructions_after=module.num_instructions,
     )
+    audit_memo = AuditMemo()
     for round_index in range(config.max_rounds):
-        candidate = _collect_candidates(module, config)
+        candidate = _collect_candidates(module, config, audit_memo)
         if candidate is None:
             break
         before = module.num_instructions

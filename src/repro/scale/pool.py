@@ -62,6 +62,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.dfg.builder import build_dfgs
 from repro.pa.fragments import Candidate
 from repro.pa.legality import sp_fragile_functions
+from repro.verify.absint import AuditMemo
 from repro.pa.liveness import lr_live_out_blocks
 from repro.report.ledger import GLOBAL as _LEDGER
 from repro.resilience.errors import ShardError
@@ -137,6 +138,7 @@ def run_sharded_round(
     governor: RunGovernor,
     cache: FragmentCache,
     planner: Optional[DeltaPlanner] = None,
+    audit_memo: Optional[AuditMemo] = None,
 ) -> Tuple[List[Candidate], ScaleStats]:
     """Mine one round sharded/parallel/cached; return merged candidates.
 
@@ -155,7 +157,7 @@ def run_sharded_round(
         if not dfgs:
             return [], stats
         lr_live = lr_live_out_blocks(module)
-        fragile = sp_fragile_functions(module)
+        fragile = sp_fragile_functions(module, audit_memo)
         with _TELEMETRY.span("scale.cluster"):
             shards = cluster_dfgs(dfgs)
         payloads = [

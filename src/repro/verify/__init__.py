@@ -20,6 +20,7 @@ one catches the other's bugs).  Layering:
 
 from repro.verify.absint import (
     AbsEvent,
+    AuditMemo,
     AuditResult,
     FuncSummary,
     audit_module,
@@ -59,6 +60,7 @@ from repro.verify.validate import (
 __all__ = [
     "AbsEvent",
     "Analysis",
+    "AuditMemo",
     "AuditResult",
     "BACKWARD",
     "BlockEvaluator",

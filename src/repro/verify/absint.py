@@ -9,6 +9,13 @@ precision comes from per-function :class:`FuncSummary` records iterated
 to a fixpoint over the call graph, the same shape as
 ``flag_effect_summaries`` in :mod:`repro.verify.passes`.
 
+``bl`` is not a CFG edge, so the module CFG falls apart into
+weakly-connected components, about one per function (cross-jump shared
+tails keep their functions together).  No fact crosses a component, so
+each is solved on its own; an :class:`AuditMemo` reuses a component's
+solve across the audits of one PA run while its blocks and its callees'
+summaries stay the same.
+
 The analysis is *optimistic about aliasing* in one documented way:
 stores through pointers it cannot prove stack-derived do not invalidate
 tracked frame slots.  Passing a stack address to a callee (or spilling
@@ -28,9 +35,10 @@ Consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.binary.program import BasicBlock, Module
+from repro.binary.program import BasicBlock, Function, Module
 from repro.isa.instructions import (
     DATAPROC_3OP,
     DATAPROC_COMPARE,
@@ -42,7 +50,13 @@ from repro.isa.registers import PC, SP
 from repro.telemetry import GLOBAL as _TELEMETRY
 
 from repro.verify.cfg import BlockKey, ModuleCFG, build_module_cfg
-from repro.verify.dataflow import FORWARD, Analysis, DataflowResult, solve
+from repro.verify.dataflow import (
+    FORWARD,
+    Analysis,
+    ConvergenceError,
+    DataflowResult,
+    solve,
+)
 from repro.verify.domains import (
     BOT,
     BOTTOM_STATE,
@@ -64,10 +78,6 @@ from repro.verify.domains import (
     negate_value,
     stack_depth_of,
 )
-
-#: Fixpoint bound for the summary iteration (call-graph depth of the
-#: helpers-calling-helpers chains PA produces is small).
-SUMMARY_ITERATIONS = 4
 
 # event kinds -----------------------------------------------------------
 CALLER_READ = "caller-frame-read"
@@ -351,7 +361,8 @@ def _step_core(regs: List[AbsVal], frame: Dict[int, AbsVal],
     m = insn.mnemonic
     ops = insn.operands
     height = stack_depth_of(regs[SP])
-    what = str(insn)
+    # the text only feeds event details
+    what = str(insn) if sink is not None else ""
 
     if m in DATAPROC_3OP:
         rd = ops[0].num
@@ -647,12 +658,12 @@ def _join_mismatches(cfg: ModuleCFG, result: DataflowResult,
 
 
 def _extract_summaries(
-    module: Module,
+    functions: Sequence[Function],
     cfg: ModuleCFG,
     result: DataflowResult,
     summaries: Dict[str, FuncSummary],
-    reach: Dict[str, Set[BlockKey]],
 ) -> Tuple[Dict[str, FuncSummary], List[AbsEvent]]:
+    """Re-derive the summaries of *functions* from one solve of *cfg*."""
     events, stats = _walk_blocks(cfg, result, summaries)
     events_by_key: Dict[BlockKey, List[AbsEvent]] = {}
     for event in events:
@@ -661,11 +672,12 @@ def _extract_summaries(
                 (event.function, event.block), []).append(event)
 
     updated: Dict[str, FuncSummary] = {}
-    for func in module.functions:
+    for func in functions:
         if not func.blocks:
             updated[func.name] = FuncSummary()
             continue
-        keys = [k for k in cfg.keys if k in reach[func.name]]
+        reach = cfg.reachable([(func.name, 0)])
+        keys = [k for k in cfg.keys if k in reach]
         known, max_h, negative = True, 0, False
         retaddrs: Set[int] = set()
         reads: Set[int] = set()
@@ -717,49 +729,200 @@ def _extract_summaries(
     return updated, events
 
 
+@dataclass
+class _Component:
+    """One weakly-connected component of the module CFG."""
+
+    #: the component's blocks and edges only (no label map)
+    cfg: ModuleCFG
+    #: the functions whose entry block lies in the component
+    functions: List[Function]
+    #: every ``bl`` target, in first-occurrence order
+    callees: Tuple[str, ...]
+    #: block keys in module order, labels, instructions, successors
+    content: Tuple[object, ...]
+
+
+@dataclass
+class _Solved:
+    """One component's fixpoint under one set of callee summaries."""
+
+    summaries: Dict[str, FuncSummary]
+    events: List[AbsEvent]
+    result: DataflowResult
+
+
+def _components(module: Module, cfg: ModuleCFG,
+                position: Dict[BlockKey, int]) -> List[_Component]:
+    """Split *cfg* into weakly-connected components, in module order.
+
+    Branch and fall-through edges join blocks; ``bl`` is not an edge.
+    *position* maps each block key to its index in module order.
+    """
+    by_entry = {(func.name, 0): func for func in module.functions
+                if func.blocks}
+    seen: Set[BlockKey] = set()
+    components: List[_Component] = []
+    for root in cfg.keys:
+        if root in seen:
+            continue
+        seen.add(root)
+        keys = [root]
+        stack = [root]
+        while stack:
+            key = stack.pop()
+            for nxt in chain(cfg.succ[key], cfg.pred[key]):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    keys.append(nxt)
+                    stack.append(nxt)
+        keys.sort(key=position.__getitem__)
+        blocks = {key: cfg.blocks[key] for key in keys}
+        sub = ModuleCFG(
+            keys=keys,
+            blocks=blocks,
+            succ={key: cfg.succ[key] for key in keys},
+            pred={key: cfg.pred[key] for key in keys},
+            entries=[key for key in keys if key in by_entry],
+        )
+        callees: Dict[str, None] = {}
+        for key in keys:
+            for insn in blocks[key].instructions:
+                target = insn.label_target
+                if insn.mnemonic == "bl" and target is not None:
+                    callees[target] = None
+        content = tuple(
+            (key, tuple(blocks[key].labels),
+             tuple(blocks[key].instructions), tuple(cfg.succ[key]))
+            for key in keys
+        )
+        components.append(_Component(
+            cfg=sub,
+            functions=[by_entry[key] for key in sub.entries],
+            callees=tuple(callees),
+            content=content,
+        ))
+    return components
+
+
+_MemoKey = Tuple[Tuple[object, ...], Tuple[Optional[FuncSummary], ...]]
+
+
+class AuditMemo:
+    """Component solves reused across the audits of one PA run.
+
+    A component's fixpoint depends only on its own blocks and on the
+    summaries of the callees its ``bl``s name, so that pair is the key.
+    The memo keeps only the entries its latest audit used, so memory
+    stays at about one module's facts.  Create one per run: nothing
+    about a module outlives it.
+    """
+
+    def __init__(self) -> None:
+        self._previous: Dict[_MemoKey, _Solved] = {}
+        self._current: Dict[_MemoKey, _Solved] = {}
+        #: component solves actually run (memo misses), over all audits
+        self.solves = 0
+
+    def begin(self) -> None:
+        """Start an audit; the last audit's entries stay reusable."""
+        self._previous, self._current = self._current, {}
+
+    def solve(self, component: _Component,
+              summaries: Dict[str, FuncSummary]) -> _Solved:
+        """*component*'s fixpoint under *summaries*, solved at most once."""
+        key = (component.content,
+               tuple(summaries.get(name) for name in component.callees))
+        solved = self._current.get(key) or self._previous.get(key)
+        if solved is None:
+            result = solve(component.cfg, AbsIntAnalysis(summaries))
+            updated, events = _extract_summaries(
+                component.functions, component.cfg, result, summaries
+            )
+            solved = _Solved(summaries=updated, events=events,
+                             result=result)
+            self.solves += 1
+        self._current[key] = solved
+        return solved
+
+
 def audit_module(module: Module,
                  cfg: Optional[ModuleCFG] = None,
-                 max_iterations: int = SUMMARY_ITERATIONS) -> AuditResult:
+                 memo: Optional[AuditMemo] = None) -> AuditResult:
     """Interpret the whole module; returns summaries plus site events.
 
     Summaries start optimistic (every callee convention-respecting) and
     are re-derived from each solve until they stabilise, so fragile
-    helpers propagate fragility to the helpers that call them.
+    helpers propagate fragility to the helpers that call them.  Each
+    round of that iteration solves every CFG component under the
+    current summaries, reusing *memo*'s solve of any component whose
+    blocks and callee summaries it has seen.  The iteration raises
+    :class:`~repro.verify.dataflow.ConvergenceError` when the summaries
+    still change after ``len(module.functions) + 1`` rounds.
     """
     with _TELEMETRY.span("verify.audit"):
         cfg = cfg or build_module_cfg(module)
-        reach: Dict[str, Set[BlockKey]] = {
-            func.name: (cfg.reachable([(func.name, 0)]) if func.blocks
-                        else set())
-            for func in module.functions
-        }
+        memo = memo if memo is not None else AuditMemo()
+        memo.begin()
+        solves_before = memo.solves
+        position = {key: index for index, key in enumerate(cfg.keys)}
+        components = _components(module, cfg, position)
+        bound = len(module.functions) + 1
         summaries: Dict[str, FuncSummary] = {}
-        events: List[AbsEvent] = []
-        result: Optional[DataflowResult] = None
+        solved: List[_Solved] = []
         iterations = 0
-        for __ in range(max_iterations):
+        while True:
             iterations += 1
+            if iterations > bound:
+                raise ConvergenceError(
+                    f"absint summaries still changing after {bound} "
+                    f"rounds over {len(module.functions)} functions"
+                )
             with _TELEMETRY.span("verify.pass", analysis="absint"):
-                result = solve(cfg, AbsIntAnalysis(summaries))
-            updated, events = _extract_summaries(
-                module, cfg, result, summaries, reach
-            )
+                solved = [memo.solve(component, summaries)
+                          for component in components]
+            derived: Dict[str, FuncSummary] = {}
+            for hit in solved:
+                derived.update(hit.summaries)
+            updated = {
+                func.name: derived[func.name] if func.blocks
+                else FuncSummary()
+                for func in module.functions
+            }
             if updated == summaries:
                 break
             summaries = updated
-        assert result is not None
-        reachable = cfg.reachable()
-        events = events + _join_mismatches(cfg, result, reachable)
+        result = _merge_results([hit.result for hit in solved])
+        events = sorted(
+            (event for hit in solved for event in hit.events),
+            key=lambda event: position[(event.function, event.block)],
+        )
+        events += _join_mismatches(cfg, result, cfg.reachable())
         if _TELEMETRY.enabled:
             _TELEMETRY.count("verify.audit.runs")
             _TELEMETRY.count("verify.audit.events", len(events))
             _TELEMETRY.count("verify.audit.iterations", iterations)
+            _TELEMETRY.count("verify.audit.components",
+                             iterations * len(components))
+            _TELEMETRY.count("verify.audit.solves",
+                             memo.solves - solves_before)
         return AuditResult(summaries=summaries, events=events,
                            result=result, iterations=iterations)
 
 
+def _merge_results(results: Sequence[DataflowResult]) -> DataflowResult:
+    """The component fixpoints as one module-wide result."""
+    merged = DataflowResult(
+        iterations=sum(part.iterations for part in results))
+    for part in results:
+        merged.in_facts.update(part.in_facts)
+        merged.out_facts.update(part.out_facts)
+    return merged
+
+
 def module_summaries(module: Module,
-                     cfg: Optional[ModuleCFG] = None
+                     cfg: Optional[ModuleCFG] = None,
+                     memo: Optional[AuditMemo] = None,
                      ) -> Dict[str, FuncSummary]:
     """Per-function absint summaries (the legality gate's input)."""
-    return audit_module(module, cfg).summaries
+    return audit_module(module, cfg, memo).summaries

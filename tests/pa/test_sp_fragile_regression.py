@@ -144,7 +144,8 @@ def test_composition_program_miscompiles_without_the_gate(monkeypatch):
     from repro.sim.machine import ExecutionError
 
     monkeypatch.setattr(
-        sfx_mod, "sp_fragile_functions", lambda module: frozenset()
+        sfx_mod, "sp_fragile_functions",
+        lambda module, memo=None: frozenset()
     )
     module = module_from_source(COMPOSITION_PROGRAM)
     run_sfx(module)
@@ -202,7 +203,8 @@ def test_dynamic_catch_sanitizer_flags_the_clobber(monkeypatch):
 
     # ungated build: the clobber is flagged at its site
     monkeypatch.setattr(
-        sfx_mod, "sp_fragile_functions", lambda module: frozenset()
+        sfx_mod, "sp_fragile_functions",
+        lambda module, memo=None: frozenset()
     )
     broken = module_from_source(COMPOSITION_PROGRAM)
     run_sfx(broken)
