@@ -166,6 +166,18 @@ class Instruction:
     # rendering
     # ------------------------------------------------------------------
     def __str__(self) -> str:
+        # Rendered once per instance: the text is the DFG node label and
+        # the key of every digest, so the same objects are rendered many
+        # times.  It lives outside the dataclass fields, so eq, hash and
+        # replace() never see it.
+        try:
+            return self._text  # type: ignore[attr-defined]
+        except AttributeError:
+            text = self._render()
+            object.__setattr__(self, "_text", text)
+            return text
+
+    def _render(self) -> str:
         name = self.mnemonic
         if self.cond != "al":
             name += self.cond

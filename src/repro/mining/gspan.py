@@ -240,7 +240,8 @@ class DgSpan:
         # visited last, under an already-high floor and, when a deadline
         # is set, only with leftover budget.  Canonical-form
         # deduplication makes the result set independent of sibling
-        # order.
+        # order.  Seeds too rare to be frequent are dropped first (see
+        # :meth:`_frequent_extensions`).
         def seed_order(tup):
             embeddings = seeds[tup]
             graphs = len({e.graph for e in embeddings})
@@ -252,7 +253,8 @@ class DgSpan:
             with _TELEMETRY.span("mining.mine", graphs=len(db.graphs),
                                  seeds=len(seeds),
                                  max_nodes=self.max_nodes):
-                for tup in sorted(seeds, key=seed_order):
+                for tup in sorted(self._frequent_extensions(seeds),
+                                  key=seed_order):
                     code = (tup,)
                     if is_min(code):
                         self._search(db, code, seeds[tup], results)
@@ -331,11 +333,37 @@ class DgSpan:
 
         children = self._extensions(db, code, embeddings)
         for tup in sorted(
-            children, key=lambda t: (-len(children[t]), edge_sort_key(t))
+            self._frequent_extensions(children),
+            key=lambda t: (-len(children[t]), edge_sort_key(t)),
         ):
             child = code + (tup,)
             if is_min(child):
                 self._search(db, child, children[tup], results)
+
+    # ------------------------------------------------------------------
+    def _frequent_extensions(
+        self, extensions: Dict[EdgeTuple, List[Embedding]]
+    ) -> List[EdgeTuple]:
+        """The extensions with at least ``min_support`` raw embeddings.
+
+        Neither miner's frequency can exceed the raw embedding count
+        (DgSpan counts distinct graphs, Edgar distinct node sets after a
+        filter that only removes embeddings), so every dropped extension
+        would fail :meth:`_is_frequent` whether or not its code is
+        minimal.  Dropping them before the canonical check — gSpan's
+        support-first order — skips most ``is_min`` calls, and the
+        survivors keep their relative order, so the search is unchanged.
+        """
+        kept = [
+            tup for tup, embeddings in extensions.items()
+            if len(embeddings) >= self.min_support
+        ]
+        if _TELEMETRY.enabled:
+            _TELEMETRY.count(
+                "mining.support_skips", len(extensions) - len(kept)
+            )
+            _TELEMETRY.count("mining.canonical_checks", len(kept))
+        return kept
 
     # ------------------------------------------------------------------
     def _extensions(

@@ -73,19 +73,31 @@ def _backward_reach(dfg: DFG, start: Set[int], limit: int = None) -> Set[int]:
     return reached
 
 
-def between_nodes(dfg: DFG, nodes: Iterable[int]) -> Set[int]:
+def between_nodes(dfg: DFG, nodes: Iterable[int]) -> FrozenSet[int]:
     """Non-fragment nodes on a dependence path fragment -> x -> fragment.
 
     Extraction contracts the fragment to a single call site; each such
     *x* would then both follow and precede the call — the cycle of paper
     Fig. 9(b).  The walk is bounded to the fragment's index window:
     edges only run forward, so paths cannot leave the window and return.
+
+    Cached per DFG by node set: the two pruning rules ask about the same
+    embedding in turn, the same node set recurs across the codes of a
+    mining pass and across passes over one DFG list, and legality asks
+    again.  DFGs are rebuilt every round, so a cache lives one round.
     """
-    node_set = set(nodes)
-    low, high = min(node_set), max(node_set)
-    forward = _forward_reach(dfg, node_set, limit=high)
-    backward = _backward_reach(dfg, node_set, limit=low)
-    return (forward & backward) - node_set
+    node_set = frozenset(nodes)
+    cache = getattr(dfg, "_between_cache", None)
+    if cache is None:
+        cache = dfg._between_cache = {}
+    between = cache.get(node_set)
+    if between is None:
+        low, high = min(node_set), max(node_set)
+        forward = _forward_reach(dfg, node_set, limit=high)
+        backward = _backward_reach(dfg, node_set, limit=low)
+        between = frozenset((forward & backward) - node_set)
+        cache[node_set] = between
+    return between
 
 
 def is_convex(dfg: DFG, nodes: Iterable[int]) -> bool:
@@ -128,7 +140,7 @@ def never_convex_within(dfg: DFG, nodes: Iterable[int],
     fragment's index window, so when the window itself is within budget
     nothing needs computing.
     """
-    node_set = set(nodes)
+    node_set = frozenset(nodes)
     headroom = max_nodes - len(node_set)
     if headroom < 0:
         return True

@@ -165,3 +165,20 @@ class TestRendering:
     )
     def test_text_roundtrip(self, text):
         assert str(ins(text)) == text
+
+    def test_text_rendered_once_per_instance(self):
+        insn = ins("add r0, r1, r2")
+        assert str(insn) is str(insn)
+
+    def test_cached_text_invisible_to_eq_hash_and_replace(self):
+        import dataclasses
+        import pickle
+
+        rendered, fresh = ins("add r0, r1, r2"), ins("add r0, r1, r2")
+        str(rendered)
+        assert rendered == fresh
+        assert hash(rendered) == hash(fresh)
+        other = dataclasses.replace(rendered, operands=(Reg(3), Reg(1), Reg(2)))
+        assert str(other) == "add r3, r1, r2"
+        clone = pickle.loads(pickle.dumps(rendered))
+        assert clone == rendered and str(clone) == "add r0, r1, r2"
