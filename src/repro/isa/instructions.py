@@ -11,7 +11,7 @@ matching; see :mod:`repro.pa.canonical` for the fuzzy variant).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.isa.operands import Imm, LabelRef, Mem, Reg, RegList, ShiftedReg
 from repro.isa.registers import LR, PC, SP
@@ -61,6 +61,15 @@ ALL_MNEMONICS = (
     | BLOCK_TRANSFERS
     | {"swi"}
 )
+
+
+#: Every register set an instruction has reported, so that equal sets
+#: share one object however many instructions report them.
+_REG_SETS: Dict[FrozenSet[int], FrozenSet[int]] = {}
+
+
+def _interned(regs: FrozenSet[int]) -> FrozenSet[int]:
+    return _REG_SETS.setdefault(regs, regs)
 
 
 @dataclass(frozen=True)
@@ -268,8 +277,30 @@ class Instruction:
     # ------------------------------------------------------------------
     # register read/write sets (the raw material of the DFG builder)
     # ------------------------------------------------------------------
+    # Liveness, absint, legality and the DFG builder ask the same
+    # instructions for these sets every round, so each is computed once
+    # per instance and cached outside the dataclass fields, like the
+    # text.  The sets are interned: a few dozen distinct sets serve a
+    # whole module.
     def regs_read(self) -> FrozenSet[int]:
         """Registers whose incoming value the instruction consumes."""
+        try:
+            return self._reads  # type: ignore[attr-defined]
+        except AttributeError:
+            regs = _interned(self._regs_read())
+            object.__setattr__(self, "_reads", regs)
+            return regs
+
+    def regs_written(self) -> FrozenSet[int]:
+        """Registers the instruction (re)defines."""
+        try:
+            return self._writes  # type: ignore[attr-defined]
+        except AttributeError:
+            regs = _interned(self._regs_written())
+            object.__setattr__(self, "_writes", regs)
+            return regs
+
+    def _regs_read(self) -> FrozenSet[int]:
         m, ops = self.mnemonic, self.operands
         reads: set[int] = set()
 
@@ -320,8 +351,7 @@ class Instruction:
             reads.update((0, 1, 2, 3))
         return frozenset(reads)
 
-    def regs_written(self) -> FrozenSet[int]:
-        """Registers the instruction (re)defines."""
+    def _regs_written(self) -> FrozenSet[int]:
         m, ops = self.mnemonic, self.operands
         writes: set[int] = set()
         if m in DATAPROC_3OP or m in DATAPROC_MOVE:

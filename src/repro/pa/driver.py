@@ -47,7 +47,8 @@ from repro.pa.legality import (
     sp_fragile_functions,
 )
 from repro.pa.liveness import lr_live_out_blocks
-from repro.verify.absint import AuditMemo
+from repro.verify.cfg import build_module_cfg
+from repro.verify.dataflow import AnalysisMemo
 from repro.verify.validate import (
     TranslationValidationError,
     snapshot_module,
@@ -231,7 +232,7 @@ def collect_candidates(module: Module, config: PAConfig,
                        warm: Optional[List[Candidate]] = None,
                        deadline: Optional[float] = None,
                        blocklist: Optional[Set[str]] = None,
-                       audit_memo: Optional[AuditMemo] = None,
+                       memo: Optional[AnalysisMemo] = None,
                        ) -> List[Candidate]:
     """Mine one round; return extractable candidates, best first.
 
@@ -241,8 +242,9 @@ def collect_candidates(module: Module, config: PAConfig,
     both quantities are antimonotone, so the prune never loses the
     optimum of the "best extractable candidate" query.  Candidates
     scored along the way (before the floor overtook them) are kept for
-    batch application.  A run passes one *audit_memo* to every round
-    (see :func:`~repro.pa.legality.sp_fragile_functions`).
+    batch application.  A run passes one *memo* to every round, so
+    liveness and absint re-solve only the CFG components the last
+    round's rewrites changed.
     """
     dfgs = build_dfgs(module, min_nodes=0, mined_kinds=config.mined_kinds)
     if not dfgs:
@@ -250,10 +252,11 @@ def collect_candidates(module: Module, config: PAConfig,
     miner = miner or _make_miner(config)
     # lr can be live across blocks (leaf returns, shared cross-jump
     # tails); a bl may only be inserted where lr is dead-out.
-    lr_live = lr_live_out_blocks(module)
+    cfg = build_module_cfg(module)
+    lr_live = lr_live_out_blocks(module, memo, cfg)
     # frameless outlined procedures address the caller's frame through
     # sp; fragments calling one must not gain a sp-shifting bracket.
-    fragile = sp_fragile_functions(module, audit_memo)
+    fragile = sp_fragile_functions(module, memo, cfg)
     best: List[Optional[Candidate]] = [None]
     collected: List[Candidate] = []
     for candidate in warm or ():
@@ -700,7 +703,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
     )
     carryover: List[Candidate] = []
     blocklist: Set[str] = set()
-    audit_memo = AuditMemo()
+    memo = AnalysisMemo()
     scale = None
     if config.workers:
         # one cache + delta planner per run: the cache carries shard
@@ -753,7 +756,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             outcome = _run_round(
                 module, config, governor, result, round_index,
-                carryover, blocklist, state, audit_memo, scale,
+                carryover, blocklist, state, memo, scale,
             )
         except KeyboardInterrupt:
             # Anytime semantics: the interrupted round is rolled back
@@ -811,7 +814,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
 def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
                result: PAResult, round_index: int,
                carryover: List[Candidate], blocklist: Set[str],
-               state: _ckpt.ModuleState, audit_memo: AuditMemo,
+               state: _ckpt.ModuleState, memo: AnalysisMemo,
                scale=None):
     """One mining + apply round, with verify-failure recovery.
 
@@ -828,7 +831,7 @@ def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             return _round_once(
                 module, config, governor, result, round_index,
-                carryover, blocklist, applied, audit_memo, scale,
+                carryover, blocklist, applied, memo, scale,
             )
         except TranslationValidationError as error:
             _ckpt.restore_state(module, state)
@@ -876,7 +879,7 @@ def _verify_offenders(error: TranslationValidationError,
 def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                 result: PAResult, round_index: int,
                 carryover: List[Candidate], blocklist: Set[str],
-                applied: List[Candidate], audit_memo: AuditMemo,
+                applied: List[Candidate], memo: AnalysisMemo,
                 scale=None):
     with _TELEMETRY.span("pa.round", round=round_index), \
             _LEDGER.context(round=round_index):
@@ -896,7 +899,7 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
             cache, planner = scale
             with _TELEMETRY.span("pa.collect", round=round_index):
                 candidates, scale_stats = run_sharded_round(
-                    module, config, governor, cache, planner, audit_memo
+                    module, config, governor, cache, planner, memo
                 )
             if blocklist:
                 # Verify-failure recovery: shard results are mined
@@ -936,7 +939,7 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                 candidates = collect_candidates(
                     module, config, miner=miner,
                     warm=carryover, deadline=governor.deadline,
-                    blocklist=blocklist, audit_memo=audit_memo,
+                    blocklist=blocklist, memo=memo,
                 )
             round_lattice_nodes = miner.visited_nodes
             result.lattice_nodes += miner.visited_nodes
@@ -969,7 +972,7 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
             # against this state, and the pre-round lr liveness is
             # what makes the inserted bl's lr clobber excusable.
             snapshot = snapshot_module(module)
-            pre_lr_live = lr_live_out_blocks(module)
+            pre_lr_live = lr_live_out_blocks(module, memo)
         fault("extract.apply")
         with _TELEMETRY.span("pa.apply", round=round_index):
             records, touched_blocks, touched_functions = apply_batch(

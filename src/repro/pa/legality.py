@@ -38,7 +38,9 @@ from repro.mining.embeddings import Embedding
 from repro.mining.gspan import Fragment
 from repro.mining.pruning import is_convex
 from repro.report.ledger import GLOBAL as _LEDGER
-from repro.verify.absint import AuditMemo, module_summaries
+from repro.verify.absint import module_summaries
+from repro.verify.cfg import ModuleCFG
+from repro.verify.dataflow import AnalysisMemo
 
 
 class ExtractionMethod(enum.Enum):
@@ -73,7 +75,8 @@ def _call_target(insn: Instruction) -> Optional[str]:
 
 
 def sp_fragile_functions(module,
-                         memo: Optional[AuditMemo] = None
+                         memo: Optional[AnalysisMemo] = None,
+                         cfg: Optional[ModuleCFG] = None,
                          ) -> FrozenSet[str]:
     """Names of functions whose correctness depends on the caller's ``sp``.
 
@@ -101,9 +104,10 @@ def sp_fragile_functions(module,
     ``legality.sp_fragile`` record.
 
     A PA run passes one *memo* to every round's call, so each round
-    re-solves only the CFG components its rewrites changed.
+    re-solves only the CFG components its rewrites changed; *cfg*, when
+    given, is *module*'s CFG.
     """
-    summaries = module_summaries(module, memo=memo)
+    summaries = module_summaries(module, cfg, memo)
     fragile = {
         name for name, summary in summaries.items() if summary.fragile
     }

@@ -10,39 +10,58 @@ tail in a different function.  A per-block check is therefore unsound
 instructions from an earlier-outlined procedure whose ``mov pc, lr``
 had been tail-merged away).
 
-Historically this module carried its own single-register fixpoint; it is
-now a thin wrapper over the generic framework in :mod:`repro.verify` —
-the module-wide CFG (:func:`repro.verify.cfg.build_module_cfg`, which
-keeps the crucial property that branch labels resolve across function
-boundaries) and the full per-register liveness pass
-(:mod:`repro.verify.passes`).  The legality gate and the translation
-validator therefore consume the same analysis, from opposite sides: one
-to block unsound rewrites, the other to prove the applied ones sound.
+The analysis is the full per-register liveness pass of
+:mod:`repro.verify.passes` over the module-wide CFG
+(:func:`repro.verify.cfg.build_module_cfg`, where branch labels resolve
+across function boundaries), projected onto ``lr``.  Liveness is
+backward and ``bl`` is not a CFG edge, so it is solved per
+weakly-connected component (:meth:`~repro.verify.cfg.ModuleCFG.components`,
+the split absint uses too).  A PA round rewrites only a few functions,
+so the run's :class:`~repro.verify.dataflow.AnalysisMemo` keeps each
+component's ``lr``-live-out set, keyed on the component's content, and
+a round re-solves only the components its rewrites changed.  The
+legality gate and the translation validator consume this analysis from
+opposite sides: one to block unsound rewrites, the other to prove the
+applied ones sound.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
-
-from repro.isa.registers import LR
+from typing import FrozenSet, Optional, Set
 
 from repro.binary.program import Module
-from repro.verify.cfg import build_module_cfg
-from repro.verify.passes import live_out_blocks
+from repro.isa.registers import LR
+from repro.telemetry import GLOBAL as _TELEMETRY
+from repro.verify.cfg import BlockKey, ModuleCFG, build_module_cfg
+from repro.verify.dataflow import AnalysisMemo, solve
+from repro.verify.passes import LivenessAnalysis
 
-BlockKey = Tuple[str, int]
 
+def lr_live_out_blocks(module: Module,
+                       memo: Optional[AnalysisMemo] = None,
+                       cfg: Optional[ModuleCFG] = None) -> Set[BlockKey]:
+    """Blocks whose ``lr`` value is consumed on some path after them.
 
-def _successors(module: Module) -> Dict[BlockKey, List[BlockKey]]:
-    """Module-wide successor map; labels resolve across functions.
-
-    Compatibility shim over :func:`repro.verify.cfg.build_module_cfg`,
-    kept because the successor map is a useful standalone artifact in
-    tests and notebooks.
+    *memo* is the run's memo; *cfg*, when given, is *module*'s CFG.
     """
-    return build_module_cfg(module).succ
+    cfg = cfg or build_module_cfg(module)
+    table = (memo or AnalysisMemo()).liveness
+    table.begin()
+    solves_before = table.solves
+    live: Set[BlockKey] = set()
+    components = cfg.components()
+    with _TELEMETRY.span("verify.pass", analysis="liveness"):
+        for component in components:
+            live |= table.get(component.content, _lr_live, component.cfg)
+    if _TELEMETRY.enabled:
+        _TELEMETRY.count("verify.liveness.components", len(components))
+        _TELEMETRY.count("verify.liveness.solves",
+                         table.solves - solves_before)
+    return live
 
 
-def lr_live_out_blocks(module: Module) -> Set[BlockKey]:
-    """Blocks whose ``lr`` value is consumed on some path after them."""
-    return live_out_blocks(module, LR)
+def _lr_live(cfg: ModuleCFG) -> FrozenSet[BlockKey]:
+    result = solve(cfg, LivenessAnalysis())
+    return frozenset(
+        key for key, live in result.out_facts.items() if LR in live
+    )

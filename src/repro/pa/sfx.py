@@ -34,7 +34,8 @@ from repro.pa.legality import (
     sp_fragile_functions,
 )
 from repro.pa.liveness import lr_live_out_blocks
-from repro.verify.absint import AuditMemo
+from repro.verify.cfg import build_module_cfg
+from repro.verify.dataflow import AnalysisMemo
 
 
 @dataclass
@@ -86,10 +87,11 @@ def _lr_read_positions(block: BasicBlock) -> List[int]:
 
 
 def _collect_candidates(module: Module, config: SFXConfig,
-                        audit_memo: AuditMemo):
+                        memo: AnalysisMemo):
     """Index all repeated n-grams and score them."""
-    lr_live = lr_live_out_blocks(module)
-    fragile = sp_fragile_functions(module, audit_memo)
+    cfg = build_module_cfg(module)
+    lr_live = lr_live_out_blocks(module, memo, cfg)
+    fragile = sp_fragile_functions(module, memo, cfg)
     grams: Dict[Tuple[str, ...], List[Tuple[_Run, BasicBlock]]] = {}
     for func_name, bi, block in _eligible_blocks(module):
         texts = [str(insn) for insn in block.instructions]
@@ -215,9 +217,9 @@ def run_sfx(module: Module, config: Optional[SFXConfig] = None) -> PAResult:
         instructions_before=module.num_instructions,
         instructions_after=module.num_instructions,
     )
-    audit_memo = AuditMemo()
+    memo = AnalysisMemo()
     for round_index in range(config.max_rounds):
-        candidate = _collect_candidates(module, config, audit_memo)
+        candidate = _collect_candidates(module, config, memo)
         if candidate is None:
             break
         before = module.num_instructions

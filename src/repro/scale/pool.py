@@ -62,8 +62,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.dfg.builder import build_dfgs
 from repro.pa.fragments import Candidate
 from repro.pa.legality import sp_fragile_functions
-from repro.verify.absint import AuditMemo
 from repro.pa.liveness import lr_live_out_blocks
+from repro.verify.cfg import build_module_cfg
+from repro.verify.dataflow import AnalysisMemo
 from repro.report.ledger import GLOBAL as _LEDGER
 from repro.resilience.errors import ShardError
 from repro.resilience.faultinject import fault
@@ -138,7 +139,7 @@ def run_sharded_round(
     governor: RunGovernor,
     cache: FragmentCache,
     planner: Optional[DeltaPlanner] = None,
-    audit_memo: Optional[AuditMemo] = None,
+    memo: Optional[AnalysisMemo] = None,
 ) -> Tuple[List[Candidate], ScaleStats]:
     """Mine one round sharded/parallel/cached; return merged candidates.
 
@@ -156,8 +157,9 @@ def run_sharded_round(
                           mined_kinds=config.mined_kinds)
         if not dfgs:
             return [], stats
-        lr_live = lr_live_out_blocks(module)
-        fragile = sp_fragile_functions(module, audit_memo)
+        cfg = build_module_cfg(module)
+        lr_live = lr_live_out_blocks(module, memo, cfg)
+        fragile = sp_fragile_functions(module, memo, cfg)
         with _TELEMETRY.span("scale.cluster"):
             shards = cluster_dfgs(dfgs)
         payloads = [

@@ -20,7 +20,6 @@ one catches the other's bugs).  Layering:
 
 from repro.verify.absint import (
     AbsEvent,
-    AuditMemo,
     AuditResult,
     FuncSummary,
     audit_module,
@@ -29,6 +28,7 @@ from repro.verify.absint import (
 from repro.verify.cfg import BlockKey, ModuleCFG, build_module_cfg
 from repro.verify.dataflow import (
     Analysis,
+    AnalysisMemo,
     BACKWARD,
     ConvergenceError,
     DataflowResult,
@@ -60,7 +60,7 @@ from repro.verify.validate import (
 __all__ = [
     "AbsEvent",
     "Analysis",
-    "AuditMemo",
+    "AnalysisMemo",
     "AuditResult",
     "BACKWARD",
     "BlockEvaluator",

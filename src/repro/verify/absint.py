@@ -10,10 +10,11 @@ to a fixpoint over the call graph, the same shape as
 ``flag_effect_summaries`` in :mod:`repro.verify.passes`.
 
 ``bl`` is not a CFG edge, so the module CFG falls apart into
-weakly-connected components, about one per function (cross-jump shared
-tails keep their functions together).  No fact crosses a component, so
-each is solved on its own; an :class:`AuditMemo` reuses a component's
-solve across the audits of one PA run while its blocks and its callees'
+weakly-connected components (:meth:`ModuleCFG.components`), about one
+per function.  No fact crosses a component, so each is solved on its
+own, callees before callers; the run's
+:class:`~repro.verify.dataflow.AnalysisMemo` reuses a component's solve
+across the audits of one PA run while its blocks and its callees'
 summaries stay the same.
 
 The analysis is *optimistic about aliasing* in one documented way:
@@ -35,7 +36,6 @@ Consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.binary.program import BasicBlock, Function, Module
@@ -49,10 +49,11 @@ from repro.isa.operands import Imm, LabelRef, Mem, Reg, ShiftedReg
 from repro.isa.registers import PC, SP
 from repro.telemetry import GLOBAL as _TELEMETRY
 
-from repro.verify.cfg import BlockKey, ModuleCFG, build_module_cfg
+from repro.verify.cfg import BlockKey, Component, ModuleCFG, build_module_cfg
 from repro.verify.dataflow import (
     FORWARD,
     Analysis,
+    AnalysisMemo,
     ConvergenceError,
     DataflowResult,
     solve,
@@ -730,20 +731,6 @@ def _extract_summaries(
 
 
 @dataclass
-class _Component:
-    """One weakly-connected component of the module CFG."""
-
-    #: the component's blocks and edges only (no label map)
-    cfg: ModuleCFG
-    #: the functions whose entry block lies in the component
-    functions: List[Function]
-    #: every ``bl`` target, in first-occurrence order
-    callees: Tuple[str, ...]
-    #: block keys in module order, labels, instructions, successors
-    content: Tuple[object, ...]
-
-
-@dataclass
 class _Solved:
     """One component's fixpoint under one set of callee summaries."""
 
@@ -752,124 +739,65 @@ class _Solved:
     result: DataflowResult
 
 
-def _components(module: Module, cfg: ModuleCFG,
-                position: Dict[BlockKey, int]) -> List[_Component]:
-    """Split *cfg* into weakly-connected components, in module order.
+def _callee_first(components: Sequence[Component]) -> List[int]:
+    """Component indices in DFS post-order over the ``bl`` edges.
 
-    Branch and fall-through edges join blocks; ``bl`` is not an edge.
-    *position* maps each block key to its index in module order.
+    Roots start in module order and callees are visited in
+    first-occurrence order, so on an acyclic call graph every component
+    comes after the components of all its callees.
     """
-    by_entry = {(func.name, 0): func for func in module.functions
-                if func.blocks}
-    seen: Set[BlockKey] = set()
-    components: List[_Component] = []
-    for root in cfg.keys:
+    owner = {name: index for index, component in enumerate(components)
+             for name in component.functions}
+    order: List[int] = []
+    seen: Set[int] = set()
+    for root in range(len(components)):
         if root in seen:
             continue
         seen.add(root)
-        keys = [root]
-        stack = [root]
+        stack = [(root, iter(components[root].callees))]
         while stack:
-            key = stack.pop()
-            for nxt in chain(cfg.succ[key], cfg.pred[key]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    keys.append(nxt)
-                    stack.append(nxt)
-        keys.sort(key=position.__getitem__)
-        blocks = {key: cfg.blocks[key] for key in keys}
-        sub = ModuleCFG(
-            keys=keys,
-            blocks=blocks,
-            succ={key: cfg.succ[key] for key in keys},
-            pred={key: cfg.pred[key] for key in keys},
-            entries=[key for key in keys if key in by_entry],
-        )
-        callees: Dict[str, None] = {}
-        for key in keys:
-            for insn in blocks[key].instructions:
-                target = insn.label_target
-                if insn.mnemonic == "bl" and target is not None:
-                    callees[target] = None
-        content = tuple(
-            (key, tuple(blocks[key].labels),
-             tuple(blocks[key].instructions), tuple(cfg.succ[key]))
-            for key in keys
-        )
-        components.append(_Component(
-            cfg=sub,
-            functions=[by_entry[key] for key in sub.entries],
-            callees=tuple(callees),
-            content=content,
-        ))
-    return components
-
-
-_MemoKey = Tuple[Tuple[object, ...], Tuple[Optional[FuncSummary], ...]]
-
-
-class AuditMemo:
-    """Component solves reused across the audits of one PA run.
-
-    A component's fixpoint depends only on its own blocks and on the
-    summaries of the callees its ``bl``s name, so that pair is the key.
-    The memo keeps only the entries its latest audit used, so memory
-    stays at about one module's facts.  Create one per run: nothing
-    about a module outlives it.
-    """
-
-    def __init__(self) -> None:
-        self._previous: Dict[_MemoKey, _Solved] = {}
-        self._current: Dict[_MemoKey, _Solved] = {}
-        #: component solves actually run (memo misses), over all audits
-        self.solves = 0
-
-    def begin(self) -> None:
-        """Start an audit; the last audit's entries stay reusable."""
-        self._previous, self._current = self._current, {}
-
-    def solve(self, component: _Component,
-              summaries: Dict[str, FuncSummary]) -> _Solved:
-        """*component*'s fixpoint under *summaries*, solved at most once."""
-        key = (component.content,
-               tuple(summaries.get(name) for name in component.callees))
-        solved = self._current.get(key) or self._previous.get(key)
-        if solved is None:
-            result = solve(component.cfg, AbsIntAnalysis(summaries))
-            updated, events = _extract_summaries(
-                component.functions, component.cfg, result, summaries
-            )
-            solved = _Solved(summaries=updated, events=events,
-                             result=result)
-            self.solves += 1
-        self._current[key] = solved
-        return solved
+            index, callees = stack[-1]
+            for name in callees:
+                callee = owner.get(name)
+                if callee is not None and callee not in seen:
+                    seen.add(callee)
+                    stack.append((callee, iter(components[callee].callees)))
+                    break
+            else:
+                stack.pop()
+                order.append(index)
+    return order
 
 
 def audit_module(module: Module,
                  cfg: Optional[ModuleCFG] = None,
-                 memo: Optional[AuditMemo] = None) -> AuditResult:
+                 memo: Optional[AnalysisMemo] = None) -> AuditResult:
     """Interpret the whole module; returns summaries plus site events.
 
     Summaries start optimistic (every callee convention-respecting) and
-    are re-derived from each solve until they stabilise, so fragile
+    are re-derived pass by pass until they stabilise, so fragile
     helpers propagate fragility to the helpers that call them.  Each
-    round of that iteration solves every CFG component under the
-    current summaries, reusing *memo*'s solve of any component whose
-    blocks and callee summaries it has seen.  The iteration raises
+    pass solves the CFG components callee-first and hands every solve
+    the summaries derived so far, the ones of the same pass included;
+    on an acyclic call graph the first pass therefore reaches the
+    fixpoint and the second only confirms it.  A component whose
+    blocks and callee summaries *memo* has seen is not solved again.
+    The iteration raises
     :class:`~repro.verify.dataflow.ConvergenceError` when the summaries
-    still change after ``len(module.functions) + 1`` rounds.
+    still change after ``len(module.functions) + 1`` passes.
     """
     with _TELEMETRY.span("verify.audit"):
         cfg = cfg or build_module_cfg(module)
-        memo = memo if memo is not None else AuditMemo()
-        memo.begin()
-        solves_before = memo.solves
+        table = (memo or AnalysisMemo()).absint
+        table.begin()
+        solves_before = table.solves
         position = {key: index for index, key in enumerate(cfg.keys)}
-        components = _components(module, cfg, position)
+        components = cfg.components()
+        order = _callee_first(components)
+        by_name = {func.name: func for func in module.functions}
         bound = len(module.functions) + 1
         summaries: Dict[str, FuncSummary] = {}
-        solved: List[_Solved] = []
+        solved: Dict[int, _Solved] = {}
         iterations = 0
         while True:
             iterations += 1
@@ -878,12 +806,17 @@ def audit_module(module: Module,
                     f"absint summaries still changing after {bound} "
                     f"rounds over {len(module.functions)} functions"
                 )
+            derived = dict(summaries)
             with _TELEMETRY.span("verify.pass", analysis="absint"):
-                solved = [memo.solve(component, summaries)
-                          for component in components]
-            derived: Dict[str, FuncSummary] = {}
-            for hit in solved:
-                derived.update(hit.summaries)
+                for index in order:
+                    component = components[index]
+                    key = (component.content,
+                           tuple(derived.get(name)
+                                 for name in component.callees))
+                    hit = table.get(key, _solve, component, by_name,
+                                    derived)
+                    solved[index] = hit
+                    derived.update(hit.summaries)
             updated = {
                 func.name: derived[func.name] if func.blocks
                 else FuncSummary()
@@ -892,9 +825,10 @@ def audit_module(module: Module,
             if updated == summaries:
                 break
             summaries = updated
-        result = _merge_results([hit.result for hit in solved])
+        hits = [solved[index] for index in range(len(components))]
+        result = _merge_results([hit.result for hit in hits])
         events = sorted(
-            (event for hit in solved for event in hit.events),
+            (event for hit in hits for event in hit.events),
             key=lambda event: position[(event.function, event.block)],
         )
         events += _join_mismatches(cfg, result, cfg.reachable())
@@ -905,9 +839,20 @@ def audit_module(module: Module,
             _TELEMETRY.count("verify.audit.components",
                              iterations * len(components))
             _TELEMETRY.count("verify.audit.solves",
-                             memo.solves - solves_before)
+                             table.solves - solves_before)
         return AuditResult(summaries=summaries, events=events,
                            result=result, iterations=iterations)
+
+
+def _solve(component: Component, by_name: Dict[str, Function],
+           summaries: Dict[str, FuncSummary]) -> _Solved:
+    """*component*'s fixpoint and derived summaries under *summaries*."""
+    result = solve(component.cfg, AbsIntAnalysis(summaries))
+    updated, events = _extract_summaries(
+        [by_name[name] for name in component.functions],
+        component.cfg, result, summaries
+    )
+    return _Solved(summaries=updated, events=events, result=result)
 
 
 def _merge_results(results: Sequence[DataflowResult]) -> DataflowResult:
@@ -922,7 +867,7 @@ def _merge_results(results: Sequence[DataflowResult]) -> DataflowResult:
 
 def module_summaries(module: Module,
                      cfg: Optional[ModuleCFG] = None,
-                     memo: Optional[AuditMemo] = None,
+                     memo: Optional[AnalysisMemo] = None,
                      ) -> Dict[str, FuncSummary]:
     """Per-function absint summaries (the legality gate's input)."""
     return audit_module(module, cfg, memo).summaries

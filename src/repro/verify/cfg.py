@@ -22,7 +22,8 @@ follow the block-splitting contract of :mod:`repro.binary.blocks`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.binary.program import BasicBlock, Module
 
@@ -44,6 +45,8 @@ class ModuleCFG:
     pred: Dict[BlockKey, List[BlockKey]] = field(default_factory=dict)
     #: entry block of every function (the dataflow boundary nodes)
     entries: List[BlockKey] = field(default_factory=list)
+    _components: Optional[List["Component"]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def exits(self) -> List[BlockKey]:
         """Blocks with no successors (returns, exits, dead tails)."""
@@ -60,6 +63,81 @@ class ModuleCFG:
                     seen.add(nxt)
                     stack.append(nxt)
         return seen
+
+    def components(self) -> List["Component"]:
+        """The weakly-connected components, in module order.
+
+        Branch and fall-through edges join blocks; ``bl`` is not an
+        edge, so a module has about one component per function
+        (cross-jump shared tails keep their functions together).  No
+        dataflow fact crosses a component, so each analysis may solve
+        them one by one.  Split once per graph, on first use.
+        """
+        if self._components is None:
+            self._components = _split(self)
+        return self._components
+
+
+@dataclass
+class Component:
+    """One weakly-connected component of a :class:`ModuleCFG`."""
+
+    #: the component's blocks and edges only (no label map)
+    cfg: ModuleCFG
+    #: every ``bl`` target, in first-occurrence order
+    callees: Tuple[str, ...]
+    #: block keys in module order, labels, instructions, successors:
+    #: everything an intraprocedural fixpoint depends on
+    content: Tuple[object, ...]
+
+    @property
+    def functions(self) -> List[str]:
+        """The functions whose entry block lies in the component."""
+        return [name for name, __ in self.cfg.entries]
+
+
+def _split(cfg: ModuleCFG) -> List[Component]:
+    position = {key: index for index, key in enumerate(cfg.keys)}
+    entries = set(cfg.entries)
+    seen: Set[BlockKey] = set()
+    components: List[Component] = []
+    for root in cfg.keys:
+        if root in seen:
+            continue
+        seen.add(root)
+        keys = [root]
+        stack = [root]
+        while stack:
+            key = stack.pop()
+            for nxt in chain(cfg.succ[key], cfg.pred[key]):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    keys.append(nxt)
+                    stack.append(nxt)
+        keys.sort(key=position.__getitem__)
+        blocks = {key: cfg.blocks[key] for key in keys}
+        callees: Dict[str, None] = {}
+        for key in keys:
+            for insn in blocks[key].instructions:
+                target = insn.label_target
+                if insn.mnemonic == "bl" and target is not None:
+                    callees[target] = None
+        components.append(Component(
+            cfg=ModuleCFG(
+                keys=keys,
+                blocks=blocks,
+                succ={key: cfg.succ[key] for key in keys},
+                pred={key: cfg.pred[key] for key in keys},
+                entries=[key for key in keys if key in entries],
+            ),
+            callees=tuple(callees),
+            content=tuple(
+                (key, tuple(blocks[key].labels),
+                 tuple(blocks[key].instructions), tuple(cfg.succ[key]))
+                for key in keys
+            ),
+        ))
+    return components
 
 
 def build_module_cfg(module: Module) -> ModuleCFG:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generic, TypeVar
+from typing import Any, Callable, Dict, Generic, Hashable, TypeVar
 
 from repro.binary.program import BasicBlock
 from repro.telemetry import GLOBAL as _TELEMETRY
@@ -31,6 +31,7 @@ from repro.telemetry import GLOBAL as _TELEMETRY
 from repro.verify.cfg import BlockKey, ModuleCFG
 
 Fact = TypeVar("Fact")
+Value = TypeVar("Value")
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -82,6 +83,55 @@ class DataflowResult(Generic[Fact]):
     in_facts: Dict[BlockKey, Any] = field(default_factory=dict)
     out_facts: Dict[BlockKey, Any] = field(default_factory=dict)
     iterations: int = 0
+
+
+class ComponentMemo:
+    """One analysis's per-component results, reused across its calls.
+
+    A component's fixpoint depends only on what its key captures (its
+    content, plus whatever the analysis feeds in from outside).  The
+    memo keeps only the entries its latest call used, so memory stays
+    at about one module's facts.
+    """
+
+    def __init__(self) -> None:
+        self._previous: Dict[Hashable, Any] = {}
+        self._current: Dict[Hashable, Any] = {}
+        #: results actually computed (memo misses), over all calls
+        self.solves = 0
+
+    def begin(self) -> None:
+        """Start a call; the last call's entries stay reusable."""
+        self._previous, self._current = self._current, {}
+
+    def get(self, key: Hashable, compute: Callable[..., Value],
+            *args: Any) -> Value:
+        """The result under *key*; ``compute(*args)`` runs on a miss."""
+        value: Value
+        try:
+            value = self._current[key]
+        except KeyError:
+            try:
+                value = self._previous[key]
+            except KeyError:
+                value = compute(*args)
+                self.solves += 1
+            self._current[key] = value
+        return value
+
+
+class AnalysisMemo:
+    """The component memos of one PA run, one per split analysis.
+
+    Create one per ``run_pa``/``run_sfx`` call and pass it to every
+    round's analyses: nothing about a module outlives it.
+    """
+
+    def __init__(self) -> None:
+        #: :func:`repro.verify.absint.audit_module`'s component solves
+        self.absint = ComponentMemo()
+        #: :func:`repro.pa.liveness.lr_live_out_blocks`'s lr-live sets
+        self.liveness = ComponentMemo()
 
 
 def solve(cfg: ModuleCFG, analysis: Analysis,

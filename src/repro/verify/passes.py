@@ -4,9 +4,10 @@ Four analyses, all built on the generic solver of
 :mod:`repro.verify.dataflow`:
 
 * :class:`LivenessAnalysis` — full per-resource liveness (all sixteen
-  registers plus the NZCV flags), backward.  The lr-only special case
-  that patched the rijndael miscompile is now the single-register
-  projection :func:`live_out_blocks`.
+  registers plus the NZCV flags), backward.  :func:`live_out_blocks`
+  is its whole-module single-register projection; the lr check that
+  patched the rijndael miscompile (:mod:`repro.pa.liveness`) solves
+  the same analysis per CFG component.
 * :class:`MaybeUndefAnalysis` — forward "possibly undefined" resource
   tracking.  Function entries start with the flags undefined (the AAPCS
   makes no promise about NZCV), and a call leaves the caller-saved

@@ -80,6 +80,35 @@ class TestClassification:
 
 
 class TestAccessSets:
+    def test_cached_sets_match_a_fresh_computation(self):
+        """Every instruction of the bundled programs reports the sets a
+        fresh computation gives, and equal sets are one object."""
+        from repro.workloads import PROGRAMS, compile_workload
+
+        interned = {}
+        for name in PROGRAMS:
+            for func in compile_workload(name).functions:
+                for block in func.blocks:
+                    for insn in block.instructions:
+                        for cached, fresh in (
+                            (insn.regs_read(), insn._regs_read()),
+                            (insn.regs_written(), insn._regs_written()),
+                        ):
+                            assert cached == fresh
+                            assert interned.setdefault(cached, cached) \
+                                is cached
+
+    def test_cached_sets_invisible_to_eq_hash_and_replace(self):
+        import dataclasses
+
+        cached, fresh = ins("ldr r0, [r1, #4]!"), ins("ldr r0, [r1, #4]!")
+        assert cached.regs_written() == {0, 1}
+        assert cached.regs_read() is cached.regs_read()
+        assert cached == fresh and hash(cached) == hash(fresh)
+        other = dataclasses.replace(cached, operands=(Reg(2), Mem(3)))
+        assert other.regs_read() == {3}
+        assert other.regs_written() == {2}
+
     def test_dataproc_reads_writes(self):
         insn = ins("add r0, r1, r2")
         assert insn.regs_read() == {1, 2}

@@ -217,3 +217,95 @@ def test_differential_lr_liveness_after_abstraction():
         assert lr_live_out_blocks(module) == _reference_lr_live_out(
             module
         ), name
+
+
+def test_every_memoised_call_of_a_run_matches_whole_module_liveness(
+        monkeypatch):
+    """The per-component, memoised solve agrees with one whole-module
+    liveness solve at every round of an SFX and an Edgar run."""
+    import repro.pa.driver as driver_mod
+    import repro.pa.sfx as sfx_mod
+    from repro.isa.registers import LR
+    from repro.verify.passes import live_out_blocks
+    from repro.workloads import compile_workload
+
+    calls = [0]
+
+    def checked(module, memo=None, cfg=None):
+        got = lr_live_out_blocks(module, memo, cfg)
+        assert got == live_out_blocks(module, LR)
+        calls[0] += 1
+        return got
+
+    monkeypatch.setattr(sfx_mod, "lr_live_out_blocks", checked)
+    monkeypatch.setattr(driver_mod, "lr_live_out_blocks", checked)
+    sfx = run_sfx(compile_workload("sha"))
+    edgar = run_pa(compile_workload("crc"), PAConfig(miner="edgar"))
+    assert sfx.saved > 0 and edgar.saved > 0
+    assert calls[0] > sfx.rounds + edgar.rounds
+
+
+def test_unchanged_module_runs_no_liveness_solve():
+    from repro.verify.dataflow import AnalysisMemo
+    from repro.workloads import compile_workload
+
+    module = compile_workload("crc")
+    memo = AnalysisMemo()
+    first = lr_live_out_blocks(module, memo)
+    cold = memo.liveness.solves
+    assert cold > 0
+    assert lr_live_out_blocks(module, memo) == first
+    assert memo.liveness.solves == cold
+
+
+def test_back_to_back_runs_solve_the_same_liveness_components():
+    """No memo state crosses runs: an identical second run re-solves
+    exactly as many components as the first, and some calls of a run
+    are served from its memo."""
+    from repro import telemetry
+    from repro.workloads import compile_workload
+
+    registry = telemetry.get()
+    registry.reset()
+    registry.enable()
+    try:
+        counts = []
+        for __ in range(2):
+            registry.reset()
+            run_sfx(compile_workload("crc"))
+            counts.append((
+                registry.counter_value("verify.liveness.solves"),
+                registry.counter_value("verify.liveness.components"),
+            ))
+    finally:
+        registry.disable()
+        registry.reset()
+    assert counts[0] == counts[1]
+    solves, components = counts[0]
+    assert 0 < solves < components
+
+
+def test_memo_is_keyed_on_block_content():
+    """Two modules with the same block keys but a different return
+    idiom: the memo must not serve the first module's lr-live set for
+    the second."""
+    from repro.isa.registers import LR
+    from repro.verify.dataflow import AnalysisMemo
+    from repro.verify.passes import live_out_blocks
+
+    source = """
+        _start:
+            bl f
+            swi #0
+        f:
+            mov r1, #1
+            b out
+        out:
+            {ret}
+        """
+    memo = AnalysisMemo()
+    for ret in ("mov pc, lr", "bx r1", "mov pc, lr"):
+        module = module_from_source(source.format(ret=ret))
+        got = lr_live_out_blocks(module, memo)
+        assert got == live_out_blocks(module, LR)
+        assert (("f", 0) in got) == (ret == "mov pc, lr")

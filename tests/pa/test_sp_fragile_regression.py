@@ -145,7 +145,7 @@ def test_composition_program_miscompiles_without_the_gate(monkeypatch):
 
     monkeypatch.setattr(
         sfx_mod, "sp_fragile_functions",
-        lambda module, memo=None: frozenset()
+        lambda module, memo=None, cfg=None: frozenset()
     )
     module = module_from_source(COMPOSITION_PROGRAM)
     run_sfx(module)
@@ -204,7 +204,7 @@ def test_dynamic_catch_sanitizer_flags_the_clobber(monkeypatch):
     # ungated build: the clobber is flagged at its site
     monkeypatch.setattr(
         sfx_mod, "sp_fragile_functions",
-        lambda module, memo=None: frozenset()
+        lambda module, memo=None, cfg=None: frozenset()
     )
     broken = module_from_source(COMPOSITION_PROGRAM)
     run_sfx(broken)

@@ -1,10 +1,10 @@
 """Component-memoised abstract interpretation is exact.
 
 :func:`audit_module` solves each weakly-connected CFG component on its
-own and reuses solves across the audits of one PA run.  The reference
-below is the whole-module summary loop it replaced: one ``solve`` over
-the full CFG per round, then ``_extract_summaries``.  Every audit a PA
-run makes must agree with it exactly.
+own, callees first, and reuses solves across the audits of one PA run.
+The reference below is the whole-module summary loop it replaced: one
+``solve`` over the full CFG per round, then ``_extract_summaries``.
+Every audit a PA run makes must agree with it exactly.
 """
 
 import pytest
@@ -15,14 +15,13 @@ from repro.pa.sfx import run_sfx
 from repro.verify import absint
 from repro.verify.absint import (
     AbsIntAnalysis,
-    AuditMemo,
     AuditResult,
     _extract_summaries,
     _join_mismatches,
     audit_module,
 )
 from repro.verify.cfg import build_module_cfg
-from repro.verify.dataflow import ConvergenceError, solve
+from repro.verify.dataflow import AnalysisMemo, ConvergenceError, solve
 from repro.workloads import compile_workload
 
 from tests.conftest import module_from_source
@@ -47,12 +46,18 @@ def reference_audit(module, max_iterations=4):
                        iterations=iterations)
 
 
-def assert_same_audit(got, want):
+def assert_same_fixpoint(got, want):
+    """Same summaries, events and facts; the pass counts may differ."""
     assert got.summaries == want.summaries
-    assert got.to_payload() == want.to_payload()
+    assert got.events == want.events
     assert got.result.in_facts == want.result.in_facts
     assert got.result.out_facts == want.result.out_facts
     assert got.result.iterations == want.result.iterations
+
+
+def assert_same_audit(got, want):
+    assert_same_fixpoint(got, want)
+    assert got.to_payload() == want.to_payload()
 
 
 @pytest.fixture
@@ -111,14 +116,14 @@ def test_back_to_back_runs_solve_the_same_components(registry):
 
 def test_memo_keeps_only_the_last_audits_entries():
     module = compile_workload("crc")
-    memo = AuditMemo()
+    memo = AnalysisMemo()
     audit_module(module, memo=memo)
-    cold = memo.solves
+    cold = memo.absint.solves
     audit_module(module, memo=memo)
-    assert memo.solves == cold  # an unchanged module is all hits
+    assert memo.absint.solves == cold  # an unchanged module is all hits
     audit_module(module_from_source(CHAIN_PROGRAM), memo=memo)
     audit_module(module, memo=memo)
-    assert memo.solves > cold  # crc's entries were dropped in between
+    assert memo.absint.solves > cold  # crc's entries were dropped
 
 
 def _chain_program(helpers: int, offset: int) -> str:
@@ -138,21 +143,92 @@ CHAIN_PROGRAM = _chain_program(helpers=6, offset=40)
 
 
 def test_summary_iteration_runs_to_its_fixpoint():
-    """Caller-frame reads climb one call level per summary round.  The
-    leaf reads 40 bytes up; each bracket takes 4 of them, so all six
-    helpers touch their caller's frame.  A loop capped at 4 rounds
-    stops with the top of the chain wrongly non-fragile."""
+    """Caller-frame reads climb one call level per summary round of the
+    whole-module loop.  The leaf reads 40 bytes up; each bracket takes
+    4 of them, so all six helpers touch their caller's frame.  A loop
+    capped at 4 rounds stops with the top of the chain wrongly
+    non-fragile.  Callee-first passes resolve the chain in one solving
+    pass plus one confirming pass."""
     module = module_from_source(CHAIN_PROGRAM)
     result = audit_module(module)
     assert all(result.summaries[f"h{level}"].fragile
                for level in range(1, 7))
     assert result.summaries["h6"].caller_reads == (-16,)
-    assert result.iterations > 4
+    assert result.iterations == 2
 
     capped = reference_audit(module, max_iterations=4)
     assert not capped.summaries["h6"].fragile
-    assert_same_audit(result,
-                      reference_audit(module, max_iterations=100))
+    assert_same_fixpoint(result,
+                         reference_audit(module, max_iterations=100))
+
+
+DIAMOND_PROGRAM = """
+.text
+.global _start
+_start:
+    bl left
+    bl right
+    mov r0, #0
+    swi #0
+left:
+    push {lr}
+    bl base
+    pop {pc}
+right:
+    push {r4, lr}
+    bl base
+    pop {r4, pc}
+base:
+    ldr r0, [sp, #12]
+    mov pc, lr
+"""
+
+
+def test_diamond_call_graph_matches_the_whole_module_loop():
+    """Two callers share a fragile callee: both see its final summary
+    in the first pass, so the second pass only confirms."""
+    module = module_from_source(DIAMOND_PROGRAM)
+    result = audit_module(module)
+    assert all(result.summaries[name].fragile
+               for name in ("base", "left", "right"))
+    assert result.iterations == 2
+    assert_same_fixpoint(result, reference_audit(module))
+
+
+MUTUAL_PROGRAM = """
+.text
+.global _start
+_start:
+    bl a
+    mov r0, #0
+    swi #0
+leaf:
+    ldr r0, [sp, #16]
+    mov pc, lr
+a:
+    push {lr}
+    bl b
+    pop {pc}
+b:
+    push {lr}
+    cmp r0, #0
+    beq skip
+    bl a
+skip:
+    bl leaf
+    pop {pc}
+"""
+
+
+def test_mutual_recursion_iterates_to_the_same_fixpoint():
+    """``a`` and ``b`` call each other, so no order puts every callee
+    first: each pass carries the caller-frame reads one more call
+    level around the cycle until they fall inside the frames."""
+    module = module_from_source(MUTUAL_PROGRAM)
+    result = audit_module(module)
+    assert result.iterations > 2
+    assert_same_fixpoint(result,
+                         reference_audit(module, max_iterations=100))
 
 
 GROWING_READS_PROGRAM = """
