@@ -69,9 +69,7 @@ from repro.verify.domains import (
     Interval,
     StackAddr,
     add_values,
-    allocate,
     const,
-    deallocate,
     entry_state,
     frame_from_dict,
     join_states,
@@ -228,8 +226,8 @@ def _set_sp(regs: List[AbsVal], frame: Dict[int, AbsVal],
         return
     # grow: fresh slots hold garbage; shrink: slots below sp are gone
     if new_h > old_h:
-        for depth, slot in allocate(frame_from_dict(frame), old_h, new_h):
-            frame[depth] = slot
+        for depth in range(old_h + 4, new_h + 1, 4):
+            frame[depth] = UNINIT
     elif new_h < old_h:
         for depth in [d for d in frame if d > new_h]:
             del frame[depth]
@@ -491,22 +489,57 @@ def _step_core(regs: List[AbsVal], frame: Dict[int, AbsVal],
     # b / bx: no register effects
 
 
-def step_state(state: AbsState, insn: Instruction,
-               summaries: Optional[Dict[str, FuncSummary]] = None,
-               sink: Optional[_Sink] = None) -> AbsState:
-    """Advance one abstract state across one instruction."""
-    if state.bottom:
-        return state
-    regs = list(state.regs)
-    frame = dict(state.frame)
-    escaped = [state.escaped]
-    _step_core(regs, frame, insn, summaries, escaped, sink)
-    after = AbsState(regs=tuple(regs), frame=frame_from_dict(frame),
-                     escaped=escaped[0])
-    if insn.is_conditional:
-        # the instruction may not execute; events stay (may-semantics)
-        return join_states(state, after)
-    return after
+class _Machine:
+    """One abstract state, stepped in place across a block.
+
+    The in-state becomes a register list and a frame dict once; every
+    instruction mutates them, and :meth:`freeze` builds the sorted
+    :class:`AbsState` once, at the end.  This is the only code that
+    moves a state across an instruction: the solver's transfer and the
+    extraction walk both step through it.
+    """
+
+    __slots__ = ("regs", "frame", "escaped")
+
+    def __init__(self, state: AbsState) -> None:
+        self.regs: List[AbsVal] = list(state.regs)
+        self.frame: Dict[int, AbsVal] = dict(state.frame)
+        self.escaped = [state.escaped]
+
+    @property
+    def height(self) -> Optional[int]:
+        """The current stack height (None once ``sp`` is lost)."""
+        return stack_depth_of(self.regs[SP])
+
+    def step(self, insn: Instruction,
+             summaries: Optional[Dict[str, FuncSummary]],
+             sink: Optional[_Sink] = None) -> None:
+        """Advance the state across *insn*."""
+        regs, frame = self.regs, self.frame
+        if insn.cond == "al":
+            _step_core(regs, frame, insn, summaries, self.escaped, sink)
+            return
+        # the instruction may not execute: join the pre-state back in,
+        # pointwise; events stay (may-semantics)
+        before_regs = regs[:]
+        before_frame = frame.copy()
+        _step_core(regs, frame, insn, summaries, self.escaped, sink)
+        if regs != before_regs:
+            for num, before in enumerate(before_regs):
+                if regs[num] is not before:
+                    regs[num] = join_values(before, regs[num])
+        if frame != before_frame:
+            for depth, value in list(frame.items()):
+                old = before_frame.get(depth)
+                if old is None:
+                    del frame[depth]  # tracked on one side only
+                elif value is not old:
+                    frame[depth] = join_values(old, value)
+
+    def freeze(self) -> AbsState:
+        return AbsState(regs=tuple(self.regs),
+                        frame=frame_from_dict(self.frame),
+                        escaped=self.escaped[0])
 
 
 class AbsIntAnalysis(Analysis):
@@ -528,9 +561,12 @@ class AbsIntAnalysis(Analysis):
 
     def transfer(self, key: BlockKey, block: BasicBlock,
                  state: AbsState) -> AbsState:
+        if state.bottom:
+            return state
+        machine = _Machine(state)
         for insn in block.instructions:
-            state = step_state(state, insn, self.summaries)
-        return state
+            machine.step(insn, self.summaries)
+        return machine.freeze()
 
 
 @dataclass
@@ -567,58 +603,56 @@ class AuditResult:
         }
 
 
-def _return_height(state: AbsState, block: BasicBlock, upto: int,
-                   summaries: Dict[str, FuncSummary]) -> Optional[int]:
-    """Height when the return at index *upto* transfers control."""
-    for insn in block.instructions[:upto]:
-        state = step_state(state, insn, summaries)
-    ret = block.instructions[upto]
-    if ret.mnemonic == "pop":
-        state = step_state(state, ret, summaries)
-    return state.height
+@dataclass(frozen=True)
+class _BlockStats:
+    """What one block contributes to its functions' summaries."""
+
+    height_known: bool
+    max_height: int
+    has_negative: bool
+    retaddrs: Tuple[int, ...]
+    #: the height at each return, as control leaves (after a ``pop``)
+    return_heights: Tuple[Optional[int], ...]
 
 
 def _walk_blocks(
     cfg: ModuleCFG,
     result: DataflowResult,
     summaries: Dict[str, FuncSummary],
-) -> Tuple[List[AbsEvent], Dict[BlockKey, Tuple[bool, int, bool, Tuple[int, ...]]]]:
-    """One global pass: collect events and per-block height stats.
-
-    Returns the events plus ``key -> (height_known, max_height,
-    has_negative, retaddr_depths)`` for summary aggregation.
-    """
+) -> Tuple[List[AbsEvent], Dict[BlockKey, _BlockStats]]:
+    """One global pass: collect events and per-block height stats."""
     events: List[AbsEvent] = []
-    stats: Dict[BlockKey, Tuple[bool, int, bool, Tuple[int, ...]]] = {}
+    stats: Dict[BlockKey, _BlockStats] = {}
     for key in cfg.keys:
         state = result.in_facts[key]
         if state.bottom:
             continue
+        machine = _Machine(state)
         sink = _Sink()
-        known, max_h, negative = True, 0, False
+        heights: List[Optional[int]] = []
+        returns: List[Optional[int]] = []
         retaddrs: Set[int] = set()
         for index, insn in enumerate(cfg.blocks[key].instructions):
-            h = state.height
-            if h is None:
-                known = False
-            else:
-                max_h = max(max_h, h)
-                if h < 0:
-                    negative = True
-            for depth, value in state.frame:
+            h = machine.height
+            heights.append(h)
+            for depth, value in machine.frame.items():
                 if value is RETADDR:
                     retaddrs.add(depth)
             sink.site = (key[0], key[1], index)
-            state = step_state(state, insn, summaries, sink)
-        h = state.height
-        if h is None:
-            known = False
-        else:
-            max_h = max(max_h, h)
-            if h < 0:
-                negative = True
+            machine.step(insn, summaries, sink)
+            if insn.is_return:
+                returns.append(machine.height if insn.mnemonic == "pop"
+                               else h)
+        heights.append(machine.height)
+        known = [height for height in heights if height is not None]
         events.extend(sink.events)
-        stats[key] = (known, max_h, negative, tuple(sorted(retaddrs)))
+        stats[key] = _BlockStats(
+            height_known=len(known) == len(heights),
+            max_height=max([0] + known),
+            has_negative=any(height < 0 for height in known),
+            retaddrs=tuple(sorted(retaddrs)),
+            return_heights=tuple(returns),
+        )
     return events, stats
 
 
@@ -683,14 +717,18 @@ def _extract_summaries(
         retaddrs: Set[int] = set()
         reads: Set[int] = set()
         writes: Set[int] = set()
+        ret_heights: Set[Optional[int]] = set()
+        returns = 0
         for key in keys:
             if key not in stats:
                 continue
-            b_known, b_max, b_neg, b_ret = stats[key]
-            known = known and b_known
-            max_h = max(max_h, b_max)
-            negative = negative or b_neg
-            retaddrs.update(b_ret)
+            block_stats = stats[key]
+            known = known and block_stats.height_known
+            max_h = max(max_h, block_stats.max_height)
+            negative = negative or block_stats.has_negative
+            retaddrs.update(block_stats.retaddrs)
+            ret_heights.update(block_stats.return_heights)
+            returns += len(block_stats.return_heights)
             for event in events_by_key.get(key, ()):
                 if event.depth is None:
                     continue
@@ -698,19 +736,6 @@ def _extract_summaries(
                     reads.add(event.depth)
                 else:
                     writes.add(event.depth)
-        ret_heights: Set[Optional[int]] = set()
-        returns = 0
-        for key in keys:
-            state = result.in_facts[key]
-            if state.bottom:
-                continue
-            block = cfg.blocks[key]
-            for index, insn in enumerate(block.instructions):
-                if insn.is_return:
-                    returns += 1
-                    ret_heights.add(
-                        _return_height(state, block, index, summaries)
-                    )
         if None in ret_heights or len(ret_heights) > 1:
             net: Optional[int] = None
         elif ret_heights:

@@ -78,6 +78,31 @@ class ModuleCFG:
         return self._components
 
 
+class ComponentContent:
+    """A component's content as a memo key, hashed once.
+
+    Hashing the nested tuple of instructions is the expensive part of a
+    memo lookup, so it happens here, when the component is split off.
+    The hash is not cached on the instructions themselves: they are
+    pickled into worker payloads, where a string hash cached by another
+    process would be stale.  Components never leave the process.
+    """
+
+    __slots__ = ("items", "_hash")
+
+    def __init__(self, items: Tuple[object, ...]) -> None:
+        self.items = items
+        self._hash = hash(items)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ComponentContent):
+            return NotImplemented
+        return self._hash == other._hash and self.items == other.items
+
+
 @dataclass
 class Component:
     """One weakly-connected component of a :class:`ModuleCFG`."""
@@ -88,7 +113,7 @@ class Component:
     callees: Tuple[str, ...]
     #: block keys in module order, labels, instructions, successors:
     #: everything an intraprocedural fixpoint depends on
-    content: Tuple[object, ...]
+    content: ComponentContent
 
     @property
     def functions(self) -> List[str]:
@@ -131,11 +156,11 @@ def _split(cfg: ModuleCFG) -> List[Component]:
                 entries=[key for key in keys if key in entries],
             ),
             callees=tuple(callees),
-            content=tuple(
+            content=ComponentContent(tuple(
                 (key, tuple(blocks[key].labels),
                  tuple(blocks[key].instructions), tuple(cfg.succ[key]))
                 for key in keys
-            ),
+            )),
         ))
     return components
 

@@ -262,9 +262,10 @@ def join_states(a: AbsState, b: AbsState) -> AbsState:
         return a
     if a == b:
         return a
-    regs = tuple(
-        join_values(ra, rb) for ra, rb in zip(a.regs, b.regs)
-    )
+    regs = tuple([
+        ra if ra is rb else join_values(ra, rb)
+        for ra, rb in zip(a.regs, b.regs)
+    ])
     return AbsState(regs=regs, frame=join_frames(a.frame, b.frame),
                     escaped=a.escaped or b.escaped)
 

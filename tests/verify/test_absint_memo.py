@@ -11,6 +11,7 @@ import pytest
 
 from repro import telemetry
 from repro.pa.driver import PAConfig, run_pa
+from repro.pa.liveness import lr_live_out_blocks
 from repro.pa.sfx import run_sfx
 from repro.verify import absint
 from repro.verify.absint import (
@@ -124,6 +125,23 @@ def test_memo_keeps_only_the_last_audits_entries():
     audit_module(module_from_source(CHAIN_PROGRAM), memo=memo)
     audit_module(module, memo=memo)
     assert memo.absint.solves > cold  # crc's entries were dropped
+
+
+def test_a_fresh_cfg_of_an_unchanged_module_solves_nothing(registry):
+    """Memo keys are the components' contents, not the CFG objects: a
+    newly built CFG of the same module hits every entry."""
+    module = compile_workload("crc")
+    memo = AnalysisMemo()
+    cfg = build_module_cfg(module)
+    audit_module(module, cfg, memo)
+    lr_live_out_blocks(module, memo, cfg)
+    counters = ("verify.audit.solves", "verify.liveness.solves")
+    cold = [registry.counter_value(name) for name in counters]
+    assert all(count > 0 for count in cold)
+    fresh = build_module_cfg(module)
+    audit_module(module, fresh, memo)
+    lr_live_out_blocks(module, memo, fresh)
+    assert [registry.counter_value(name) for name in counters] == cold
 
 
 def _chain_program(helpers: int, offset: int) -> str:

@@ -7,6 +7,7 @@ which is exactly how cross-function tail edges arise.
 """
 
 from repro.verify.cfg import build_module_cfg
+from repro.workloads import compile_workload
 
 from tests.conftest import module_from_source
 
@@ -154,3 +155,19 @@ def test_entries_and_labels():
     cfg = build_module_cfg(module)
     assert cfg.entries == [("_start", 0), ("f", 0)]
     assert cfg.label_to_block["f"] == ("f", 0)
+
+
+def test_equal_component_contents_hash_and_compare_equal():
+    """Two compiles of one program split into distinct but equal
+    content objects: memo keys that find each other."""
+    first = build_module_cfg(compile_workload("crc")).components()
+    second = build_module_cfg(compile_workload("crc")).components()
+    assert len(first) == len(second) > 1
+    for a, b in zip(first, second):
+        assert a.content is not b.content
+        assert a.content.items is not b.content.items
+        assert hash(a.content) == hash(b.content)
+        assert a.content == b.content
+        assert {a.content: 1}[b.content] == 1
+    assert first[0].content != first[1].content
+    assert first[0].content != first[0].content.items
