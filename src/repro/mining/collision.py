@@ -33,7 +33,7 @@ def build_collision_graph(
         for a_pos, i in enumerate(indices):
             set_i = embeddings[i].node_set
             for j in indices[a_pos + 1:]:
-                if set_i & embeddings[j].node_set:
+                if not set_i.isdisjoint(embeddings[j].node_set):
                     adjacency[i].append(j)
                     adjacency[j].append(i)
     if _TELEMETRY.enabled and embeddings:

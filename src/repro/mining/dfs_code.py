@@ -79,8 +79,8 @@ def rightmost_path(code: Sequence[EdgeTuple]) -> List[int]:
     """DFS indices on the rightmost path, root first.
 
     The rightmost path is the chain of forward edges leading to the
-    highest-numbered (rightmost) vertex.  (Hand-rolled loops: this is
-    the hottest helper of the whole miner.)
+    highest-numbered (rightmost) vertex.  The miner derives it once per
+    lattice node; :func:`is_min` grows its own one edge at a time.
     """
     if not code:
         return []
@@ -236,50 +236,73 @@ def is_min(code: Sequence[EdgeTuple]) -> bool:
     matching the expected tuple are carried forward.  This avoids
     materializing the full extension map the way :func:`min_dfs_code`
     must.
+
+    Step 0 is decided from the code tuples alone: every code edge, seen
+    from either end, is a one-edge code, and one whose labels sort below
+    ``code[0]``'s disproves minimality before any graph is built.  Later
+    steps keep the rightmost path and the used edges of the built prefix
+    up to date one edge at a time.  The used edges are DFS-index edges
+    ``(src, dst, label)`` in graph direction, shared by every mapping:
+    mappings are injective, so the graph edge between ``mapping[a]`` and
+    ``mapping[b]`` is consumed exactly when the prefix holds the DFS
+    edge between *a* and *b* with that label and direction.
     """
-    graph = _CodeGraph(code)
-    labels = graph.labels
-    adj = graph.adj
-    built: List[EdgeTuple] = []
-    mappings: List[Tuple[int, ...]] = [()]
-    for k, expected in enumerate(code):
-        e_i, e_j, __, e_dir, e_el, e_lj = expected
+    if not code:
+        return True
+    e_label4 = code[0][2:]
+    num_nodes = 0
+    mappings: List[Tuple[int, ...]] = []
+    for i, j, li, d, el, lj in code:
+        forward = (li, d, el, lj)
+        backward = (lj, 1 - d, el, li)
+        if forward < e_label4 or backward < e_label4:
+            return False
+        if forward == e_label4:
+            mappings.append((i, j))
+        if backward == e_label4:
+            mappings.append((j, i))
+        if i >= num_nodes:
+            num_nodes = i + 1
+        if j >= num_nodes:
+            num_nodes = j + 1
+    labels = [0] * num_nodes
+    # adj[v] = list of (other, elabel, direction_from_v)
+    adj: List[List[Tuple[int, int, int]]] = [[] for __ in range(num_nodes)]
+    for i, j, li, d, el, lj in code:
+        labels[i] = li
+        labels[j] = lj
+        adj[i].append((j, el, d))
+        adj[j].append((i, el, 1 - d))
+    # paths[v] = rightmost path ending at DFS index v, root first
+    paths: List[Tuple[int, ...]] = [()] * num_nodes
+    paths[0] = (0,)
+    rm_path = paths[0]
+    used = set()
+    for k in range(1, len(code)):
+        p_i, p_j, __, p_dir, p_el, ___ = code[k - 1]
+        used.add((p_i, p_j, p_el) if p_dir == 0 else (p_j, p_i, p_el))
+        if p_i < p_j:
+            rm_path = paths[p_j] = paths[p_i] + (p_j,)
+        rightmost = rm_path[-1]
+        e_i, e_j, __, e_dir, e_el, e_lj = code[k]
         expected_forward = e_i < e_j
         e_rest = (e_dir, e_el, e_lj)
         matched: List[Tuple[int, ...]] = []
-        if not built:
-            e_label4 = expected[2:]
-            for src, dst, elabel in graph.edges:
-                for a, b, direction in ((src, dst, 0), (dst, src, 1)):
-                    label4 = (labels[a], direction, elabel, labels[b])
-                    if label4 < e_label4:
-                        return False
-                    if label4 == e_label4:
-                        matched.append((a, b))
-            built.append(expected)
-            mappings = matched
-            continue
-        rm_path = rightmost_path(built)
-        rightmost = rm_path[-1]
-        rm_set = set(rm_path)
         for mapping in mappings:
-            mapped = set(mapping)
-            used = _used_edges(built, mapping)
             g_rightmost = mapping[rightmost]
             # backward extensions from the rightmost vertex; any backward
             # extension sorts before every forward one
             for other, elabel, direction in adj[g_rightmost]:
-                if other not in mapped:
+                if other not in mapping:
                     continue
                 back_to = mapping.index(other)
-                if back_to == rightmost or back_to not in rm_set:
+                if back_to == rightmost or back_to not in rm_path:
                     continue
-                gedge = (
-                    (g_rightmost, other, elabel)
+                if (
+                    (rightmost, back_to, elabel)
                     if direction == 0
-                    else (other, g_rightmost, elabel)
-                )
-                if gedge in used:
+                    else (back_to, rightmost, elabel)
+                ) in used:
                     continue
                 if expected_forward:
                     return False
@@ -300,7 +323,7 @@ def is_min(code: Sequence[EdgeTuple]) -> bool:
                     g_node = mapping[dfs_index]
                     deeper = dfs_index > e_i
                     for other, elabel, direction in adj[g_node]:
-                        if other in mapped:
+                        if other in mapping:
                             continue
                         if deeper:
                             return False
@@ -309,6 +332,5 @@ def is_min(code: Sequence[EdgeTuple]) -> bool:
                             return False
                         if rest == e_rest:
                             matched.append(mapping + (other,))
-        built.append(expected)
         mappings = matched
     return True

@@ -101,12 +101,13 @@ class Edgar(DgSpan):
         kept: List[Embedding] = []
         never_convex = cyclic = 0
         for emb in embeddings:
+            node_set = emb.node_set
             if never_convex_within(
-                db.dfgs[emb.graph], emb.nodes, self.max_nodes
+                db.dfgs[emb.graph], node_set, self.max_nodes
             ):
                 never_convex += 1
                 continue
-            if is_permanently_illegal(db.dfgs[emb.graph], emb.nodes):
+            if is_permanently_illegal(db.dfgs[emb.graph], node_set):
                 cyclic += 1
                 continue
             kept.append(emb)
@@ -145,7 +146,7 @@ class Edgar(DgSpan):
                 scan = members[:200]
                 for i, a in enumerate(scan):
                     for b in scan[i + 1:]:
-                        if not (a.node_set & b.node_set):
+                        if a.node_set.isdisjoint(b.node_set):
                             return True
             return False
         return len(self._disjoint(unique)) >= self.min_support

@@ -10,6 +10,7 @@ the occurrences do not overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, List, Sequence, Tuple
 
 
@@ -25,9 +26,18 @@ class Embedding:
     graph: int
     nodes: Tuple[int, ...]
 
-    @property
+    @cached_property
     def node_set(self) -> FrozenSet[int]:
+        """The occurrence's graph nodes, built once per embedding.
+
+        The cache sits in the instance dict, outside the dataclass
+        fields, so ``==``, ``hash`` and ``repr`` never see it, and
+        :meth:`__reduce__` leaves it out of pickles.
+        """
         return frozenset(self.nodes)
+
+    def __reduce__(self):
+        return (Embedding, (self.graph, self.nodes))
 
     def overlaps(self, other: "Embedding") -> bool:
         """True if the two occurrences share an instruction.
@@ -37,7 +47,7 @@ class Embedding:
         """
         if self.graph != other.graph:
             return False
-        return bool(set(self.nodes) & set(other.nodes))
+        return not self.node_set.isdisjoint(other.node_set)
 
 
 def dedupe_by_node_set(embeddings: Sequence[Embedding]) -> List[Embedding]:

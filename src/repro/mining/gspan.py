@@ -28,7 +28,6 @@ from repro.mining.dfs_code import (
     is_min,
     node_labels_of,
     rightmost_path,
-    _used_edges,
 )
 from repro.mining.embeddings import Embedding, dedupe_by_node_set
 from repro.report.ledger import GLOBAL as _LEDGER
@@ -374,11 +373,15 @@ class DgSpan:
         rm_path = rightmost_path(code)
         rightmost = rm_path[-1]
         rm_set = set(rm_path)
+        # The code's edges by DFS index, in graph direction.  Mappings
+        # are injective, so an embedding has consumed the graph edge
+        # between mapping[a] and mapping[b] exactly when this set holds
+        # the DFS edge between a and b with its label and direction.
+        used = set(graph_edges_of(code))
         for emb in embeddings:
             graph = db.graphs[emb.graph]
             mapping = emb.nodes
-            mapped = set(mapping)
-            used = _used_edges(code, mapping)
+            mapped = emb.node_set
             # backward extensions: rightmost vertex -> rightmost path
             g_rightmost = mapping[rightmost]
             for other, elabel, direction in graph.adj[g_rightmost]:
@@ -387,12 +390,11 @@ class DgSpan:
                 back_to = mapping.index(other)
                 if back_to == rightmost or back_to not in rm_set:
                     continue
-                gedge = (
-                    (g_rightmost, other, elabel)
+                if (
+                    (rightmost, back_to, elabel)
                     if direction == 0
-                    else (other, g_rightmost, elabel)
-                )
-                if gedge in used:
+                    else (back_to, rightmost, elabel)
+                ) in used:
                     continue
                 tup = (
                     rightmost, back_to, graph.nodes[g_rightmost],

@@ -135,7 +135,48 @@ def random_codes(draw):
     return tuple(code)
 
 
-@given(random_codes())
+@st.composite
+def random_cyclic_codes(draw):
+    """Random DFS codes with cycles (up to 5 nodes).
+
+    Each code grows by rightmost extensions, as the miners grow theirs:
+    forward edges leave the rightmost path for a new node, and backward
+    edges (up to two before each forward edge and two at the end) run
+    from the rightmost vertex back to the rightmost path.  A backward
+    edge to the rightmost vertex's parent is a parallel edge; it needs
+    another label or direction than the edges already there.
+    """
+    n = draw(st.integers(2, 5))
+    labels = [draw(st.integers(0, 1)) for __ in range(n)]
+    code = []
+    #: graph edges by DFS index: (src, dst, edge_label)
+    edges = set()
+    rm_path = [0]
+
+    def add(i, j, direction, elabel):
+        edge = (i, j, elabel) if direction == 0 else (j, i, elabel)
+        if edge in edges:
+            return
+        edges.add(edge)
+        code.append((i, j, labels[i], direction, elabel, labels[j]))
+
+    def backward_edges():
+        if len(rm_path) < 2:
+            return
+        for __ in range(draw(st.integers(0, 2))):
+            add(rm_path[-1], draw(st.sampled_from(rm_path[:-1])),
+                draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+
+    for j in range(1, n):
+        backward_edges()
+        i = draw(st.sampled_from(rm_path))
+        add(i, j, draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+        rm_path = rm_path[:rm_path.index(i) + 1] + [j]
+    backward_edges()
+    return tuple(code)
+
+
+@given(st.one_of(random_codes(), random_cyclic_codes()))
 @settings(max_examples=150, deadline=None)
 def test_min_code_invariant_under_start_choice(code):
     """The canonical form must not depend on the DFS-code presentation."""
@@ -162,3 +203,32 @@ def test_is_min_agrees_with_min_dfs_code(code):
     """The fast early-abort is_min must agree with the reference
     construction on every valid code."""
     assert is_min(tuple(code)) == (min_dfs_code(code) == tuple(code))
+
+
+@given(random_cyclic_codes())
+@settings(max_examples=300, deadline=None)
+def test_is_min_agrees_with_min_dfs_code_on_cycles(code):
+    """Backward edges reach is_min's used-edge test, which trees never
+    do: a backward edge between two mapped nodes is an extension unless
+    the prefix already holds that edge in that direction."""
+    assert is_min(code) == (min_dfs_code(code) == code)
+
+
+def test_cyclic_codes_reach_minimal_and_non_minimal_cycles():
+    """The cyclic strategy is not vacuous: it draws minimal and
+    non-minimal codes with parallel edges, and cycles through three or
+    more nodes.  (Minimal codes of the latter are rare; the hand-built
+    triangles in ``test_canonical_reference.py`` cover them.)"""
+    seen = set()
+
+    @given(random_cyclic_codes())
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    def classify(code):
+        if all(e[0] < e[1] for e in code):
+            return
+        pairs = [frozenset(e[:2]) for e in code]
+        seen.add((is_min(code), len(pairs) != len(set(pairs))))
+
+    classify()
+    assert {(True, True), (False, True), (False, False)} <= seen

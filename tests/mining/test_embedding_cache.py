@@ -1,0 +1,209 @@
+"""An embedding's node set is built once and never leaves the process.
+
+``Embedding.node_set`` is cached in the instance dict.  It must stay
+invisible to everything that treats the embedding as a value: equality
+and hashing (which must match the plain frozen dataclass the class used
+to be), pickles, the shard wire format and the checkpoint's carryover.
+"""
+
+import copy
+import dataclasses
+import json
+import pickle
+from typing import Tuple
+
+import pytest
+
+from repro.mining.embeddings import Embedding, dedupe_by_node_set
+from repro.pa.driver import PAConfig, config_to_dict
+from repro.resilience.checkpoint import (
+    Checkpoint,
+    candidate_to_dict,
+    candidates_from_dicts,
+    load_checkpoint,
+    write_checkpoint,
+)
+from repro.scale.shard import mine_shard, revive_candidates
+from tests.scale.test_shard import _payloads
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenEmbedding:
+    """The embedding class before the node-set cache."""
+
+    graph: int
+    nodes: Tuple[int, ...]
+
+
+SAMPLES = [
+    (0, (1, 2, 3)),
+    (0, (3, 2, 1)),
+    (1, (1, 2, 3)),
+    (0, (1, 2)),
+    (2, ()),
+    (0, (1, 2, 3)),
+]
+
+
+def _cached(embedding):
+    assert isinstance(embedding.node_set, frozenset)
+    assert "node_set" in embedding.__dict__
+    return embedding
+
+
+def _uncached(embedding):
+    return "node_set" not in embedding.__dict__
+
+
+class TestValueSemantics:
+    def test_equality_and_hash_match_the_frozen_dataclass(self):
+        for graph_a, nodes_a in SAMPLES:
+            for graph_b, nodes_b in SAMPLES:
+                new_a = _cached(Embedding(graph_a, nodes_a))
+                new_b = Embedding(graph_b, nodes_b)
+                old_a = FrozenEmbedding(graph_a, nodes_a)
+                old_b = FrozenEmbedding(graph_b, nodes_b)
+                assert (new_a == new_b) == (old_a == old_b)
+                assert (new_a != new_b) == (old_a != old_b)
+            assert hash(Embedding(graph_a, nodes_a)) == hash(
+                FrozenEmbedding(graph_a, nodes_a)
+            )
+            assert hash(_cached(Embedding(graph_a, nodes_a))) == hash(
+                FrozenEmbedding(graph_a, nodes_a)
+            )
+
+    def test_repr_and_fields_ignore_the_cache(self):
+        embedding = _cached(Embedding(3, (4, 5)))
+        assert repr(embedding) == "Embedding(graph=3, nodes=(4, 5))"
+        assert [f.name for f in dataclasses.fields(Embedding)] == [
+            "graph", "nodes",
+        ]
+        assert dataclasses.astuple(embedding) == (3, (4, 5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            embedding.nodes = (6,)
+
+    def test_node_set_is_built_once(self):
+        embedding = Embedding(0, (5, 1, 3))
+        first = embedding.node_set
+        assert first == frozenset({1, 3, 5})
+        assert embedding.node_set is first
+        assert embedding.node_set is first
+
+    def test_dedupe_keeps_the_first_of_each_node_set(self):
+        embeddings = [Embedding(g, n) for g, n in SAMPLES]
+        unique = dedupe_by_node_set(embeddings)
+        assert unique == [
+            Embedding(0, (1, 2, 3)), Embedding(1, (1, 2, 3)),
+            Embedding(0, (1, 2)), Embedding(2, ()),
+        ]
+        assert unique[0] is embeddings[0]
+
+    def test_overlaps(self):
+        assert Embedding(0, (1, 2)).overlaps(Embedding(0, (2, 3)))
+        assert not Embedding(0, (1, 2)).overlaps(Embedding(0, (3, 4)))
+        assert not Embedding(0, (1, 2)).overlaps(Embedding(1, (1, 2)))
+
+
+class TestPickles:
+    def test_pickle_carries_no_node_set(self):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            cached = _cached(Embedding(1, (7, 8, 9)))
+            fresh = Embedding(1, (7, 8, 9))
+            data = pickle.dumps(cached, protocol=protocol)
+            assert data == pickle.dumps(fresh, protocol=protocol)
+            back = pickle.loads(data)
+            assert back == cached
+            assert _uncached(back)
+            assert back.node_set == cached.node_set
+
+    def test_copies_carry_no_node_set(self):
+        cached = _cached(Embedding(1, (7, 8)))
+        for clone in (copy.copy(cached), copy.deepcopy(cached),
+                      dataclasses.replace(cached)):
+            assert clone == cached
+            assert _uncached(clone)
+
+
+@pytest.fixture(scope="module")
+def shard_round_trip():
+    """crc's shard results, and their candidates revived in process."""
+    module, dfgs, shards, payloads = _payloads("crc")
+    results = [mine_shard(payload) for payload in payloads]
+    candidates = [
+        candidate
+        for shard, result in zip(shards, results)
+        for candidate in revive_candidates(
+            dfgs, shard.graph_ids, result.candidates
+        )
+    ]
+    assert candidates, "crc must produce at least one shard candidate"
+    return module, dfgs, shards, results, candidates
+
+
+class TestWireFormats:
+    def test_shard_result_pickle_round_trip(self, shard_round_trip):
+        __, dfgs, shards, results, candidates = shard_round_trip
+        for candidate in candidates:
+            for embedding in candidate.embeddings:
+                _cached(embedding)
+        revived = []
+        for shard, result in zip(shards, results):
+            back = pickle.loads(pickle.dumps(result))
+            assert back.candidates == result.candidates
+            revived.extend(
+                revive_candidates(dfgs, shard.graph_ids, back.candidates)
+            )
+        assert [c.embeddings for c in revived] == [
+            c.embeddings for c in candidates
+        ]
+        assert all(
+            _uncached(e) for c in revived for e in c.embeddings
+        )
+
+    def test_candidate_pickle_round_trip(self, shard_round_trip):
+        __, dfgs, shards, results, candidates = shard_round_trip
+        fresh = [
+            candidate
+            for shard, result in zip(shards, results)
+            for candidate in revive_candidates(
+                dfgs, shard.graph_ids, result.candidates
+            )
+        ]
+        for candidate in candidates:
+            for embedding in candidate.embeddings:
+                _cached(embedding)
+        embeddings = [c.embeddings for c in candidates]
+        data = pickle.dumps(embeddings)
+        assert data == pickle.dumps([c.embeddings for c in fresh])
+        back = pickle.loads(data)
+        assert back == embeddings
+        assert all(_uncached(e) for group in back for e in group)
+
+    def test_checkpoint_carryover_round_trip(self, shard_round_trip,
+                                             tmp_path):
+        module, __, ___, ____, candidates = shard_round_trip
+        for candidate in candidates:
+            for embedding in candidate.embeddings:
+                _cached(embedding)
+        carryover = [candidate_to_dict(c) for c in candidates]
+        json.dumps(carryover)  # plain JSON: no frozenset slipped in
+        path = str(tmp_path / "ckpt.json")
+        write_checkpoint(path, Checkpoint(
+            round=1,
+            asm=module.render(),
+            entry=module.entry,
+            fresh=module._fresh,
+            config=config_to_dict(PAConfig()),
+            carryover=carryover,
+        ))
+        loaded = load_checkpoint(path)
+        assert loaded.carryover == json.loads(json.dumps(carryover))
+        revived = candidates_from_dicts(
+            module, PAConfig().mined_kinds, loaded.carryover
+        )
+        assert [c.embeddings for c in revived] == [
+            c.embeddings for c in candidates
+        ]
+        assert all(
+            _uncached(e) for c in revived for e in c.embeddings
+        )
