@@ -122,14 +122,13 @@ class Edgar(DgSpan):
         return kept
 
     # ------------------------------------------------------------------
-    def _is_frequent(self, db: MiningDB, embeddings: List[Embedding]) -> bool:
+    def _is_frequent(self, db: MiningDB, unique: List[Embedding]) -> bool:
         """At least ``min_support`` pairwise disjoint occurrences?
 
         Cheap cases first: occurrences in *k* distinct graphs are always
         pairwise disjoint, and within one graph a disjoint pair is found
         by scanning; the exact MIS is only needed for larger supports.
         """
-        unique = dedupe_by_node_set(embeddings)
         if len(unique) < self.min_support:
             return False
         graphs = {e.graph for e in unique}
@@ -151,8 +150,8 @@ class Edgar(DgSpan):
             return False
         return len(self._disjoint(unique)) >= self.min_support
 
-    def _support(self, db: MiningDB, embeddings: List[Embedding]) -> int:
-        return len(dedupe_by_node_set(embeddings))
+    def _support(self, db: MiningDB, unique: List[Embedding]) -> int:
+        return len(unique)
 
     def _disjoint(self, unique: List[Embedding]) -> List[Embedding]:
         adjacency = build_collision_graph(unique)

@@ -154,6 +154,8 @@ class DgSpan:
         #: emission reads them uniformly off either miner).
         self.pruned_never_convex = 0
         self.pruned_cyclic = 0
+        #: lattice children and nodes cut by :attr:`prune_illegal`
+        self.pruned_illegal = 0
         #: Optional search-driver hook: called with an upper bound on the
         #: subtree's (fragment size, non-overlapping occurrence count);
         #: returning True prunes the subtree.  The PA driver uses it to
@@ -161,6 +163,14 @@ class DgSpan:
         #: (both quantities are antimonotone along lattice edges, so the
         #: prune is exact for the "find the best extraction" query).
         self.prune_subtree = None
+        #: Optional legality prune
+        #: (:class:`repro.pa.legality.LatticeLegality`): bound to each
+        #: mining database, it folds a verdict state along the lattice,
+        #: drops dead children before their canonical check and cuts
+        #: nodes whose subtree holds nothing extractable.  Exact for the
+        #: PA funnels, which score only legal candidates.
+        self.prune_illegal = None
+        self._legality = None
         #: Optional streaming sink; when set, frequent fragments are
         #: passed here instead of being accumulated in a list.
         self.on_fragment = None
@@ -176,11 +186,13 @@ class DgSpan:
     # ------------------------------------------------------------------
     # frequency semantics (overridden by Edgar)
     # ------------------------------------------------------------------
-    def _is_frequent(self, db: MiningDB, embeddings: List[Embedding]) -> bool:
-        return len({e.graph for e in embeddings}) >= self.min_support
+    # Both take the node's embeddings deduplicated by node set
+    # (:func:`dedupe_by_node_set`, once per lattice node).
+    def _is_frequent(self, db: MiningDB, unique: List[Embedding]) -> bool:
+        return len({e.graph for e in unique}) >= self.min_support
 
-    def _support(self, db: MiningDB, embeddings: List[Embedding]) -> int:
-        return len({e.graph for e in embeddings})
+    def _support(self, db: MiningDB, unique: List[Embedding]) -> int:
+        return len({e.graph for e in unique})
 
     def _filter_embeddings(
         self, db: MiningDB, code: DFSCode, embeddings: List[Embedding]
@@ -189,9 +201,10 @@ class DgSpan:
         return embeddings
 
     def _occurrence_bound(
-        self, db: MiningDB, code: DFSCode, embeddings: List[Embedding]
+        self, db: MiningDB, code: DFSCode, unique: List[Embedding]
     ) -> int:
-        """Sound upper bound on usable (disjoint) occurrences.
+        """Sound upper bound on usable (disjoint) occurrences of the
+        deduplicated embeddings *unique*.
 
         Disjoint occurrences of an *n*-node fragment inside one graph
         can never exceed ``graph nodes // n`` — a far tighter bound than
@@ -201,7 +214,7 @@ class DgSpan:
         """
         size = max(1, code_num_nodes(code))
         per_graph: Dict[int, int] = {}
-        for emb in dedupe_by_node_set(embeddings):
+        for emb in unique:
             per_graph[emb.graph] = per_graph.get(emb.graph, 0) + 1
         return sum(
             min(count, len(db.graphs[gid].nodes) // size)
@@ -218,6 +231,10 @@ class DgSpan:
         # one miner instance and reads the totals afterwards)
         self.deadline_hit = False
         self._governor = _governor.current()
+        self._legality = (
+            None if self.prune_illegal is None
+            else self.prune_illegal.bind(db, self.max_nodes)
+        )
         results: List[Fragment] = []
 
         seeds: Dict[EdgeTuple, List[Embedding]] = {}
@@ -239,7 +256,8 @@ class DgSpan:
         # visited last, under an already-high floor and, when a deadline
         # is set, only with leftover budget.  Canonical-form
         # deduplication makes the result set independent of sibling
-        # order.  Seeds too rare to be frequent are dropped first (see
+        # order.  Seeds too rare to be frequent, or dead under the
+        # legality prune, are dropped first (see
         # :meth:`_frequent_extensions`).
         def seed_order(tup):
             embeddings = seeds[tup]
@@ -252,14 +270,16 @@ class DgSpan:
             with _TELEMETRY.span("mining.mine", graphs=len(db.graphs),
                                  seeds=len(seeds),
                                  max_nodes=self.max_nodes):
-                for tup in sorted(self._frequent_extensions(seeds),
-                                  key=seed_order):
+                states = self._frequent_extensions(seeds, None)
+                for tup in sorted(states, key=seed_order):
                     code = (tup,)
                     if is_min(code):
-                        self._search(db, code, seeds[tup], results)
+                        self._search(db, code, seeds[tup], results,
+                                     states[tup])
         except _DeadlineReached:
             self.deadline_hit = True
             _TELEMETRY.count("mining.deadline_hits")
+        self._legality = None
         if _LEDGER.enabled:
             _LEDGER.emit(
                 "mine.pass",
@@ -282,7 +302,10 @@ class DgSpan:
         code: DFSCode,
         embeddings: List[Embedding],
         results: List[Fragment],
+        state: Optional[int] = None,
     ) -> None:
+        """Expand one lattice node; *state* is its legality verdict
+        state (None when no legality prune is bound)."""
         fault("mine.search")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _DeadlineReached
@@ -296,23 +319,28 @@ class DgSpan:
             _TELEMETRY.count("mining.truncated_branches")
             embeddings = embeddings[: self.max_embeddings]
         embeddings = self._filter_embeddings(db, code, embeddings)
+        unique = dedupe_by_node_set(embeddings)
         if _TELEMETRY.enabled:
             support_started = time.perf_counter()
-            frequent = self._is_frequent(db, embeddings)
+            frequent = self._is_frequent(db, unique)
             _TELEMETRY.observe(
                 "mining.support_check_seconds",
                 time.perf_counter() - support_started,
             )
         else:
-            frequent = self._is_frequent(db, embeddings)
+            frequent = self._is_frequent(db, unique)
         if not frequent:
             _TELEMETRY.count("mining.infrequent_prunes")
             return
         if self.prune_subtree is not None:
-            occurrence_bound = self._occurrence_bound(db, code, embeddings)
+            occurrence_bound = self._occurrence_bound(db, code, unique)
             if self.prune_subtree(self.max_nodes, occurrence_bound):
                 _TELEMETRY.count("mining.subtree_prunes")
                 return
+        if self._legality is not None and self._legality.cut(state, unique):
+            self.pruned_illegal += 1
+            _TELEMETRY.count("mining.legality_prunes")
+            return
         self.visited_nodes += 1
         if _TELEMETRY.enabled:
             _TELEMETRY.count("mining.lattice_nodes")
@@ -322,7 +350,7 @@ class DgSpan:
         num_nodes = code_num_nodes(code)
         if num_nodes >= self.min_nodes:
             _TELEMETRY.count("mining.fragments_reported")
-            fragment = self._fragment(db, code, embeddings)
+            fragment = self._fragment(db, code, unique)
             if self.on_fragment is not None:
                 self.on_fragment(fragment)
             else:
@@ -331,35 +359,55 @@ class DgSpan:
             return
 
         children = self._extensions(db, code, embeddings)
+        states = self._frequent_extensions(children, state)
         for tup in sorted(
-            self._frequent_extensions(children),
-            key=lambda t: (-len(children[t]), edge_sort_key(t)),
+            states, key=lambda t: (-len(children[t]), edge_sort_key(t)),
         ):
             child = code + (tup,)
             if is_min(child):
-                self._search(db, child, children[tup], results)
+                self._search(db, child, child_embeddings(tup, children[tup]),
+                             results, states[tup])
 
     # ------------------------------------------------------------------
     def _frequent_extensions(
-        self, extensions: Dict[EdgeTuple, List[Embedding]]
-    ) -> List[EdgeTuple]:
-        """The extensions with at least ``min_support`` raw embeddings.
+        self, extensions: Dict[EdgeTuple, list], state: Optional[int]
+    ) -> Dict[EdgeTuple, Optional[int]]:
+        """The extensions worth a canonical check, with their legality
+        states (*state* is the parent's; None for seeds).
 
-        Neither miner's frequency can exceed the raw embedding count
+        An extension needs at least ``min_support`` raw embeddings:
+        neither miner's frequency can exceed the raw embedding count
         (DgSpan counts distinct graphs, Edgar distinct node sets after a
         filter that only removes embeddings), so every dropped extension
         would fail :meth:`_is_frequent` whether or not its code is
         minimal.  Dropping them before the canonical check — gSpan's
-        support-first order — skips most ``is_min`` calls, and the
-        survivors keep their relative order, so the search is unchanged.
+        support-first order — skips most ``is_min`` calls.  A bound
+        legality prune then drops the dead children, whose subtrees
+        hold nothing extractable.  The survivors keep their relative
+        order, so the search is otherwise unchanged.
         """
-        kept = [
-            tup for tup, embeddings in extensions.items()
-            if len(embeddings) >= self.min_support
+        min_support = self.min_support
+        frequent = [
+            tup for tup, entries in extensions.items()
+            if len(entries) >= min_support
         ]
+        kept: Dict[EdgeTuple, Optional[int]]
+        if self._legality is None:
+            kept = dict.fromkeys(frequent)
+        else:
+            child_state = self._legality.child
+            kept = {}
+            for tup in frequent:
+                child = child_state(state, tup)
+                if child is not None:
+                    kept[tup] = child
+            dead = len(frequent) - len(kept)
+            if dead:
+                self.pruned_illegal += dead
+                _TELEMETRY.count("mining.legality_prunes", dead)
         if _TELEMETRY.enabled:
             _TELEMETRY.count(
-                "mining.support_skips", len(extensions) - len(kept)
+                "mining.support_skips", len(extensions) - len(frequent)
             )
             _TELEMETRY.count("mining.canonical_checks", len(kept))
         return kept
@@ -367,9 +415,15 @@ class DgSpan:
     # ------------------------------------------------------------------
     def _extensions(
         self, db: MiningDB, code: DFSCode, embeddings: List[Embedding]
-    ) -> Dict[EdgeTuple, List[Embedding]]:
-        """Rightmost-path extensions of *code* over every embedding."""
-        extensions: Dict[EdgeTuple, List[Embedding]] = {}
+    ) -> Dict[EdgeTuple, list]:
+        """Rightmost-path extensions of *code* over every embedding.
+
+        A backward extension maps to the parent embeddings it closes a
+        cycle in; a forward one to ``(parent embedding, new node)``
+        pairs, which :func:`child_embeddings` turns into embeddings only
+        for the children the search visits.
+        """
+        extensions: Dict[EdgeTuple, list] = {}
         rm_path = rightmost_path(code)
         rightmost = rm_path[-1]
         rm_set = set(rm_path)
@@ -412,24 +466,30 @@ class DgSpan:
                         dfs_index, new_index, graph.nodes[g_node],
                         direction, elabel, graph.nodes[other],
                     )
-                    extensions.setdefault(tup, []).append(
-                        Embedding(emb.graph, mapping + (other,))
-                    )
+                    extensions.setdefault(tup, []).append((emb, other))
         return extensions
 
     # ------------------------------------------------------------------
     def _fragment(
-        self, db: MiningDB, code: DFSCode, embeddings: List[Embedding]
+        self, db: MiningDB, code: DFSCode, unique: List[Embedding]
     ) -> Fragment:
         labels = [db.label_str(lab) for lab in node_labels_of(code)]
         edges = [
             (s, d, db.kind_str(k)) for (s, d, k) in graph_edges_of(code)
         ]
-        unique = dedupe_by_node_set(embeddings)
         return Fragment(
             code=code,
             node_labels=labels,
             edges=edges,
             embeddings=unique,
-            support=self._support(db, embeddings),
+            support=self._support(db, unique),
         )
+
+
+def child_embeddings(tup: EdgeTuple, entries: list) -> List[Embedding]:
+    """The embeddings of the child *tup* from its entries in a
+    :meth:`DgSpan._extensions` map."""
+    if tup[0] > tup[1]:
+        return entries  # backward: the parent embeddings themselves
+    return [Embedding(emb.graph, emb.nodes + (node,))
+            for emb, node in entries]

@@ -13,11 +13,14 @@ antimonotone).  This module adds the PA-specific rules:
   mined fragment (it has no mined edges at all), every extension of the
   embedding stays non-convex and the embedding can be dropped from the
   search.
+* :func:`successor_closures` — per-node dependence-successor closures,
+  the size bound Edgar's legality prune (:mod:`repro.pa.legality`) puts
+  on the cross-jump occurrences an embedding can grow into.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Set
+from typing import FrozenSet, Iterable, List, Set
 
 from repro.dfg.graph import DFG
 
@@ -162,3 +165,44 @@ def is_permanently_illegal(dfg: DFG, nodes: Iterable[int]) -> bool:
         return False
     culprits = between_nodes(dfg, nodes)
     return bool(culprits & unminable)
+
+
+try:
+    popcount = int.bit_count
+except AttributeError:  # Python < 3.10
+    def popcount(mask: int) -> int:
+        """The number of set bits of a non-negative int."""
+        return bin(mask).count("1")
+
+
+def successor_closures(dfg: DFG, cap: int) -> List[int]:
+    """Per node *v*: the bitmask of *v* and every node that depends on
+    it, directly or transitively, in the full dependence graph; 0 when
+    that set holds more than *cap* nodes.
+
+    A successor-closed superset of a node set must swallow every one of
+    these closures, so a closure over the cap rules out every closed
+    superset within it.  Cached per DFG and cap, like
+    :func:`between_nodes`.
+    """
+    cache = getattr(dfg, "_closure_cache", None)
+    if cache is None:
+        cache = dfg._closure_cache = {}
+    masks = cache.get(cap)
+    if masks is None:
+        succ, __ = _dep_adjacency(dfg)
+        masks = [0] * dfg.num_nodes
+        # dependence edges only run forward: successors come first
+        for node in range(dfg.num_nodes - 1, -1, -1):
+            mask = 1 << node
+            for nxt in succ[node]:
+                closure = masks[nxt]
+                if not closure:
+                    mask = 0
+                    break
+                mask |= closure
+            if mask and popcount(mask) > cap:
+                mask = 0
+            masks[node] = mask
+        cache[cap] = masks
+    return masks

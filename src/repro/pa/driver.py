@@ -43,6 +43,7 @@ from repro.pa.fragments import (
 )
 from repro.pa.legality import (
     ExtractionMethod,
+    LatticeLegality,
     legal_embeddings,
     sp_fragile_functions,
 )
@@ -428,6 +429,10 @@ def collect_candidates(module: Module, config: PAConfig,
             best[0] = candidate
 
     miner.prune_subtree = prune_subtree
+    if getattr(miner, "pa_pruning", False):
+        # the funnel scores only legal candidates, so subtrees with
+        # nothing legally extractable need not be grown
+        miner.prune_illegal = LatticeLegality(fragile)
     miner.on_fragment = consider
     miner.deadline = deadline
     try:
@@ -458,6 +463,7 @@ def collect_candidates(module: Module, config: PAConfig,
                 miner.mine(flow_dfgs)
     finally:
         miner.prune_subtree = None
+        miner.prune_illegal = None
         miner.on_fragment = None
         miner.deadline = None
     if ledger_on:
@@ -951,6 +957,7 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                     "prune",
                     never_convex=getattr(miner, "pruned_never_convex", 0),
                     cyclic=getattr(miner, "pruned_cyclic", 0),
+                    illegal=getattr(miner, "pruned_illegal", 0),
                 )
         mine_seconds = time.perf_counter() - mine_started
         _TELEMETRY.count("pa.carryover.candidates", len(carryover))

@@ -22,12 +22,16 @@ outlined:
   outside may depend on it, so the rest of the block can run first and
   then jump into the shared tail; the occurrence must also contain the
   block's control transfer.
+
+**Lattice level**: Edgar folds the fragment-level rules along its search
+lattice (:class:`LatticeLegality`) and cuts every subtree in which no
+fragment can pass both levels, so such fragments never reach the funnel.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.isa.instructions import Instruction
 from repro.isa.operands import LabelRef
@@ -36,7 +40,7 @@ from repro.isa.registers import LR, PC, SP
 from repro.dfg.graph import DFG
 from repro.mining.embeddings import Embedding
 from repro.mining.gspan import Fragment
-from repro.mining.pruning import is_convex
+from repro.mining.pruning import is_convex, popcount, successor_closures
 from repro.report.ledger import GLOBAL as _LEDGER
 from repro.verify.absint import module_summaries
 from repro.verify.cfg import ModuleCFG
@@ -126,6 +130,89 @@ def sp_fragile_functions(module,
     return frozenset(fragile)
 
 
+# Per-instruction legality flags.  Every fragment-level rule reads the
+# instruction texts as a set, so a fragment's verdict is the fold of its
+# instructions' flags (:func:`fold_flags`) — one definition shared by
+# :func:`classify_fragment` and Edgar's lattice prune
+# (:class:`LatticeLegality`).
+_DEAD = 1         # no fragment holding this instruction is extractable
+_TERM = 2         # the block's control transfer (cross-jump exit)
+_LR_RETURN = 4    # an exit that returns through lr (bx lr / mov pc, lr)
+_CALL = 8         # a bl
+_SP = 16          # a non-call instruction that reads or writes sp
+_FRAGILE = 32     # a bl to an sp-fragile callee
+
+
+def instruction_flags(
+    insn: Instruction, fragile_callees: FrozenSet[str] = frozenset()
+) -> int:
+    """The legality flags of one instruction."""
+    if insn.is_terminator or (insn.is_branch and not insn.is_call):
+        # Blocks only ever hold control transfers in their final slot,
+        # so a fragment's one terminator anchors the tail of every
+        # occurrence: a cross-jump exit.
+        flags = _TERM
+        if insn.is_conditional or not (
+            insn.is_return or insn.mnemonic == "b"
+        ):
+            flags |= _DEAD
+        if insn.is_return and insn.mnemonic != "pop":
+            flags |= _LR_RETURN
+        return flags
+    if _touches_lr(insn) or _reads_pc(insn) or insn.writes_pc:
+        return _DEAD
+    if insn.is_call:
+        # A call fragment is bracketed with push {lr} / pop {pc}.  The
+        # bracket's one-word sp shift is visible to any callee that
+        # addresses the caller's frame — a frameless outlined
+        # procedure's sp-relative slots would land on the bracket-saved
+        # lr.  Found by the fuzzed corpus: a round-1 frameless pa body
+        # (`str r0, [sp]` … `mov pc, lr`) was later swallowed by a
+        # bracketed round-2 extraction, so its store clobbered the
+        # saved return address.
+        if _call_target(insn) in fragile_callees:
+            return _CALL | _FRAGILE
+        return _CALL
+    if _uses_sp(insn):
+        # The bracket also shifts sp for the whole body, so *any* sp
+        # use inside — including sp-relative loads and stores — would
+        # address the wrong slot.  (bl itself is exempt: its
+        # conservative "reads sp" models the callee, which sees a
+        # balanced stack.)
+        return _SP
+    return 0
+
+
+def fold_flags(state: int, flags: int) -> int:
+    """The verdict state of a fragment grown by one instruction.
+
+    The state only gains bits, and ``_DEAD`` is never lost, so every
+    verdict below is antimonotone along lattice edges.
+    """
+    merged = state | flags
+    if state & flags & _TERM:
+        merged |= _DEAD  # two control transfers
+    elif merged & _LR_RETURN and merged & _CALL:
+        merged |= _DEAD  # the bl clobbers the lr the exit returns to
+    return merged
+
+
+def _call_blocked(state: int) -> bool:
+    """A bl sits with an sp use or calls an sp-fragile callee."""
+    return bool(state & _FRAGILE or (state & _CALL and state & _SP))
+
+
+def method_of(state: int) -> Optional[ExtractionMethod]:
+    """The extraction mechanism of a folded fragment state."""
+    if state & _DEAD:
+        return None
+    if state & _TERM:
+        return ExtractionMethod.CROSSJUMP
+    if _call_blocked(state):
+        return None
+    return ExtractionMethod.CALL
+
+
 def classify_fragment(
     insns: Sequence[Instruction],
     fragile_callees: FrozenSet[str] = frozenset(),
@@ -136,71 +223,17 @@ def classify_fragment(
     *fragile_callees* names functions that address their caller's frame
     (see :func:`sp_fragile_functions`); a fragment calling one of them
     cannot be call-outlined, since the bracket would shift ``sp`` under
-    the fragile callee.
+    the fragile callee.  *insns* are in DFS-role order, not program
+    order; positions carry no meaning here.
     """
     if not insns:
         return None
-    terminators = [i for i in insns if i.is_terminator or
-                   (i.is_branch and not i.is_call)]
-    if terminators:
-        return _classify_crossjump(insns, terminators)
-    return _classify_call(insns, fragile_callees)
-
-
-def _classify_call(
-    insns: Sequence[Instruction],
-    fragile_callees: FrozenSet[str] = frozenset(),
-) -> Optional[ExtractionMethod]:
-    contains_call = any(i.is_call for i in insns)
+    state = 0
     for insn in insns:
-        if _touches_lr(insn) or _reads_pc(insn) or insn.writes_pc:
+        state = fold_flags(state, instruction_flags(insn, fragile_callees))
+        if state & _DEAD:
             return None
-        if contains_call and not insn.is_call and _uses_sp(insn):
-            # The push {lr} / pop {pc} bracket shifts sp by one word
-            # for the whole body, so *any* sp use inside — including
-            # sp-relative loads and stores — would address the wrong
-            # slot.  (bl itself is exempt: its conservative "reads sp"
-            # models the callee, which sees a balanced stack.)
-            return None
-        if contains_call and _call_target(insn) in fragile_callees:
-            # The bracket's one-word sp shift is also visible to any
-            # *callee* that addresses the caller's frame — a frameless
-            # outlined procedure's sp-relative slots would land on the
-            # bracket-saved lr.  Found by the fuzzed corpus: a round-1
-            # frameless pa body (`str r0, [sp]` … `mov pc, lr`) was
-            # later swallowed by a bracketed round-2 extraction, so its
-            # store clobbered the saved return address.
-            return None
-    return ExtractionMethod.CALL
-
-
-def _classify_crossjump(
-    insns: Sequence[Instruction], terminators: List[Instruction]
-) -> Optional[ExtractionMethod]:
-    # Note: *insns* are in DFS-role order, not program order; positions
-    # carry no meaning here.  Blocks only ever hold control transfers in
-    # their final slot, so the unique terminator necessarily anchors the
-    # tail of every occurrence.
-    if len(terminators) != 1:
-        return None
-    exit_insn = terminators[0]
-    if exit_insn.is_conditional:
-        return None
-    if not (exit_insn.is_return or exit_insn.mnemonic == "b"):
-        return None
-    lr_based_return = exit_insn.is_return and exit_insn.mnemonic != "pop"
-    for insn in insns:
-        if insn is exit_insn:
-            continue
-        if insn.is_terminator or (insn.is_branch and not insn.is_call):
-            return None
-        if _reads_pc(insn) or insn.writes_pc:
-            return None
-        if _touches_lr(insn):
-            return None
-        if lr_based_return and insn.is_call:
-            return None
-    return ExtractionMethod.CROSSJUMP
+    return method_of(state)
 
 
 # ----------------------------------------------------------------------
@@ -282,3 +315,119 @@ def _fragment_insns(
     """The fragment's instructions, in DFS-role order, from one witness."""
     dfg = dfgs[emb.graph]
     return [dfg.insns[node] for node in emb.nodes]
+
+
+# ----------------------------------------------------------------------
+# lattice level
+# ----------------------------------------------------------------------
+class LatticeLegality:
+    """Edgar's legality prune: cut every lattice subtree in which no
+    fragment can have two node-disjoint, legally extractable occurrences.
+
+    The funnels install one per round as ``miner.prune_illegal``, with
+    the round's sp-fragile callees.  The miner binds it to each mining
+    database (:meth:`bind`) and folds a verdict state along the lattice:
+    a child's state is its parent's plus the new node's flags
+    (:meth:`BoundLegality.child`).  Every verdict is antimonotone and
+    every descendant occurrence extends one of a node's embeddings, so
+    a cut subtree holds nothing the funnel could score.
+    """
+
+    def __init__(self, fragile_callees: FrozenSet[str] = frozenset()):
+        self.fragile_callees = fragile_callees
+        #: label text -> flags, shared by every pass of the round
+        self._flags: Dict[str, int] = {}
+
+    def bind(self, db, max_nodes: int) -> "BoundLegality":
+        """The prune over one mining database, for fragments of at most
+        *max_nodes* nodes.  Labels are full instruction texts, so one
+        flag per label is exact."""
+        known = self._flags
+        flags = [-1] * len(db.node_labels)
+        for graph, dfg in zip(db.graphs, db.dfgs):
+            for label, insn in zip(graph.nodes, dfg.insns):
+                if flags[label] < 0:
+                    text = db.node_labels[label]
+                    flag = known.get(text)
+                    if flag is None:
+                        flag = known[text] = instruction_flags(
+                            insn, self.fragile_callees
+                        )
+                    flags[label] = flag
+        return BoundLegality(db, flags, max_nodes)
+
+
+class BoundLegality:
+    """:class:`LatticeLegality` bound to one mining database."""
+
+    def __init__(self, db, flags: List[int], max_nodes: int):
+        self.dfgs: Sequence[DFG] = db.dfgs
+        self.flags = flags
+        self.max_nodes = max_nodes
+        # A cross-jump occurrence holds its block's exit, which must be
+        # an unconditional b or a return — and not an lr-based return
+        # when the fragment holds a bl.
+        ends = [
+            flags[graph.nodes[-1]] if graph.nodes else _DEAD
+            for graph in db.graphs
+        ]
+        self._exits = [
+            bool(end & _TERM) and not end & _DEAD for end in ends
+        ]
+        self._exits_with_call = [
+            usable and not end & _LR_RETURN
+            for usable, end in zip(self._exits, ends)
+        ]
+        self._closures: List[Optional[List[int]]] = [None] * len(ends)
+
+    def child(self, state: Optional[int], tup) -> Optional[int]:
+        """The state of the code grown by *tup*, or None when the child
+        is dead.  *state* is the parent's, or None for a seed edge."""
+        if tup[0] > tup[1]:
+            return state  # a backward edge adds no node
+        flags = self.flags
+        if state is None:
+            state = flags[tup[2]]
+        state = fold_flags(state, flags[tup[5]])
+        return None if state & _DEAD else state
+
+    def cut(self, state: int, unique: Sequence[Embedding]) -> bool:
+        """True when the node with verdict *state* and deduplicated
+        embeddings *unique* roots a subtree with nothing extractable.
+
+        A node that may still be call-outlined is kept.  Any other node
+        only leads to cross-jumps, and an occurrence ``S'`` extending an
+        embedding ``S`` is only a legal cross-jump when it is
+        successor-closed and holds its block's usable exit:
+        ``S' ⊇ S ∪ succ*(S) ∪ {last}``, within ``max_nodes``.  Two
+        cross-jump occurrences in one block share its exit, so the
+        disjoint pair the funnel needs must come from live embeddings
+        in two different blocks.
+        """
+        if not (state & _TERM or _call_blocked(state)):
+            return False
+        exits = self._exits_with_call if state & _CALL else self._exits
+        cap = self.max_nodes
+        closures = self._closures
+        live_graph = -1
+        for emb in unique:
+            gid = emb.graph
+            if gid == live_graph or not exits[gid]:
+                continue
+            masks = closures[gid]
+            if masks is None:
+                masks = closures[gid] = successor_closures(
+                    self.dfgs[gid], cap
+                )
+            mask = 1 << (len(masks) - 1)
+            for node in emb.nodes:
+                closure = masks[node]
+                if not closure:
+                    break
+                mask |= closure
+            else:
+                if popcount(mask) <= cap:
+                    if live_graph >= 0:
+                        return False
+                    live_graph = gid
+        return True

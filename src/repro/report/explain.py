@@ -66,7 +66,9 @@ def explain_round(records: Sequence[Dict[str, Any]],
             "  PA pruning: "
             f"{rec.get('never_convex', 0)} never-convex embeddings, "
             f"{rec.get('cyclic', 0)} cyclic-dependency (Fig. 9) "
-            "embeddings dropped"
+            "embeddings dropped, "
+            f"{rec.get('illegal', 0)} lattice branches cut as never "
+            "legally extractable"
         )
     for rec in skips:
         lines.append(

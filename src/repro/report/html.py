@@ -160,7 +160,7 @@ def build_report(
         "<table><tr><th>round</th><th>instructions</th>"
         "<th>candidates scored</th><th>applied</th>"
         "<th>calls</th><th>crossjumps</th><th>saved</th>"
-        "<th>cyclic prunes</th></tr>"
+        "<th>cyclic prunes</th><th>illegal prunes</th></tr>"
     )
     for index, round_number in enumerate(rounds):
         begin_rec = (round_begins.get(round_number) or [{}])[0]
@@ -175,11 +175,12 @@ def build_report(
             f"<td>{_fmt(skip_rec.get('scored', ''))}</td>"
             f"<td>{len(rows)}</td><td>{calls}</td><td>{xjumps}</td>"
             f"<td>{per_round_saved[index]}</td>"
-            f"<td>{_fmt(prune_rec.get('cyclic', ''))}</td></tr>"
+            f"<td>{_fmt(prune_rec.get('cyclic', ''))}</td>"
+            f"<td>{_fmt(prune_rec.get('illegal', ''))}</td></tr>"
         )
     out.append(
         "<tr class='total'><td class='l' colspan='6'>total saved</td>"
-        f"<td>{total_saved}</td><td></td></tr>"
+        f"<td>{total_saved}</td><td></td><td></td></tr>"
     )
     out.append("</table>")
 

@@ -35,7 +35,11 @@ from repro.mining.embeddings import Embedding
 from repro.mining.gspan import DgSpan, Fragment
 from repro.pa.extract import call_site_feasible, order_consistent_subset
 from repro.pa.fragments import Candidate, best_possible_benefit, score
-from repro.pa.legality import ExtractionMethod, legal_embeddings
+from repro.pa.legality import (
+    ExtractionMethod,
+    LatticeLegality,
+    legal_embeddings,
+)
 from repro.telemetry import GLOBAL as _TELEMETRY
 from repro.telemetry import progress as _progress
 
@@ -341,6 +345,10 @@ def mine_shard(payload: ShardPayload) -> ShardResult:
             best[0] = candidate
 
     miner.prune_subtree = prune_subtree
+    if getattr(miner, "pa_pruning", False):
+        # the funnel scores only legal candidates, so subtrees with
+        # nothing legally extractable need not be grown
+        miner.prune_illegal = LatticeLegality(fragile)
     miner.on_fragment = consider
     try:
         with _TELEMETRY.span("scale.shard.mine",
@@ -364,6 +372,7 @@ def mine_shard(payload: ShardPayload) -> ShardResult:
                 miner.mine(flow_dfgs)
     finally:
         miner.prune_subtree = None
+        miner.prune_illegal = None
         miner.on_fragment = None
     collected.sort(key=lambda c: c.sort_key())
     result = ShardResult(

@@ -3,10 +3,12 @@
 ``is_min`` decides step 0 from the code tuples, grows the rightmost path
 one edge at a time and tests used edges by DFS index, one set per step
 for every mapping.  ``DgSpan._extensions`` shares one DFS-index used set
-across a lattice node's embeddings.  Both rest on one rule: mappings are
-injective, so the graph edge between ``mapping[a]`` and ``mapping[b]``
-is used exactly when the code holds the DFS edge between *a* and *b*
-with that label and direction.
+across a lattice node's embeddings and keeps forward extensions as
+(parent embedding, new node) pairs, which ``child_embeddings``
+materialises only for the children the search visits.  Both rest on one
+rule: mappings are injective, so the graph edge between ``mapping[a]``
+and ``mapping[b]`` is used exactly when the code holds the DFS edge
+between *a* and *b* with that label and direction.
 
 The references below are the older forms.  They rebuild the code's
 graph, re-derive the rightmost path at every step, and build a set of
@@ -204,7 +206,11 @@ class _Recorder:
             self.backward_children += sum(
                 1 for tup in fast if tup[0] > tup[1]
             )
-            if list(fast.items()) != list(reference.items()):
+            materialised = [
+                (tup, gspan.child_embeddings(tup, entries))
+                for tup, entries in fast.items()
+            ]
+            if materialised != list(reference.items()):
                 self.extension_mismatches.append((code, len(embeddings)))
             return fast
         return checked

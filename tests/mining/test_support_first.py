@@ -19,6 +19,7 @@ from repro.dfg.graph import DFG
 from repro.mining import gspan, pruning
 from repro.mining.dfs_code import code_num_nodes, edge_sort_key
 from repro.mining.edgar import Edgar
+from repro.mining.embeddings import dedupe_by_node_set
 from repro.mining.gspan import DgSpan, _DeadlineReached
 from repro.pa import driver
 from repro.pa.driver import PAConfig, run_pa
@@ -29,29 +30,39 @@ class _ReferenceLoop:
     """The lattice expansion before support-first ordering.
 
     Every child is sorted and canonically checked; support is only
-    tested once the child's own ``_search`` runs.
+    tested once the child's own ``_search`` runs, and so is a bound
+    legality prune's dead verdict.
     """
 
-    def _frequent_extensions(self, extensions):
-        return list(extensions)
+    def _frequent_extensions(self, extensions, state):
+        legality = self._legality
+        return {
+            tup: None if legality is None else legality.child(state, tup)
+            for tup in extensions
+        }
 
-    def _search(self, db, code, embeddings, results):
+    def _search(self, db, code, embeddings, results, state=None):
+        if self._legality is not None and state is None:
+            return  # dead under the legality prune
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _DeadlineReached
         if len(embeddings) > self.max_embeddings:
             self.truncated_branches += 1
             embeddings = embeddings[: self.max_embeddings]
         embeddings = self._filter_embeddings(db, code, embeddings)
-        if not self._is_frequent(db, embeddings):
+        unique = dedupe_by_node_set(embeddings)
+        if not self._is_frequent(db, unique):
             return
         if self.prune_subtree is not None:
-            bound = self._occurrence_bound(db, code, embeddings)
+            bound = self._occurrence_bound(db, code, unique)
             if self.prune_subtree(self.max_nodes, bound):
                 return
+        if self._legality is not None and self._legality.cut(state, unique):
+            return
         self.visited_nodes += 1
         num_nodes = code_num_nodes(code)
         if num_nodes >= self.min_nodes:
-            fragment = self._fragment(db, code, embeddings)
+            fragment = self._fragment(db, code, unique)
             if self.on_fragment is not None:
                 self.on_fragment(fragment)
             else:
@@ -59,12 +70,15 @@ class _ReferenceLoop:
         if num_nodes >= self.max_nodes:
             return
         children = self._extensions(db, code, embeddings)
+        states = self._frequent_extensions(children, state)
         for tup in sorted(
             children, key=lambda t: (-len(children[t]), edge_sort_key(t))
         ):
             child = code + (tup,)
             if gspan.is_min(child):
-                self._search(db, child, children[tup], results)
+                self._search(db, child,
+                             gspan.child_embeddings(tup, children[tup]),
+                             results, states[tup])
 
 
 class ReferenceDgSpan(_ReferenceLoop, DgSpan):

@@ -139,7 +139,11 @@ class TestGoldenRun:
         assert skips[-1]["scored"] == 0
         prunes = _of(records, "prune")
         assert [p["round"] for p in prunes] == [0, 1, 2]
-        assert all(p["never_convex"] > 0 for p in prunes)
+        # the legality prune cuts branches before they reach the funnel
+        # or the convexity filter: in round 2 it cuts every branch that
+        # held a never-convex embedding
+        assert [p["illegal"] for p in prunes] == [595, 555, 66]
+        assert [p["never_convex"] for p in prunes] == [18, 18, 0]
         # the outlined pa_1 body makes the Fig. 9 cyclic check fire
         assert prunes[-1]["cyclic"] > 0
 
@@ -176,6 +180,7 @@ class TestExplainGolden:
         assert "pa_1" in text and "[call]" in text
         assert "embeddings 2 -> legal 2 -> MIS size 2" in text
         assert "never-convex" in text and "cyclic-dependency" in text
+        assert "lattice branches cut as never legally extractable" in text
         # the outlined body is printed
         assert "mul r4, r3, r1" in text
 

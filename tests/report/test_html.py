@@ -10,7 +10,8 @@ RECORDS = [
     {"type": "mine.skips", "round": 0, "considered": 100, "floor": 10,
      "illegal": 80, "lr_infeasible": 2, "order_inconsistent": 1,
      "unprofitable": 3, "scored": 4},
-    {"type": "prune", "round": 0, "never_convex": 50, "cyclic": 5},
+    {"type": "prune", "round": 0, "never_convex": 50, "cyclic": 5,
+     "illegal": 77},
     {"type": "extraction", "round": 0, "method": "crossjump",
      "new_symbol": "tail_0", "size": 5, "occurrences": 2, "benefit": 4,
      "bytes_saved": 16, "embedding_count": 2, "mis_size": 2,
@@ -70,6 +71,11 @@ class TestBuildReport:
         html = build_report(RECORDS)
         assert "Candidate funnel" in html
         assert "<td>100</td>" in html and "<td>80</td>" in html
+
+    def test_prune_columns(self):
+        html = build_report(RECORDS)
+        assert "<th>cyclic prunes</th><th>illegal prunes</th>" in html
+        assert "<td>5</td><td>77</td></tr>" in html
 
     def test_dropped_census_reported(self):
         html = build_report(RECORDS)
