@@ -47,11 +47,12 @@ report) and ``--ledger-out FILE`` (the decision ledger as JSONL, schema
 text, either by re-running a workload or replaying ``--ledger FILE``.
 
 Scale (see ``src/repro/scale/``): ``pa``, ``table1`` and ``profile``
-accept ``--workers N`` (shard the block DFGs into independent clusters
-and mine them on N worker processes; ``N=1`` runs the same sharded
-engine in-process) and ``--fragment-cache DIR`` (persist the
+accept ``--workers N`` (how the one mining funnel partitions the block
+DFGs: the default ``0`` mines one in-process shard holding every DFG;
+``N >= 1`` shards them into independent clusters mined on N worker
+processes, ``N=1`` in-process) and ``--fragment-cache DIR`` (persist the
 content-addressed shard cache across runs; implies ``--workers 1``).
-The sharded engine's output is bit-identical for every worker count and
+For ``N >= 1`` the output is bit-identical for every worker count and
 every cache state — only wall-clock changes.
 
 Observability (see :mod:`repro.telemetry`): the same three commands
@@ -196,27 +197,28 @@ def _add_telemetry_args(parser) -> None:
 def _add_scale_args(parser) -> None:
     parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="mine with the sharded scale engine on N worker processes "
-             "(1 = sharded but in-process); the result is bit-identical "
-             "for every N >= 1 and every cache state.  Default 0 keeps "
-             "the legacy serial engine",
+        help="shard the block DFGs into independent clusters and mine "
+             "them on N worker processes (1 = in-process); the result "
+             "is bit-identical for every N >= 1 and every cache state.  "
+             "Default 0 mines one in-process shard that holds every DFG "
+             "(one global benefit floor, no fragment cache)",
     )
     parser.add_argument(
         "--fragment-cache", metavar="DIR",
         help="persist the content-addressed fragment cache under DIR so "
-             "later runs skip re-mining unchanged shards (implies the "
-             "in-memory cache the scale engine always uses)",
+             "later runs skip re-mining unchanged shards (implies "
+             "--workers 1 when --workers is not given)",
     )
     parser.add_argument(
         "--shard-retries", type=int, default=None, metavar="N",
         help="redeliveries per shard before it falls back to an "
-             "in-parent serial re-mine and then quarantine (scale "
-             "engine; default 2).  Retries re-run the same pure mine, "
-             "so the crash/retry schedule never changes results",
+             "in-parent serial re-mine and then quarantine (default "
+             "2).  Retries re-run the same pure mine, so the "
+             "crash/retry schedule never changes results",
     )
     parser.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-shard soft timeout (scale engine, 2+ workers): a "
+        help="per-shard soft timeout (2+ workers): a "
              "shard in flight longer than this has its worker killed "
              "and is redelivered.  Default: no timeout",
     )
@@ -354,11 +356,11 @@ def _progress_scope(args):
 
 
 def _shard_imbalance_table(registry) -> str:
-    """Per-shard mining wall-clock table (``profile``, scale engine).
+    """Per-shard mining wall-clock table (``profile``).
 
     Aggregated from the ``scale.shard.timing`` events the pool parent
-    emits per mined shard; empty string when none were recorded (serial
-    engine, or every shard came from the cache)."""
+    emits per mined shard; empty string when none were recorded (every
+    shard came from the cache)."""
     seconds = {}
     nodes = {}
     rounds = {}
@@ -448,7 +450,7 @@ def cmd_pa(args) -> int:
         sys.exit("error: --workers/--fragment-cache need a graph "
                  "engine; the sfx baseline does not mine shards")
     if args.fragment_cache and not args.workers:
-        args.workers = 1     # a persistent cache implies the scale engine
+        args.workers = 1     # a persistent cache implies clustered shards
     for spec in args.fault or ():
         try:
             faultinject.arm(spec)
@@ -474,12 +476,13 @@ def cmd_pa(args) -> int:
         config = config_from_dict(resume.config)
         config.checkpoint_path = args.checkpoint
         # Worker count and cache directory are machine-local execution
-        # knobs — the scale engine's output is worker-count- and
+        # knobs — for workers >= 1 the output is worker-count- and
         # cache-state-independent, so overriding them cannot change the
-        # resumed result.  Switching engines (serial <-> scale) would.
+        # resumed result.  Leaving workers 0 would: one all-DFG shard
+        # and the clustered shards are different partitions.
         if args.workers and not config.workers:
-            sys.exit("error: the checkpointed run used the serial "
-                     "engine; --workers on resume would change its "
+            sys.exit("error: the checkpointed run used --workers 0 (one "
+                     "shard); --workers on resume would change its "
                      "decisions (re-run from scratch instead)")
         if args.workers:
             config.workers = args.workers
@@ -688,7 +691,7 @@ def cmd_lint(args) -> int:
 
 def cmd_table1(args) -> int:
     if args.fragment_cache and not args.workers:
-        args.workers = 1     # a persistent cache implies the scale engine
+        args.workers = 1     # a persistent cache implies clustered shards
     traced = _telemetry_begin(args)
     rows = []
     with _progress_scope(args):
@@ -750,7 +753,7 @@ def cmd_profile(args) -> int:
         sys.exit("error: --verify needs a graph engine; the sfx baseline "
                  "does not go through the round loop the validator hooks")
     if args.fragment_cache and not args.workers:
-        args.workers = 1     # a persistent cache implies the scale engine
+        args.workers = 1     # a persistent cache implies clustered shards
     _telemetry_begin(args, force=True)
     module = _load_source(args.source, args.assembly)
     before = module.num_instructions

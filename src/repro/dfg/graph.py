@@ -112,6 +112,18 @@ class DFG:
     def dep_predecessors(self, node: int) -> Set[int]:
         return {s for (s, d, __) in self.dep_edges if d == node}
 
+    def projection(self, kinds: FrozenSet[str]) -> "DFG":
+        """The same block with only *kinds* mined: equal to rebuilding
+        it with ``mined_kinds=kinds``, without re-running the
+        dependence analysis."""
+        return DFG(
+            labels=self.labels,
+            insns=self.insns,
+            edges={e for e in self.dep_edges if e[2] in kinds},
+            dep_edges=self.dep_edges,
+            origin=self.origin,
+        )
+
     # ------------------------------------------------------------------
     def in_degree(self, node: int, kinds: FrozenSet[str] = MINED_KINDS) -> int:
         return sum(1 for (s, d, k) in self.edges if d == node and k in kinds)

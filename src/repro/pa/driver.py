@@ -6,6 +6,11 @@ occurrences -> order-consistency), extracts the single candidate with
 the highest code-size benefit, and restarts — "after extraction, phase
 (6) is repeated as long as code fragments are found that reduce the
 overall number of instructions in the program".
+
+The mining step of a round is :func:`repro.scale.pool.run_sharded_round`
+for every worker count: ``workers == 0`` mines one in-process shard
+that holds every DFG, ``workers >= 1`` the independent clusters of the
+database (see :mod:`repro.scale`).
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.binary.program import Module
 from repro.dfg.builder import build_dfgs
-from repro.dfg.graph import FLOW_KINDS, MINED_KINDS
-from repro.mining.edgar import Edgar, non_overlapping_embeddings
-from repro.mining.gspan import DgSpan
+from repro.dfg.graph import MINED_KINDS
 from repro.report.dot import collision_to_dot, dfg_to_dot, fragment_to_dot
 from repro.report.ledger import GLOBAL as _LEDGER, LEDGER_SCHEMA
 from repro.resilience import checkpoint as _ckpt
@@ -27,28 +30,10 @@ from repro.resilience.governor import RunGovernor, activate
 from repro.telemetry import GLOBAL as _TELEMETRY
 from repro.telemetry import progress as _progress
 
-from repro.pa.extract import (
-    call_site_feasible,
-    extract_call,
-    extract_crossjump,
-    order_consistent_subset,
-)
-from repro.pa.fragments import (
-    Candidate,
-    best_possible_benefit,
-    call_benefit,
-    call_overhead,
-    crossjump_benefit,
-    score,
-)
-from repro.pa.legality import (
-    ExtractionMethod,
-    LatticeLegality,
-    legal_embeddings,
-    sp_fragile_functions,
-)
+from repro.pa.extract import extract_call, extract_crossjump
+from repro.pa.fragments import Candidate
+from repro.pa.legality import ExtractionMethod
 from repro.pa.liveness import lr_live_out_blocks
-from repro.verify.cfg import build_module_cfg
 from repro.verify.dataflow import AnalysisMemo
 from repro.verify.validate import (
     TranslationValidationError,
@@ -106,25 +91,23 @@ class PAConfig:
     #: completed round (schema ``repro.resilience.ckpt/1``); resuming
     #: from it reproduces the uninterrupted run bit-identically.
     checkpoint_path: Optional[str] = None
-    #: 0 = the legacy serial engine (exactly the historical pipeline).
-    #: N >= 1 selects the *scale* engine (:mod:`repro.scale`): the DFG
-    #: database is pre-clustered into independent shards, mined with
-    #: shard-local benefit floors (N worker processes; 1 = in-process)
-    #: and merged deterministically — the result is bit-identical for
-    #: every worker count and cache state.  Carryover warm-starting is
-    #: disabled in scale mode: the fragment cache subsumes it (an
-    #: untouched shard is a cache hit), and warm floors would make
-    #: shard results depend on history, poisoning content-addressing.
+    #: How a round's DFG database is partitioned into shards for the
+    #: one mining funnel (:mod:`repro.scale`).  0 = one in-process
+    #: shard that holds every DFG, so the benefit floor is global.
+    #: N >= 1 = the independent clusters of the database, mined with
+    #: shard-local benefit floors (N worker processes; 1 = in-process),
+    #: cached by content and merged deterministically — the result is
+    #: bit-identical for every N >= 1 and every cache state.
     workers: int = 0
-    #: Directory for the persistent fragment cache (scale engine only);
+    #: Directory for the persistent fragment cache (``workers >= 1``);
     #: None keeps the cache in-memory for the run.
     fragment_cache: Optional[str] = None
     #: Redeliveries per shard before it falls back to an in-parent
-    #: serial re-mine and then quarantine (scale engine; see
+    #: serial re-mine and then quarantine (see
     #: :mod:`repro.scale.supervise`).  Retries re-run the same pure
     #: function, so the crash/retry schedule never changes results.
     shard_retries: int = 2
-    #: Per-shard soft timeout (seconds; scale engine, ``workers >= 2``):
+    #: Per-shard soft timeout (seconds; ``workers >= 2``):
     #: a shard in flight longer than this has its worker killed and is
     #: redelivered.  None disables the timeout.
     shard_timeout: Optional[float] = None
@@ -173,8 +156,9 @@ class PAResult:
     rolled_back_rounds: int = 0
     #: Round index this run resumed from, if it was resumed.
     resumed_from_round: Optional[int] = None
-    #: Scale engine (``config.workers >= 1``) census; all zero under
-    #: the legacy serial engine.
+    #: Shard census: ``config.workers``, and the largest per-round
+    #: shard count (1 at ``workers == 0``).  The cache figures stay
+    #: zero at ``workers == 0``, which has no cache.
     workers: int = 0
     shards: int = 0                   #: largest per-round shard count
     #: shards torn down before completing (governor stop mid-round)
@@ -191,7 +175,7 @@ class PAResult:
     #: shards dropped after retries and the serial fallback all failed
     shards_quarantined: int = 0
     #: end-of-run fragment-cache census (hits/misses/stores/...);
-    #: empty under the legacy serial engine
+    #: empty at ``workers == 0``
     cache_census: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -208,274 +192,20 @@ class PAResult:
         return sum(1 for r in self.records if r.method == "crossjump")
 
 
-def _make_miner(config: PAConfig):
-    if config.miner == "edgar":
-        return Edgar(
-            min_support=config.min_support,
-            min_nodes=config.min_nodes,
-            max_nodes=config.max_nodes,
-            max_embeddings=config.max_embeddings,
-            pa_pruning=config.pa_pruning,
-            mis_exact_limit=config.mis_exact_limit,
-        )
-    if config.miner == "dgspan":
-        return DgSpan(
-            min_support=config.min_support,
-            min_nodes=config.min_nodes,
-            max_nodes=config.max_nodes,
-            max_embeddings=config.max_embeddings,
-        )
-    raise ValueError(f"unknown miner: {config.miner!r}")
+def collect_candidates(module: Module,
+                       config: PAConfig) -> List[Candidate]:
+    """Mine one round of *module*; return extractable candidates, best
+    first (the mining step of :func:`run_pa`, outside a run)."""
+    from repro.scale.pool import run_sharded_round
+
+    candidates, __ = run_sharded_round(module, config, RunGovernor())
+    return candidates
 
 
-def collect_candidates(module: Module, config: PAConfig,
-                       miner=None,
-                       warm: Optional[List[Candidate]] = None,
-                       deadline: Optional[float] = None,
-                       blocklist: Optional[Set[str]] = None,
-                       memo: Optional[AnalysisMemo] = None,
-                       ) -> List[Candidate]:
-    """Mine one round; return extractable candidates, best first.
-
-    Fragments are scored as the miner reports them (streaming); the
-    current best benefit is fed back as a lattice floor, pruning every
-    subtree whose optimistic (size, occurrences) bound cannot beat it —
-    both quantities are antimonotone, so the prune never loses the
-    optimum of the "best extractable candidate" query.  Candidates
-    scored along the way (before the floor overtook them) are kept for
-    batch application.  A run passes one *memo* to every round, so
-    liveness and absint re-solve only the CFG components the last
-    round's rewrites changed.
-    """
-    dfgs = build_dfgs(module, min_nodes=0, mined_kinds=config.mined_kinds)
-    if not dfgs:
-        return []
-    miner = miner or _make_miner(config)
-    # lr can be live across blocks (leaf returns, shared cross-jump
-    # tails); a bl may only be inserted where lr is dead-out.
-    cfg = build_module_cfg(module)
-    lr_live = lr_live_out_blocks(module, memo, cfg)
-    # frameless outlined procedures address the caller's frame through
-    # sp; fragments calling one must not gain a sp-shifting bracket.
-    fragile = sp_fragile_functions(module, memo, cfg)
-    best: List[Optional[Candidate]] = [None]
-    collected: List[Candidate] = []
-    for candidate in warm or ():
-        # Still-valid candidates from the previous round warm-start the
-        # benefit floor, so the lattice prunes aggressively from the
-        # first seed onward.
-        if blocklist and candidate.fingerprint() in blocklist:
-            continue
-        collected.append(candidate)
-        if best[0] is None or candidate.sort_key() < best[0].sort_key():
-            best[0] = candidate
-
-    def floor() -> int:
-        return best[0].benefit if best[0] is not None else 0
-
-    def prune_subtree(size_cap: int, occurrence_bound: int) -> bool:
-        return best_possible_benefit(size_cap, occurrence_bound) <= floor()
-
-    ledger_on = _LEDGER.enabled
-    skips = {
-        "considered": 0, "floor": 0, "illegal": 0, "lr_infeasible": 0,
-        "order_inconsistent": 0, "unprofitable": 0, "scored": 0,
-    }
-
-    def consider(frag) -> None:
-        _TELEMETRY.count("pa.candidates.considered")
-        if ledger_on:
-            skips["considered"] += 1
-        per_graph = {}
-        for emb in frag.embeddings:
-            per_graph[emb.graph] = per_graph.get(emb.graph, 0) + 1
-        occ_bound = sum(
-            min(count, dfgs[gid].num_nodes // max(1, frag.num_nodes))
-            for gid, count in per_graph.items()
-        )
-        bound = best_possible_benefit(frag.num_nodes, occ_bound)
-        if bound <= floor():
-            _TELEMETRY.count("pa.candidates.skipped_floor")
-            if ledger_on:
-                skips["floor"] += 1
-            return
-        if len(frag.embeddings) > 1000:
-            # per-embedding legality below costs a reachability sweep
-            # each; a deterministic prefix keeps scoring bounded (a
-            # sound benefit undercount)
-            frag.embeddings = frag.embeddings[:1000]
-        method, legal = legal_embeddings(dfgs, frag, fragile)
-        if method is None or len(legal) < 2:
-            _TELEMETRY.count("pa.candidates.skipped_illegal")
-            if ledger_on:
-                skips["illegal"] += 1
-            return
-        legal_count = len(legal)
-        if method is ExtractionMethod.CALL:
-            legal = [
-                e for e in legal
-                if dfgs[e.graph].origin not in lr_live
-                and call_site_feasible(dfgs[e.graph], e.nodes)
-            ]
-            if len(legal) < 2:
-                _TELEMETRY.count("pa.candidates.skipped_lr_infeasible")
-                if ledger_on:
-                    skips["lr_infeasible"] += 1
-                    _LEDGER.emit(
-                        "candidate",
-                        verdict="lr_infeasible",
-                        labels=list(frag.node_labels),
-                        size=frag.num_nodes,
-                        method=method.value,
-                        embeddings=len(frag.embeddings),
-                        legal=legal_count,
-                        lr_feasible=len(legal),
-                    )
-                return
-        mis_stats = {} if ledger_on else None
-        disjoint = non_overlapping_embeddings(
-            legal, exact_limit=config.mis_exact_limit, stats=mis_stats
-        )
-        kept, union = order_consistent_subset(dfgs, disjoint)
-        if len(kept) < 2:
-            _TELEMETRY.count("pa.candidates.skipped_order")
-            if ledger_on:
-                skips["order_inconsistent"] += 1
-                _LEDGER.emit(
-                    "candidate",
-                    verdict="order_inconsistent",
-                    labels=list(frag.node_labels),
-                    size=frag.num_nodes,
-                    method=method.value,
-                    embeddings=len(frag.embeddings),
-                    legal=legal_count,
-                    mis_size=len(disjoint),
-                    collision_nodes=mis_stats.get("vertices"),
-                    collision_edges=mis_stats.get("edges"),
-                    mis_mode=mis_stats.get("mode"),
-                    order_kept=len(kept),
-                )
-            return
-        witness = kept[0]
-        insns = [dfgs[witness.graph].insns[n] for n in witness.nodes]
-        origins = tuple(sorted({dfgs[e.graph].origin for e in kept}))
-        candidate = score(frag, method, insns, kept, union, origins)
-        if candidate is None:
-            _TELEMETRY.count("pa.candidates.skipped_unprofitable")
-            if ledger_on:
-                skips["unprofitable"] += 1
-                if method is ExtractionMethod.CALL:
-                    benefit = call_benefit(
-                        frag.num_nodes, len(kept), call_overhead(insns)
-                    )
-                else:
-                    benefit = crossjump_benefit(frag.num_nodes, len(kept))
-                _LEDGER.emit(
-                    "candidate",
-                    verdict="unprofitable",
-                    labels=list(frag.node_labels),
-                    size=frag.num_nodes,
-                    method=method.value,
-                    embeddings=len(frag.embeddings),
-                    legal=legal_count,
-                    mis_size=len(disjoint),
-                    collision_nodes=mis_stats.get("vertices"),
-                    collision_edges=mis_stats.get("edges"),
-                    mis_mode=mis_stats.get("mode"),
-                    order_kept=len(kept),
-                    benefit=benefit,
-                )
-            return
-        if blocklist and candidate.fingerprint() in blocklist:
-            # Blocklisted by a verify-failure recovery step: the
-            # fingerprint is canonical (method + instruction text +
-            # origins), so the re-mined round skips exactly the
-            # candidate whose extraction failed validation.
-            _TELEMETRY.count("pa.candidates.skipped_blocklist")
-            return
-        _TELEMETRY.count("pa.candidates.scored")
-        if ledger_on:
-            skips["scored"] += 1
-            candidate.provenance = {
-                "embeddings": len(frag.embeddings),
-                "legal": legal_count,
-                "mis_size": len(disjoint),
-                "collision_nodes": mis_stats.get("vertices"),
-                "collision_edges": mis_stats.get("edges"),
-                "mis_mode": mis_stats.get("mode"),
-                "order_kept": len(kept),
-                "collision_adjacency": mis_stats.get("adjacency"),
-                "chosen_indices": mis_stats.get("chosen_indices"),
-                "fragment_labels": list(frag.node_labels),
-                "fragment_edges": sorted(tuple(e) for e in frag.edges),
-            }
-            _LEDGER.emit(
-                "candidate",
-                verdict="scored",
-                labels=list(frag.node_labels),
-                size=frag.num_nodes,
-                method=method.value,
-                embeddings=len(frag.embeddings),
-                legal=legal_count,
-                mis_size=len(disjoint),
-                collision_nodes=mis_stats.get("vertices"),
-                collision_edges=mis_stats.get("edges"),
-                mis_mode=mis_stats.get("mode"),
-                order_kept=len(kept),
-                benefit=candidate.benefit,
-            )
-        collected.append(candidate)
-        if best[0] is None or candidate.sort_key() < best[0].sort_key():
-            best[0] = candidate
-
-    miner.prune_subtree = prune_subtree
-    if getattr(miner, "pa_pruning", False):
-        # the funnel scores only legal candidates, so subtrees with
-        # nothing legally extractable need not be grown
-        miner.prune_illegal = LatticeLegality(fragile)
-    miner.on_fragment = consider
-    miner.deadline = deadline
-    try:
-        if miner.max_nodes > 4:
-            # Quick shallow pre-pass: small fragments with many
-            # occurrences are found in milliseconds and set a benefit
-            # floor that prunes most of the deep lattice before the
-            # full-depth pass even starts.
-            saved_max = miner.max_nodes
-            miner.max_nodes = 3
-            try:
-                with _TELEMETRY.span("pa.mine.shallow"), \
-                        _LEDGER.context(mine_pass="shallow"):
-                    miner.mine(dfgs)
-            finally:
-                miner.max_nodes = saved_max
-        with _TELEMETRY.span("pa.mine.full"), \
-                _LEDGER.context(mine_pass="full"):
-            miner.mine(dfgs)
-        if config.flow_pass and FLOW_KINDS != config.mined_kinds:
-            # Second pass on the data-flow projection; block order and
-            # node numbering are identical, so embeddings transfer
-            # directly and legality still checks the full dep_edges.
-            flow_dfgs = build_dfgs(module, min_nodes=0,
-                                   mined_kinds=FLOW_KINDS)
-            with _TELEMETRY.span("pa.mine.flow"), \
-                    _LEDGER.context(mine_pass="flow"):
-                miner.mine(flow_dfgs)
-    finally:
-        miner.prune_subtree = None
-        miner.prune_illegal = None
-        miner.on_fragment = None
-        miner.deadline = None
-    if ledger_on:
-        _LEDGER.emit("mine.skips", **skips)
-    collected.sort(key=lambda c: c.sort_key())
-    return collected
-
-
-def best_candidate(module: Module, config: PAConfig,
-                   miner=None) -> Optional[Candidate]:
+def best_candidate(module: Module,
+                   config: PAConfig) -> Optional[Candidate]:
     """Mine one round and return the highest-benefit extractable candidate."""
-    candidates = collect_candidates(module, config, miner=miner)
+    candidates = collect_candidates(module, config)
     return candidates[0] if candidates else None
 
 
@@ -503,7 +233,7 @@ def apply_batch(module: Module, config: PAConfig,
     A candidate conflicts when any of its occurrence blocks was already
     rewritten this round (or, for cross-jumps — which renumber blocks —
     when its function was touched at all).  Skipped candidates are
-    simply rediscovered (or carried over) by the next mining round.
+    simply rediscovered by the next mining round.
 
     Returns ``(records, touched_blocks, touched_functions)``; when the
     caller passes an *applied* list, the candidates actually extracted
@@ -707,10 +437,9 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
         instructions_before=module.num_instructions,
         instructions_after=module.num_instructions,
     )
-    carryover: List[Candidate] = []
     blocklist: Set[str] = set()
     memo = AnalysisMemo()
-    scale = None
+    scale = (None, None)
     if config.workers:
         # one cache + delta planner per run: the cache carries shard
         # results across rounds (and across runs when persistent), the
@@ -719,7 +448,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
         from repro.scale.delta import DeltaPlanner
 
         scale = (FragmentCache(config.fragment_cache), DeltaPlanner())
-        result.workers = max(1, config.workers)
+    result.workers = config.workers
     start_round = 0
     if resume is not None:
         start_round = resume.round + 1
@@ -748,10 +477,6 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
             for r in resume.records
         ]
         blocklist = set(resume.blocklist)
-        if scale is None:
-            carryover = _ckpt.candidates_from_dicts(
-                module, config.mined_kinds, resume.carryover
-            )
     for round_index in range(start_round, config.max_rounds):
         if governor.should_stop():
             governor.note(
@@ -762,7 +487,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             outcome = _run_round(
                 module, config, governor, result, round_index,
-                carryover, blocklist, state, memo, scale,
+                blocklist, state, memo, scale,
             )
         except KeyboardInterrupt:
             # Anytime semantics: the interrupted round is rolled back
@@ -782,32 +507,16 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
             raise
         if outcome is None:
             break
-        records, candidates, touched_blocks, touched_functions = outcome
-        result.records.extend(records)
+        result.records.extend(outcome)
         result.rounds = round_index + 1
-        # Candidates whose blocks survived this round untouched remain
-        # valid; they warm-start the next round's benefit floor.  A
-        # cross-jump splits a block in two, renumbering every later
-        # block of the module enumeration, so any cross-jump round
-        # invalidates the carried indices wholesale.  (The scale
-        # engine never carries over — untouched shards are cache hits
-        # instead, which survives cross-jump renumbering too because
-        # shard identity is content, not position.)
-        if scale is not None or touched_functions:
-            carryover = []
-        else:
-            carryover = [
-                c for c in candidates
-                if not any(o in touched_blocks for o in c.origins)
-            ]
         if config.checkpoint_path:
             _write_run_checkpoint(
                 config.checkpoint_path, module, config, governor,
-                result, round_index, carryover, blocklist,
+                result, round_index, blocklist,
             )
     result.instructions_after = module.num_instructions
     result.elapsed_seconds = time.perf_counter() - started
-    if scale is not None:
+    if scale[0] is not None:
         census = scale[0].stats.as_dict()
         result.cache_census = census
         if _TELEMETRY.enabled:
@@ -818,14 +527,12 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
 
 
 def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
-               result: PAResult, round_index: int,
-               carryover: List[Candidate], blocklist: Set[str],
-               state: _ckpt.ModuleState, memo: AnalysisMemo,
-               scale=None):
+               result: PAResult, round_index: int, blocklist: Set[str],
+               state: _ckpt.ModuleState, memo: AnalysisMemo, scale):
     """One mining + apply round, with verify-failure recovery.
 
-    Returns ``None`` at fixpoint, else ``(records, candidates,
-    touched_blocks, touched_functions)``.  On a translation-validation
+    Returns ``None`` at fixpoint, else the round's extraction records.
+    On a translation-validation
     failure the round is rolled back atomically, the offending
     candidates blocklisted by canonical fingerprint, and the round
     re-mined — up to ``config.verify_max_retries`` times, after which
@@ -837,7 +544,7 @@ def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             return _round_once(
                 module, config, governor, result, round_index,
-                carryover, blocklist, applied, memo, scale,
+                blocklist, applied, memo, scale,
             )
         except TranslationValidationError as error:
             _ckpt.restore_state(module, state)
@@ -883,84 +590,46 @@ def _verify_offenders(error: TranslationValidationError,
 
 
 def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
-                result: PAResult, round_index: int,
-                carryover: List[Candidate], blocklist: Set[str],
-                applied: List[Candidate], memo: AnalysisMemo,
-                scale=None):
+                result: PAResult, round_index: int, blocklist: Set[str],
+                applied: List[Candidate], memo: AnalysisMemo, scale):
+    from repro.scale.pool import run_sharded_round
+
     with _TELEMETRY.span("pa.round", round=round_index), \
             _LEDGER.context(round=round_index):
         if _LEDGER.enabled:
             _LEDGER.emit(
                 "round.begin", instructions=module.num_instructions,
-                carryover=len(carryover),
             )
         _progress.publish(
             "round.start", round=round_index,
             instructions=module.num_instructions,
         )
         mine_started = time.perf_counter()
-        if scale is not None:
-            from repro.scale.pool import run_sharded_round
-
-            cache, planner = scale
-            with _TELEMETRY.span("pa.collect", round=round_index):
-                candidates, scale_stats = run_sharded_round(
-                    module, config, governor, cache, planner, memo
-                )
-            if blocklist:
-                # Verify-failure recovery: shard results are mined
-                # (and cached) blocklist-free — a blocklisted
-                # candidate must not shape shard-local floors or cache
-                # keys — so the filter happens here, after revival
-                # re-derived the origins a fingerprint needs.
-                candidates = [
-                    c for c in candidates
-                    if c.fingerprint() not in blocklist
-                ]
-            round_lattice_nodes = scale_stats.lattice_nodes_mined
-            result.lattice_nodes += scale_stats.lattice_nodes_mined
-            result.lattice_nodes_reused += \
-                scale_stats.lattice_nodes_reused
-            result.shards = max(result.shards, scale_stats.shards)
-            result.shards_lost += scale_stats.shards_lost
-            result.stragglers += scale_stats.stragglers
-            result.cache_hits += scale_stats.cache_hits
-            result.cache_misses += scale_stats.cache_misses
-            result.shards_retried += scale_stats.shards_retried
-            result.shards_quarantined += scale_stats.shards_quarantined
-            if scale_stats.shards_lost:
-                # A torn-down pool dropped shards: whatever this round
-                # selects is best-so-far, never silently complete.
-                governor.note(
-                    "interrupted" if governor.interrupted
-                    else "time_budget"
-                )
-            if scale_stats.deadline_hits:
-                result.deadline_hits += scale_stats.deadline_hits
-                governor.count("mine.deadline_hits",
-                               scale_stats.deadline_hits)
-        else:
-            miner = _make_miner(config)
-            with _TELEMETRY.span("pa.collect", round=round_index):
-                candidates = collect_candidates(
-                    module, config, miner=miner,
-                    warm=carryover, deadline=governor.deadline,
-                    blocklist=blocklist, memo=memo,
-                )
-            round_lattice_nodes = miner.visited_nodes
-            result.lattice_nodes += miner.visited_nodes
-            if miner.deadline_hit:
-                result.deadline_hits += 1
-                governor.count("mine.deadline_hits")
-            if _LEDGER.enabled:
-                _LEDGER.emit(
-                    "prune",
-                    never_convex=getattr(miner, "pruned_never_convex", 0),
-                    cyclic=getattr(miner, "pruned_cyclic", 0),
-                    illegal=getattr(miner, "pruned_illegal", 0),
-                )
+        cache, planner = scale
+        with _TELEMETRY.span("pa.collect", round=round_index):
+            candidates, scale_stats = run_sharded_round(
+                module, config, governor, cache, planner, memo,
+                sorted(blocklist),
+            )
+        result.lattice_nodes += scale_stats.lattice_nodes_mined
+        result.lattice_nodes_reused += scale_stats.lattice_nodes_reused
+        result.shards = max(result.shards, scale_stats.shards)
+        result.shards_lost += scale_stats.shards_lost
+        result.stragglers += scale_stats.stragglers
+        result.cache_hits += scale_stats.cache_hits
+        result.cache_misses += scale_stats.cache_misses
+        result.shards_retried += scale_stats.shards_retried
+        result.shards_quarantined += scale_stats.shards_quarantined
+        if scale_stats.shards_lost:
+            # A torn-down pool dropped shards: whatever this round
+            # selects is best-so-far, never silently complete.
+            governor.note(
+                "interrupted" if governor.interrupted else "time_budget"
+            )
+        if scale_stats.deadline_hits:
+            result.deadline_hits += scale_stats.deadline_hits
+            governor.count("mine.deadline_hits", scale_stats.deadline_hits)
         mine_seconds = time.perf_counter() - mine_started
-        _TELEMETRY.count("pa.carryover.candidates", len(carryover))
         if not candidates:
             if _LEDGER.enabled:
                 _LEDGER.emit(
@@ -982,7 +651,7 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
             pre_lr_live = lr_live_out_blocks(module, memo)
         fault("extract.apply")
         with _TELEMETRY.span("pa.apply", round=round_index):
-            records, touched_blocks, touched_functions = apply_batch(
+            records, __, ___ = apply_batch(
                 module, config, candidates, applied=applied
             )
         if config.verify and records:
@@ -1021,10 +690,9 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                 "pa.round",
                 round=round_index,
                 mine_seconds=mine_seconds,
-                lattice_nodes=round_lattice_nodes,
+                lattice_nodes=scale_stats.lattice_nodes_mined,
                 candidates=len(candidates),
                 applied=len(records),
-                carryover=len(carryover),
             )
             for record in records:
                 _TELEMETRY.observe(
@@ -1039,7 +707,7 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                     benefit=record.benefit,
                     new_symbol=record.new_symbol,
                 )
-    return records, candidates, touched_blocks, touched_functions
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -1077,7 +745,6 @@ def _record_to_dict(record: ExtractionRecord) -> Dict[str, Any]:
 def _write_run_checkpoint(path: str, module: Module, config: PAConfig,
                           governor: RunGovernor, result: PAResult,
                           round_index: int,
-                          carryover: List[Candidate],
                           blocklist: Set[str]) -> None:
     """Serialize the resumable state after a committed round."""
     checkpoint = _ckpt.Checkpoint(
@@ -1086,7 +753,6 @@ def _write_run_checkpoint(path: str, module: Module, config: PAConfig,
         entry=module.entry,
         fresh=module._fresh,
         config=config_to_dict(config),
-        carryover=[_ckpt.candidate_to_dict(c) for c in carryover],
         blocklist=sorted(blocklist),
         records=[_record_to_dict(r) for r in result.records],
         pa_exempt=sorted(

@@ -18,6 +18,11 @@ uses:
 3. **Purely observational.**  Nothing reads the ledger back during a
    run; enabling it may cost time but never changes a result.
 
+Shard mining records into a :func:`capture` scope, in the parent and
+in worker processes alike, and the parent replays the snapshots in
+shard order, so a cold-cache run records the same stream for every
+worker count >= 1.
+
 Record types of schema ``repro.report.ledger/1`` (all fields additive;
 consumers must ignore unknown fields):
 
@@ -32,18 +37,20 @@ round.begin / round.end
 mine.pass  miner — one record per mining pass (shallow / full / flow):
            graphs, seeds, lattice nodes expanded, truncated branches,
            deadline hit
-mine.skips driver — per-round aggregate of candidate-rejection counts
-           (benefit floor, illegality, lr-infeasibility, order
-           inconsistency, unprofitability) plus the scored total
-prune      driver — per-round PA-specific embedding pruning: the
-           never-convex count and the Fig. 9 cyclic-dependency count
+mine.skips mining round — per-round aggregate of candidate-rejection
+           counts (benefit floor, illegality, lr-infeasibility, order
+           inconsistency, unprofitability, verify-retry blocklist)
+           plus the scored total
+prune      mining round — per-round lattice pruning: the never-convex
+           count, the Fig. 9 cyclic-dependency count and the legality
+           prune's cut branches
 legality   legality checker — one verdict per classified fragment:
            mechanism (call / crossjump / null) and surviving
            embeddings (capped)
 mis        MIS solver — one record per overlap resolution: collision
            graph size, component census, exact-vs-greedy fallback,
            chosen set size (capped)
-candidate  driver — one record per candidate that reached the
+candidate  funnel — one record per candidate that reached the
            cost/benefit race: fragment labels, embedding counts at
            each funnel stage, MIS size and mode, benefit, verdict
            (scored / unprofitable / order_inconsistent /
@@ -85,8 +92,9 @@ run.end    driver — rounds, saved instructions, elapsed seconds, and
 
 from __future__ import annotations
 
+import contextlib
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.resilience.atomicio import atomic_write_text
 from repro.resilience.faultinject import fault
@@ -209,6 +217,23 @@ class Ledger:
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
+    def replay(self, snapshot: Optional[Dict[str, Any]]) -> None:
+        """Re-emit a :func:`capture` snapshot into this ledger.
+
+        Each record is merged with the *current* context (the round)
+        and counted against this ledger's caps; records the capture
+        scope already dropped are added to :attr:`dropped`.  Replaying
+        captures in a fixed order therefore keeps and drops exactly
+        the records one uncaptured emission stream would have.
+        """
+        if snapshot is None or not self.enabled:
+            return
+        for record in snapshot["records"]:
+            fields = dict(record)
+            self.emit(fields.pop("type"), **fields)
+        for rtype, count in snapshot["dropped"].items():
+            self.dropped[rtype] = self.dropped.get(rtype, 0) + count
+
     def records_of(self, rtype: str) -> List[Dict[str, Any]]:
         return [r for r in self.records if r["type"] == rtype]
 
@@ -247,6 +272,46 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
 
 #: The process-global ledger all pipeline emission reports to.
 GLOBAL = Ledger()
+
+
+class Capture:
+    """Handle yielded by :func:`capture`; ``snapshot`` is set on exit."""
+
+    __slots__ = ("snapshot",)
+
+    def __init__(self) -> None:
+        self.snapshot: Optional[Dict[str, Any]] = None
+
+
+@contextlib.contextmanager
+def capture(enabled: bool = True):
+    """Record into a fresh scope of the global ledger for the block.
+
+    The ledger counterpart of :func:`repro.telemetry.remote.capture`:
+    shard mining runs inside it, in the parent and in worker processes
+    alike, and the parent replays each snapshot in shard order
+    (:meth:`Ledger.replay`).  The scope starts with empty records, counts and
+    context, so a snapshot is the same wherever it was taken; on exit
+    the records and drop counts become ``snapshot`` (a plain picklable
+    dict) and the previous state is restored untouched.  With
+    ``enabled=False`` the block runs with the ledger off and no
+    snapshot is taken.
+    """
+    ledger = GLOBAL
+    saved = (ledger.enabled, ledger.records, ledger.dropped,
+             ledger._counts, ledger._context)
+    ledger.records, ledger.dropped, ledger._counts, ledger._context = \
+        [], {}, {}, {}
+    ledger.enabled = enabled
+    holder = Capture()
+    try:
+        yield holder
+    finally:
+        if enabled:
+            holder.snapshot = {"records": ledger.records,
+                               "dropped": ledger.dropped}
+        (ledger.enabled, ledger.records, ledger.dropped,
+         ledger._counts, ledger._context) = saved
 
 
 def get() -> Ledger:

@@ -7,12 +7,11 @@ previous round's checkpoint or the new one — never a torn file.
 
 The state is deliberately *replay-free*: the module travels as rendered
 assembly (the render -> reparse round trip is exact, asserted by the
-resume-determinism tests), and the miner carryover — the only cross-
-round state the driver keeps besides the module itself — is serialized
-as embeddings + scores and revived against the reparsed module's DFG
-database.  Nothing in the pipeline uses randomness, so a resumed run
-re-mines from the checkpoint round and produces a **bit-identical**
-final binary to the uninterrupted run (the differential guarantee
+resume-determinism tests), and besides the module the driver keeps no
+cross-round state but the verify blocklist and the result counters.
+Nothing in the pipeline uses randomness, so a resumed run re-mines from
+the checkpoint round and produces a **bit-identical** final binary to
+the uninterrupted run (the differential guarantee
 ``tests/resilience/test_resume_determinism.py`` enforces on all eight
 workloads).
 
@@ -28,7 +27,6 @@ fresh               the module's fresh-label counter position
 pa_exempt           names of PA-exempt functions (validation only;
                     the reparse re-derives them)
 config              the PAConfig the run was started with
-carryover           serialized warm-start candidates
 blocklist           canonical fingerprints blocklisted by the
                     verify-failure recovery
 records             extraction records of completed rounds
@@ -42,22 +40,21 @@ shards_retried / shards_quarantined
                     supervised-executor continuity counters (additive
                     minor; default zero when absent)
 =================== =================================================
+
+Documents written before the mining engine was unified may carry a
+``carryover`` field (warm-start candidates); it is ignored on load like
+any other unknown field.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.binary.blocks import module_from_asm
 from repro.binary.program import BasicBlock, Function, Module
-from repro.dfg.builder import build_dfgs
 from repro.isa.assembler import parse_program
-from repro.mining.embeddings import Embedding
-from repro.mining.gspan import Fragment
-from repro.pa.fragments import Candidate
-from repro.pa.legality import ExtractionMethod
 from repro.resilience.atomicio import atomic_write_text
 from repro.resilience.errors import CheckpointError
 from repro.resilience.faultinject import fault
@@ -115,70 +112,6 @@ def restore_state(module: Module, state: ModuleState) -> None:
 
 
 # ----------------------------------------------------------------------
-# candidate (carryover) serialization
-# ----------------------------------------------------------------------
-def candidate_to_dict(candidate: Candidate) -> Dict[str, Any]:
-    fragment = candidate.fragment
-    return {
-        "method": candidate.method.value,
-        "benefit": candidate.benefit,
-        "embeddings": [[e.graph, list(e.nodes)]
-                       for e in candidate.embeddings],
-        "union_edges": sorted(list(e) for e in candidate.union_edges),
-        "origins": [list(o) for o in candidate.origins],
-        "fragment": {
-            "labels": list(fragment.node_labels),
-            "edges": [list(e) for e in fragment.edges],
-            "support": fragment.support,
-        },
-    }
-
-
-def candidates_from_dicts(
-    module: Module,
-    mined_kinds: FrozenSet[str],
-    dicts: List[Dict[str, Any]],
-) -> List[Candidate]:
-    """Revive carryover candidates against the reparsed module.
-
-    Graph ids and node indices are positions in the deterministic DFG
-    database of the module — exactly the identification the in-process
-    carryover already relies on between rounds.
-    """
-    if not dicts:
-        return []
-    dfgs = build_dfgs(module, min_nodes=0, mined_kinds=mined_kinds)
-    revived: List[Candidate] = []
-    for data in dicts:
-        embeddings = [
-            Embedding(graph, tuple(nodes))
-            for graph, nodes in data["embeddings"]
-        ]
-        witness = embeddings[0]
-        insns = [dfgs[witness.graph].insns[n] for n in witness.nodes]
-        frag = data["fragment"]
-        fragment = Fragment(
-            code=(),
-            node_labels=list(frag["labels"]),
-            edges=[tuple(e) for e in frag["edges"]],
-            embeddings=embeddings,
-            support=frag["support"],
-        )
-        revived.append(
-            Candidate(
-                fragment=fragment,
-                method=ExtractionMethod(data["method"]),
-                insns=insns,
-                embeddings=embeddings,
-                benefit=data["benefit"],
-                union_edges={tuple(e) for e in data["union_edges"]},
-                origins=tuple(tuple(o) for o in data["origins"]),
-            )
-        )
-    return revived
-
-
-# ----------------------------------------------------------------------
 # the checkpoint document
 # ----------------------------------------------------------------------
 @dataclass
@@ -190,7 +123,6 @@ class Checkpoint:
     entry: str
     fresh: int
     config: Dict[str, Any]
-    carryover: List[Dict[str, Any]] = field(default_factory=list)
     blocklist: List[str] = field(default_factory=list)
     records: List[Dict[str, Any]] = field(default_factory=list)
     pa_exempt: List[str] = field(default_factory=list)

@@ -1,24 +1,26 @@
-"""Sharded, parallel, incremental, cached mining (``src/repro/scale/``).
+"""The mining engine: one candidate funnel over shards of DFGs.
 
-The serial engines treat every block DFG as one pool: each round mines
-the whole database from scratch, although an extraction only rewrites a
-handful of blocks and identical blocks recur both across rounds and
-across runs.  This subsystem makes mining *sharded*, *parallel*,
-*incremental* and *cached* while keeping the sharded engine's output
-bit-identical for any worker count and any cache state:
+Every round of the abstraction loop mines its block-DFG database
+through this package, for every worker count.  ``--workers 0`` mines
+one in-process shard that holds every DFG, so the benefit floor is
+global.  ``--workers N >= 1`` makes mining *sharded*, *parallel*,
+*incremental* and *cached* — an extraction only rewrites a handful of
+blocks, and identical blocks recur both across rounds and across runs
+— while keeping the output bit-identical for any N >= 1 and any cache
+state:
 
 :mod:`repro.scale.cluster`
     Pre-clustering: blocks partition into shards (connected components
     over shared labelled-edge signatures) that provably cannot share a
     frequent fragment, so each shard's lattice search is independent.
 :mod:`repro.scale.shard`
-    The shard-scoped mining funnel (mine -> legality -> MIS -> order ->
-    score), runnable in-process or in a worker process, plus the
-    serialization that moves shard results across process and cache
-    boundaries.
+    The mining funnel (mine -> legality -> MIS -> order -> score) over
+    one shard, runnable in-process or in a worker process, the single
+    miner factory, plus the serialization that moves shard results
+    across process and cache boundaries.
 :mod:`repro.scale.pool`
-    The multiprocess worklist scheduler: a worker fleet expands shard
-    lattices concurrently with deterministic merge ordering and
+    One round: partition, cache lookup, mining, deterministic merge.
+    A worker fleet expands shard lattices concurrently with
     governor-aware teardown (SIGINT/deadline propagate; completed
     shards are salvaged as best-so-far).
 :mod:`repro.scale.supervise`

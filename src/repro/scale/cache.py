@@ -3,9 +3,9 @@
 Maps a shard payload digest (:meth:`~repro.scale.shard.ShardPayload.digest`)
 to the mined :class:`~repro.scale.shard.ShardResult` body.  Two layers:
 
-* an **in-memory** table, always on in scale mode — this is what makes
-  re-mining incremental *within* a run (round N+1 re-uses every shard
-  round N left untouched);
+* an **in-memory** table, always on for ``--workers >= 1`` — this is
+  what makes re-mining incremental *within* a run (round N+1 re-uses
+  every shard round N left untouched);
 * an optional **persistent directory** (``--fragment-cache DIR``),
   one JSON file per key written through the resilience atomic writer —
   this is what makes identical blocks never re-mine *across* runs.

@@ -12,9 +12,8 @@ falls out of content addressing:
 
 Position is deliberately *not* part of shard identity: a cross-jump
 splits a block and renumbers every later block of the module
-enumeration (which is why the serial engine drops its carryover
-wholesale on any cross-jump round), but an untouched shard's content
-digest is unchanged, so its lattice is still reused verbatim.
+enumeration, but an untouched shard's content digest is unchanged, so
+its lattice is still reused verbatim.
 
 The planner itself is bookkeeping, not policy — the cache would serve
 clean shards anyway.  Its value is *observability*: the per-round

@@ -1,11 +1,16 @@
-"""The multiprocess worklist scheduler for sharded mining.
+"""One mining round: partition, cache, mine the shards, merge.
 
-One call to :func:`run_sharded_round` replaces the serial driver's
-``collect_candidates`` for a round: cluster the DFG database, consult
-the fragment cache per shard, mine the missing shards (in-process for
-``workers <= 1``, in a worker pool otherwise), and merge.
+:func:`run_sharded_round` is the mining step of every round, for every
+worker count: partition the DFG database into shards, consult the
+fragment cache per shard, mine the missing shards (in-process for
+``workers <= 1``, in a worker pool otherwise), and merge.  With
+``workers == 0`` the partition is one shard that holds every DFG, so
+the benefit floor is global, and there is no cache (a whole-module
+digest changes every round); with ``workers >= 1`` it is
+:func:`~repro.scale.cluster.cluster_dfgs`.
 
-Determinism invariants (the bit-identity gate relies on these):
+Determinism invariants for ``workers >= 1`` (the bit-identity gate
+relies on these):
 
 * **Worker count never changes the result.**  Each shard is mined by
   the same pure function (:func:`~repro.scale.shard.mine_shard`) with a
@@ -25,8 +30,10 @@ Determinism invariants (the bit-identity gate relies on these):
   temperature (only durations, pids and timestamps differ, which is
   what a trace is for).  When telemetry is disabled the same capture
   scope runs suppressed, preserving the bit-identity guarantee.  The
-  ledger stays parent-only either way: the parent replays each shard's
-  funnel tallies and emits per-shard ledger records itself.  Progress
+  ledger works the same way (:func:`repro.report.ledger.capture`): the
+  parent replays each mined shard's funnel records in shard order,
+  then emits the round's ``mine.skips`` and ``prune`` census from the
+  shard tallies and its per-shard ``scale.*`` records.  Progress
   events (:mod:`repro.telemetry.progress`) flow from workers over a
   queue handed through the pool initializer and are drained in the
   parent's poll loop, which doubles as the straggler watchdog.
@@ -47,8 +54,8 @@ Governor-aware teardown: the parent polls the active run governor
 between completions; on SIGINT/SIGTERM/deadline it tears the fleet
 down (children ignore SIGINT — delivery is the parent's decision),
 salvages every shard that already completed as the round's
-best-so-far, and reports the lost shards — mirroring the serial
-engine's anytime semantics.  Worker children run with fault injection
+best-so-far, and reports the lost shards — the anytime semantics of
+the round loop.  Worker children run with fault injection
 disarmed, so chaos specs fire deterministically in the parent (see
 ``scale.pool`` and the ``scale.worker.*``/``scale.shard.poison``
 dispatch directives).
@@ -57,7 +64,7 @@ dispatch directives).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dfg.builder import build_dfgs
 from repro.pa.fragments import Candidate
@@ -77,8 +84,11 @@ from repro.scale.cache import FragmentCache
 from repro.scale.cluster import Shard, cluster_dfgs
 from repro.scale.delta import DeltaPlanner
 from repro.scale.shard import (
+    PRUNE_KEYS,
+    TALLY_KEYS,
     ShardPayload,
     ShardResult,
+    _make_miner,
     build_payload,
     revive_candidates,
 )
@@ -89,7 +99,7 @@ from repro.scale.supervise import (
     supervise_mine,
 )
 
-#: shard tally key -> the serial funnel's telemetry counter name
+#: shard tally key -> the funnel's telemetry counter name
 _TALLY_COUNTERS = {
     "considered": "pa.candidates.considered",
     "floor": "pa.candidates.skipped_floor",
@@ -98,6 +108,7 @@ _TALLY_COUNTERS = {
     "order_inconsistent": "pa.candidates.skipped_order",
     "unprofitable": "pa.candidates.skipped_unprofitable",
     "scored": "pa.candidates.scored",
+    "blocklist": "pa.candidates.skipped_blocklist",
 }
 
 
@@ -105,7 +116,7 @@ _TALLY_COUNTERS = {
 class ScaleStats:
     """One round's sharding/caching census."""
 
-    workers: int = 1
+    workers: int = 0
     shards: int = 0
     shards_mined: int = 0
     #: shards torn down before completing (governor stop mid-round)
@@ -137,33 +148,49 @@ def run_sharded_round(
     module,
     config,
     governor: RunGovernor,
-    cache: FragmentCache,
+    cache: Optional[FragmentCache] = None,
     planner: Optional[DeltaPlanner] = None,
     memo: Optional[AnalysisMemo] = None,
+    blocklist: Sequence[str] = (),
 ) -> Tuple[List[Candidate], ScaleStats]:
-    """Mine one round sharded/parallel/cached; return merged candidates.
+    """Mine one round of *module*; return the merged candidates.
 
-    The returned list is sorted best-first by the same key as the
-    serial funnel and is a pure function of (module content, config) —
-    independent of ``config.workers``, cache temperature, scheduling
-    and teardown history of previous runs.
+    The returned list is sorted best-first by the candidate sort key.
+    For ``config.workers >= 1`` it is a pure function of (module
+    content, config, *blocklist*) — independent of the worker count,
+    cache temperature, scheduling and teardown history of previous
+    runs.  A run passes one *memo* to every round, so liveness and
+    absint re-solve only the CFG components the last round's rewrites
+    changed; *blocklist* holds the fingerprints a verify-failure
+    recovery step rejected.
     """
-    workers = max(1, config.workers)
+    # a bad miner name fails here, in the parent, before it can become
+    # a shard failure that retry and quarantine would absorb
+    _make_miner(config)
+    workers = config.workers
     stats = ScaleStats(workers=workers)
     bus = _progress.active()
-    capture_telemetry = _TELEMETRY.enabled
+    capture = (_TELEMETRY.enabled, _LEDGER.enabled)
     with _TELEMETRY.span("scale.round", workers=workers):
         dfgs = build_dfgs(module, min_nodes=0,
                           mined_kinds=config.mined_kinds)
         if not dfgs:
             return [], stats
         cfg = build_module_cfg(module)
+        # lr can be live across blocks (leaf returns, shared cross-jump
+        # tails); a bl may only be inserted where lr is dead-out
         lr_live = lr_live_out_blocks(module, memo, cfg)
+        # frameless outlined procedures address the caller's frame
+        # through sp; fragments calling one must not gain a sp-shifting
+        # bracket
         fragile = sp_fragile_functions(module, memo, cfg)
-        with _TELEMETRY.span("scale.cluster"):
-            shards = cluster_dfgs(dfgs)
+        if workers:
+            with _TELEMETRY.span("scale.cluster"):
+                shards = cluster_dfgs(dfgs)
+        else:
+            shards = [Shard(index=0, graph_ids=tuple(range(len(dfgs))))]
         payloads = [
-            build_payload(shard, dfgs, lr_live, fragile, config)
+            build_payload(shard, dfgs, lr_live, fragile, config, blocklist)
             for shard in shards
         ]
         digests = [payload.digest() for payload in payloads]
@@ -172,21 +199,25 @@ def run_sharded_round(
             plan = planner.plan(digests)
             stats.delta_clean = len(plan.clean)
             stats.delta_dirty = len(plan.dirty)
-        invalid_before = cache.stats.invalid
         results: Dict[int, ShardResult] = {}
         to_mine: List[Tuple[Shard, ShardPayload, str]] = []
-        with _TELEMETRY.span("scale.cache.lookup"):
-            for shard, payload, digest in zip(shards, payloads, digests):
-                body = cache.get(digest)
-                if body is not None:
-                    result = ShardResult.from_doc(shard.index, body)
-                    results[shard.index] = result
-                    stats.lattice_nodes_reused += result.lattice_nodes
-                else:
-                    to_mine.append((shard, payload, digest))
-        stats.cache_hits = len(results)
-        stats.cache_misses = len(to_mine)
-        stats.cache_invalid = cache.stats.invalid - invalid_before
+        if cache is None:
+            to_mine = list(zip(shards, payloads, digests))
+        else:
+            invalid_before = cache.stats.invalid
+            with _TELEMETRY.span("scale.cache.lookup"):
+                for shard, payload, digest in zip(shards, payloads,
+                                                  digests):
+                    body = cache.get(digest)
+                    if body is not None:
+                        result = ShardResult.from_doc(shard.index, body)
+                        results[shard.index] = result
+                        stats.lattice_nodes_reused += result.lattice_nodes
+                    else:
+                        to_mine.append((shard, payload, digest))
+            stats.cache_hits = len(results)
+            stats.cache_misses = len(to_mine)
+            stats.cache_invalid = cache.stats.invalid - invalid_before
         _progress.publish(
             "round.shards",
             shards=stats.shards,
@@ -203,13 +234,11 @@ def run_sharded_round(
             fault("scale.pool")
             with _TELEMETRY.span("scale.mine", shards=len(to_mine)):
                 if workers <= 1:
-                    sup = mine_serial(to_mine, governor, bus,
-                                      capture_telemetry,
-                                      retries=retry_budget)
+                    sup = mine_serial(to_mine, dfgs, governor, bus,
+                                      capture, retries=retry_budget)
                 else:
                     sup = supervise_mine(
-                        to_mine, workers, governor, bus,
-                        capture_telemetry,
+                        to_mine, dfgs, workers, governor, bus, capture,
                         retries=retry_budget,
                         timeout=getattr(config, "shard_timeout", None),
                     )
@@ -221,24 +250,23 @@ def run_sharded_round(
                 stats.shards_retried = sup.shards_retried
                 stats.shard_fallbacks = sup.fallbacks
                 stats.shards_quarantined = len(sup.dropped)
-                if capture_telemetry:
-                    # stitch worker telemetry in deterministic shard
-                    # order, inside the scale.mine span so worker
-                    # spans nest under it in the profile tree
-                    for shard in shards:
-                        result = results.get(shard.index)
-                        if result is None or result.telemetry is None:
-                            continue
-                        _remote.merge_snapshot(_TELEMETRY,
-                                               result.telemetry)
-                        result.telemetry = None
+                # stitch shard telemetry and ledger records in
+                # deterministic shard order, inside the scale.mine span
+                # so shard spans nest under it in the profile tree
+                for shard in shards:
+                    result = results.get(shard.index)
+                    if result is None:
+                        continue
+                    _remote.merge_snapshot(_TELEMETRY, result.telemetry)
+                    _LEDGER.replay(result.ledger)
+                    result.telemetry = result.ledger = None
             for shard, payload, digest in to_mine:
                 result = results.get(shard.index)
                 if result is None:
                     continue
                 stats.shards_mined += 1
                 stats.lattice_nodes_mined += result.lattice_nodes
-                if capture_telemetry and result.mine_seconds:
+                if _TELEMETRY.enabled and result.mine_seconds:
                     _TELEMETRY.observe("scale.shard.mine_seconds",
                                        result.mine_seconds)
                     _TELEMETRY.event(
@@ -252,7 +280,7 @@ def run_sharded_round(
                     # partial (the mine unwound at the deadline);
                     # usable this round, but never cached
                     stats.deadline_hits += 1
-                else:
+                elif cache is not None:
                     cache.put(digest, result.to_doc())
         stats.shards_lost = len(lost)
         # merge: shard order, then one stable best-first sort — the
@@ -294,6 +322,13 @@ def run_sharded_round(
         dropped = ({q["shard"] for q in sup.dropped}
                    if sup is not None else set())
         if _LEDGER.enabled:
+            _LEDGER.emit("mine.skips", **{
+                key: tallies.get(key, 0) for key in TALLY_KEYS
+            })
+            _LEDGER.emit("prune", **{
+                key: tallies.get(attribute, 0)
+                for key, attribute in PRUNE_KEYS.items()
+            })
             for shard, payload, digest in zip(shards, payloads, digests):
                 result = results.get(shard.index)
                 _LEDGER.emit(

@@ -49,10 +49,17 @@ Mechanics:
   A poisoned shard is remembered and fails every redelivery *and* the
   serial fallback, which is exactly the path that exercises
   quarantine.
+* **Errors in the parent surface.**  Only worker deaths, timeouts,
+  errors a worker reports and ``scale.shard.poison`` are retried and
+  quarantined.  An exception the funnel raises in the parent process
+  (the in-process path or the serial fallback) propagates, so the
+  round rolls back and the run fails typed.
 
-The in-process path (``workers <= 1``) runs the same retry/quarantine
+The in-process path (``workers <= 1``) runs the same poison/quarantine
 state machine via :func:`mine_serial` (minus crash/hang directives,
-which only make sense for a child process).
+which only make sense for a child process).  Both paths mine inside
+isolated telemetry and ledger capture scopes; the parent stitches the
+snapshots back in shard order.
 
 Progress surface: every redelivery publishes a ``shard.retry`` event
 and every quarantine resolution a ``shard.quarantined`` event onto the
@@ -65,15 +72,16 @@ counters (OpenMetrics: ``repro_scale_shard_retries_total`` /
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import signal
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mpconn
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.dfg.graph import DFG
+from repro.report import ledger as _ledger
 from repro.report.ledger import GLOBAL as _LEDGER
 from repro.resilience import governor as _governor
 from repro.resilience.errors import FaultInjected
@@ -156,20 +164,6 @@ class SuperviseOutcome:
         return [q for q in self.quarantined if not q["recovered"]]
 
 
-@contextlib.contextmanager
-def _suppressed_ledger():
-    """Silence ledger emission around in-process shard mining: shard
-    funnels never write decision records directly — the parent emits
-    per-shard ledger records itself, identically for every worker
-    count.  (Telemetry is handled separately by the capture scope.)"""
-    ledger_was = _LEDGER.enabled
-    _LEDGER.enabled = False
-    try:
-        yield
-    finally:
-        _LEDGER.enabled = ledger_was
-
-
 def _worker_init(progress_queue=None) -> None:
     """Runs once in every supervised child before it accepts work.
 
@@ -192,25 +186,37 @@ def _worker_init(progress_queue=None) -> None:
     _progress.worker_attach(progress_queue)
 
 
-def _mine_shard_job(payload: ShardPayload, budget: Optional[float],
-                    capture_telemetry: bool = False) -> ShardResult:
-    """Mine one shard under a child-local governor.
+def _mine_captured(payload: ShardPayload, dfgs: Sequence[DFG],
+                   capture: Tuple[bool, bool]) -> ShardResult:
+    """Mine one shard inside isolated telemetry and ledger scopes.
 
-    With *capture_telemetry*, the mine records spans/counters into an
-    isolated scope whose snapshot rides back on the (transient)
-    ``result.telemetry`` field for the parent to stitch in.
+    *capture* is ``(telemetry, ledger)``: each scope records when the
+    parent's sink is on and runs suppressed otherwise.  The snapshots
+    ride back on the (transient) ``result.telemetry`` and
+    ``result.ledger`` fields for the parent to stitch in, so a shard
+    reports the same wherever it was mined.
     """
-    child_governor = RunGovernor(time_budget=budget)
-    with _governor.activate(child_governor):
-        if not capture_telemetry:
-            return mine_shard(payload)
-        with _remote.capture() as captured:
-            result = mine_shard(payload)
-        result.telemetry = captured.snapshot
-        return result
+    capture_telemetry, capture_ledger = capture
+    with _remote.capture(enabled=capture_telemetry) as telemetry, \
+            _ledger.capture(enabled=capture_ledger) as ledger:
+        result = mine_shard(payload, dfgs)
+    result.telemetry = telemetry.snapshot
+    result.ledger = ledger.snapshot
+    return result
 
 
-def _supervised_worker(conn, progress_queue, capture_telemetry) -> None:
+def _mine_shard_job(payload: ShardPayload, budget: Optional[float],
+                    capture: Tuple[bool, bool]) -> ShardResult:
+    """Mine one shard in a worker, under a child-local governor.  The
+    DFGs are rebuilt from the payload outside the capture scopes: the
+    parent mines its own, already-built DFGs, and both must report the
+    same."""
+    dfgs = payload.build_dfgs()
+    with _governor.activate(RunGovernor(time_budget=budget)):
+        return _mine_captured(payload, dfgs, capture)
+
+
+def _supervised_worker(conn, progress_queue, capture) -> None:
     """Child main loop: recv task, mine (or obey a chaos directive),
     send back ``(shard, result, error)``.  ``None`` means shut down."""
     _worker_init(progress_queue)
@@ -231,7 +237,7 @@ def _supervised_worker(conn, progress_queue, capture_telemetry) -> None:
             if directive == "poison":
                 raise FaultInjected(
                     f"injected poison on shard {shard_index}")
-            result = _mine_shard_job(payload, budget, capture_telemetry)
+            result = _mine_shard_job(payload, budget, capture)
         except BaseException as exc:  # noqa: B036 - must not die silently
             try:
                 conn.send((shard_index, None,
@@ -269,6 +275,11 @@ def _probe_directive(shard_index: int, poisoned: Set[int],
     return None
 
 
+def _poison_error(shard_index: int) -> str:
+    """What a poisoned delivery reports, in the parent as in a worker."""
+    return f"FaultInjected: injected poison on shard {shard_index}"
+
+
 def _backoff(attempt: int, governor: RunGovernor) -> float:
     """Deterministic, governor-aware redelivery delay in seconds."""
     delay = min(BACKOFF_BASE * (2 ** (attempt - 1)), BACKOFF_CAP)
@@ -281,12 +292,12 @@ def _backoff(attempt: int, governor: RunGovernor) -> float:
 class _Worker:
     """One tracked child process with its duplex task pipe."""
 
-    def __init__(self, progress_queue, capture_telemetry: bool):
+    def __init__(self, progress_queue, capture: Tuple[bool, bool]):
         parent_conn, child_conn = multiprocessing.Pipe()
         self.conn = parent_conn
         self.process = multiprocessing.Process(
             target=_supervised_worker,
-            args=(child_conn, progress_queue, capture_telemetry),
+            args=(child_conn, progress_queue, capture),
             daemon=True,
         )
         self.process.start()
@@ -313,22 +324,25 @@ class _Worker:
 
 def supervise_mine(
     to_mine: List[Tuple[Shard, ShardPayload, str]],
+    dfgs: Sequence[DFG],
     workers: int,
     governor: RunGovernor,
     bus=None,
-    capture_telemetry: bool = False,
+    capture: Tuple[bool, bool] = (False, False),
     retries: int = DEFAULT_SHARD_RETRIES,
     timeout: Optional[float] = None,
 ) -> SuperviseOutcome:
     """Expand the missing shards on a supervised worker fleet.
 
-    Dispatch order is largest-first (by payload size) for load
-    balance; redeliveries queue behind their backoff.  Neither can
-    affect results — only which shards finish before a teardown.
-    When a progress *bus* is active its worker queue rides into the
-    children, the wait loop drains it, and stale heartbeats are
-    flagged as stragglers (counted on the governor so degradation
-    notes surface them).
+    *dfgs* is the round's global DFG database, which the serial
+    fallback mines in the parent; *capture* is ``(telemetry, ledger)``
+    (see :func:`_mine_captured`).  Dispatch order is largest-first (by
+    payload size) for load balance; redeliveries queue behind their
+    backoff.  Neither can affect results — only which shards finish
+    before a teardown.  When a progress *bus* is active its worker
+    queue rides into the children, the wait loop drains it, and stale
+    heartbeats are flagged as stragglers (counted on the governor so
+    degradation notes surface them).
     """
     outcome = SuperviseOutcome()
     order = sorted(
@@ -341,6 +355,7 @@ def supervise_mine(
     payload_by_shard = {
         shard.index: payload for shard, payload, __ in to_mine
     }
+    members = {shard.index: shard.graph_ids for shard, __, ___ in to_mine}
     #: (ready_at, shard) — ready_at gates redelivery backoff
     pending: List[Tuple[float, int]] = [
         (0.0, to_mine[i][0].index) for i in order
@@ -397,7 +412,7 @@ def supervise_mine(
             busy = sum(1 for w in fleet if w.shard is not None)
             target = min(workers, busy + len(pending))
             while len(fleet) < target:
-                fleet.append(_Worker(queue, capture_telemetry))
+                fleet.append(_Worker(queue, capture))
             # dispatch every backoff-ready shard onto an idle worker
             for worker in fleet:
                 if worker.shard is not None:
@@ -503,7 +518,8 @@ def supervise_mine(
             # events the children flushed before exiting
             bus.drain()
     # serial fallback: re-mine every exhausted shard in the parent, in
-    # deterministic shard order; what still fails is quarantined
+    # deterministic shard order; a poisoned one is quarantined, and an
+    # error the funnel raises here propagates like any parent error
     for shard_index, failed, error in sorted(exhausted):
         if governor.should_stop():
             outcome.torn_down = True
@@ -511,24 +527,16 @@ def supervise_mine(
             continue
         record = {"shard": shard_index, "attempts": failed + 1,
                   "error": error, "recovered": False}
-        try:
-            if shard_index in poisoned:
-                raise FaultInjected(
-                    f"injected poison on shard {shard_index}")
-            with _suppressed_ledger():
-                with _remote.capture(
-                        enabled=capture_telemetry) as captured:
-                    result = mine_shard(payload_by_shard[shard_index])
-            result.telemetry = captured.snapshot
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:  # noqa: B036 - quarantine, not crash
-            record["error"] = f"{type(exc).__name__}: {exc}"
+        if shard_index in poisoned:
+            record["error"] = _poison_error(shard_index)
             outcome.quarantined.append(record)
             _progress.publish("shard.quarantined", shard=shard_index,
                               attempts=record["attempts"],
                               recovered=False, error=record["error"])
             continue
+        result = _mine_captured(
+            payload_by_shard[shard_index],
+            [dfgs[g] for g in members[shard_index]], capture)
         record["recovered"] = True
         outcome.completed[shard_index] = result
         outcome.fallbacks += 1
@@ -541,68 +549,53 @@ def supervise_mine(
 
 def mine_serial(
     to_mine: List[Tuple[Shard, ShardPayload, str]],
+    dfgs: Sequence[DFG],
     governor: RunGovernor,
     bus=None,
-    capture_telemetry: bool = False,
+    capture: Tuple[bool, bool] = (False, False),
     retries: int = DEFAULT_SHARD_RETRIES,
 ) -> SuperviseOutcome:
-    """The ``workers <= 1`` path: same retry/quarantine state machine,
-    in-process (no crash/hang directives — there is no child to kill;
-    a quarantined shard is dropped directly, the parent *is* the
-    serial fallback)."""
+    """The ``workers <= 1`` path: each shard is mined in-process on the
+    round's own DFGs.  A poisoned shard fails every one of its
+    ``1 + retries`` deliveries and is quarantined (there is no child
+    to kill and no fallback: the parent *is* the serial fallback);
+    any other error propagates."""
     outcome = SuperviseOutcome()
     poisoned: Set[int] = set()
-    retried: Set[int] = set()
     for shard, payload, __ in to_mine:
         if governor.should_stop():
             outcome.torn_down = True
             outcome.lost.append(shard.index)
             continue
-        attempt = 0
-        while True:
-            attempt += 1
-            error: Optional[str] = None
-            try:
-                if _probe_directive(shard.index, poisoned,
-                                    _SERIAL_FAULT_DIRECTIVES) is not None:
-                    raise FaultInjected(
-                        f"injected poison on shard {shard.index}")
-                with _suppressed_ledger():
-                    with _remote.capture(
-                            enabled=capture_telemetry) as captured:
-                        result = mine_shard(payload)
-                result.telemetry = captured.snapshot
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:  # noqa: B036 - retry, not crash
-                error = f"{type(exc).__name__}: {exc}"
-            if error is None:
-                outcome.completed[shard.index] = result
-                break
-            will_retry = attempt <= retries
-            outcome.failures.append(
-                ShardAttempt(shard.index, attempt, error, will_retry))
-            if will_retry:
-                outcome.retries += 1
-                retried.add(shard.index)
-                _progress.publish("shard.retry", shard=shard.index,
-                                  attempt=attempt, error=error,
-                                  backoff=0.0)
-                continue
+        if _probe_directive(shard.index, poisoned,
+                            _SERIAL_FAULT_DIRECTIVES) is None:
+            outcome.completed[shard.index] = _mine_captured(
+                payload, [dfgs[g] for g in shard.graph_ids], capture)
+        else:
+            error = _poison_error(shard.index)
+            for attempt in range(1, retries + 2):
+                will_retry = attempt <= retries
+                outcome.failures.append(
+                    ShardAttempt(shard.index, attempt, error, will_retry))
+                if will_retry:
+                    outcome.retries += 1
+                    _progress.publish("shard.retry", shard=shard.index,
+                                      attempt=attempt, error=error,
+                                      backoff=0.0)
+            if retries:
+                outcome.shards_retried += 1
             outcome.quarantined.append({
-                "shard": shard.index, "attempts": attempt,
+                "shard": shard.index, "attempts": retries + 1,
                 "error": error, "recovered": False,
             })
             _progress.publish("shard.quarantined", shard=shard.index,
-                              attempts=attempt, recovered=False,
+                              attempts=retries + 1, recovered=False,
                               error=error)
-            break
         if bus is not None:
             for __beat in bus.stragglers():
                 outcome.stragglers += 1
                 governor.count("scale.stragglers")
                 _TELEMETRY.count("scale.shards.stalled")
-    outcome.shards_retried = len(retried)
     return outcome
 
 

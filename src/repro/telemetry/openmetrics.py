@@ -38,7 +38,7 @@ from repro.telemetry.core import Telemetry
 _NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
 
 #: Event name carrying per-shard mining wall-clock (emitted by the
-#: scale engine parent after each round's merge).
+#: mining parent after each round's merge).
 SHARD_TIMING_EVENT = "scale.shard.timing"
 
 

@@ -3,26 +3,17 @@
 ``Embedding.node_set`` is cached in the instance dict.  It must stay
 invisible to everything that treats the embedding as a value: equality
 and hashing (which must match the plain frozen dataclass the class used
-to be), pickles, the shard wire format and the checkpoint's carryover.
+to be), pickles and the shard wire format.
 """
 
 import copy
 import dataclasses
-import json
 import pickle
 from typing import Tuple
 
 import pytest
 
 from repro.mining.embeddings import Embedding, dedupe_by_node_set
-from repro.pa.driver import PAConfig, config_to_dict
-from repro.resilience.checkpoint import (
-    Checkpoint,
-    candidate_to_dict,
-    candidates_from_dicts,
-    load_checkpoint,
-    write_checkpoint,
-)
 from repro.scale.shard import mine_shard, revive_candidates
 from tests.scale.test_shard import _payloads
 
@@ -178,32 +169,3 @@ class TestWireFormats:
         back = pickle.loads(data)
         assert back == embeddings
         assert all(_uncached(e) for group in back for e in group)
-
-    def test_checkpoint_carryover_round_trip(self, shard_round_trip,
-                                             tmp_path):
-        module, __, ___, ____, candidates = shard_round_trip
-        for candidate in candidates:
-            for embedding in candidate.embeddings:
-                _cached(embedding)
-        carryover = [candidate_to_dict(c) for c in candidates]
-        json.dumps(carryover)  # plain JSON: no frozenset slipped in
-        path = str(tmp_path / "ckpt.json")
-        write_checkpoint(path, Checkpoint(
-            round=1,
-            asm=module.render(),
-            entry=module.entry,
-            fresh=module._fresh,
-            config=config_to_dict(PAConfig()),
-            carryover=carryover,
-        ))
-        loaded = load_checkpoint(path)
-        assert loaded.carryover == json.loads(json.dumps(carryover))
-        revived = candidates_from_dicts(
-            module, PAConfig().mined_kinds, loaded.carryover
-        )
-        assert [c.embeddings for c in revived] == [
-            c.embeddings for c in candidates
-        ]
-        assert all(
-            _uncached(e) for c in revived for e in c.embeddings
-        )

@@ -21,8 +21,8 @@ from repro.mining.dfs_code import code_num_nodes, edge_sort_key
 from repro.mining.edgar import Edgar
 from repro.mining.embeddings import dedupe_by_node_set
 from repro.mining.gspan import DgSpan, _DeadlineReached
-from repro.pa import driver
 from repro.pa.driver import PAConfig, run_pa
+from repro.scale import shard
 from repro.workloads import compile_workload
 
 
@@ -165,7 +165,7 @@ class TestExactness:
         result = run_pa(module, PAConfig())
         with monkeypatch.context() as patch:
             patch.setattr(pruning, "between_nodes", uncached_between)
-            patch.setattr(driver, "_make_miner", _make_reference_miner)
+            patch.setattr(shard, "_make_miner", _make_reference_miner)
             ref_module = compile_workload("crc")
             reference = run_pa(ref_module, PAConfig())
         assert result.saved > 0
@@ -181,7 +181,7 @@ class TestWorkCounters:
         fast_calls = count_is_min[0]
         count_is_min[0] = 0
         with monkeypatch.context() as patch:
-            patch.setattr(driver, "_make_miner", _make_reference_miner)
+            patch.setattr(shard, "_make_miner", _make_reference_miner)
             run_pa(compile_workload("crc"), PAConfig())
         assert fast_calls > 0
         assert 2 * fast_calls <= count_is_min[0]

@@ -1,4 +1,4 @@
-"""Batching, carryover, and time-budget behaviour of the driver."""
+"""Batching and time-budget behaviour of the driver."""
 
 import pytest
 
@@ -100,14 +100,6 @@ def test_candidates_have_origins():
         for func_name, block_index in candidate.origins:
             func = module.function(func_name)
             assert 0 <= block_index < len(func.blocks)
-
-
-def test_warm_candidates_raise_floor():
-    module = module_from_source(TWO_INDEPENDENT)
-    first = collect_candidates(module, PAConfig())
-    warm = collect_candidates(module, PAConfig(), warm=first)
-    # warm-started collection still returns the same best candidate
-    assert warm[0].benefit == first[0].benefit
 
 
 def test_time_budget_zero_still_terminates():

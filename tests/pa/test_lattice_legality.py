@@ -22,7 +22,7 @@ from repro.dfg.builder import build_dfgs
 from repro.isa.assembler import parse_instruction
 from repro.isa.instructions import Instruction
 from repro.mining.edgar import Edgar
-from repro.pa import driver, legality
+from repro.pa import legality
 from repro.pa.driver import PAConfig, run_pa
 from repro.pa.legality import (
     ExtractionMethod,
@@ -35,6 +35,7 @@ from repro.pa.legality import (
     sp_fragile_functions,
 )
 from repro.pa.liveness import lr_live_out_blocks
+from repro.scale import pool
 from repro.scale import shard as shard_mod
 from repro.scale.cluster import Shard
 from repro.scale.shard import build_payload, mine_shard
@@ -212,18 +213,19 @@ def _run(workload, max_nodes, miner_cls, monkeypatch):
     result, each round's candidates and the miners used."""
     made: list = []
     rounds: list = []
-    real_collect = driver.collect_candidates
+    real_round = pool.run_sharded_round
 
-    def collect(*args, **kwargs):
-        candidates = real_collect(*args, **kwargs)
+    def mine_round(*args, **kwargs):
+        candidates, stats = real_round(*args, **kwargs)
         rounds.append([
             (c.fingerprint(), c.benefit, c.embeddings) for c in candidates
         ])
-        return candidates
+        return candidates, stats
 
     with monkeypatch.context() as patch:
-        patch.setattr(driver, "_make_miner", _miner_factory(miner_cls, made))
-        patch.setattr(driver, "collect_candidates", collect)
+        patch.setattr(shard_mod, "_make_miner",
+                      _miner_factory(miner_cls, made))
+        patch.setattr(pool, "run_sharded_round", mine_round)
         module = compile_workload(workload)
         result = run_pa(module, PAConfig(max_nodes=max_nodes))
     return module.render(), result, rounds, made
@@ -313,7 +315,8 @@ def test_prune_rides_on_pa_pruning(monkeypatch):
     for cls in (Edgar, ReferenceEdgar):
         made: list = []
         with monkeypatch.context() as patch:
-            patch.setattr(driver, "_make_miner", _miner_factory(cls, made))
+            patch.setattr(shard_mod, "_make_miner",
+                          _miner_factory(cls, made))
             result = run_pa(compile_workload("crc"),
                             PAConfig(pa_pruning=False))
         runs.append((result.lattice_nodes, made))

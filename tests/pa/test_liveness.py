@@ -225,6 +225,7 @@ def test_every_memoised_call_of_a_run_matches_whole_module_liveness(
     liveness solve at every round of an SFX and an Edgar run."""
     import repro.pa.driver as driver_mod
     import repro.pa.sfx as sfx_mod
+    import repro.scale.pool as pool_mod
     from repro.isa.registers import LR
     from repro.verify.passes import live_out_blocks
     from repro.workloads import compile_workload
@@ -239,6 +240,7 @@ def test_every_memoised_call_of_a_run_matches_whole_module_liveness(
 
     monkeypatch.setattr(sfx_mod, "lr_live_out_blocks", checked)
     monkeypatch.setattr(driver_mod, "lr_live_out_blocks", checked)
+    monkeypatch.setattr(pool_mod, "lr_live_out_blocks", checked)
     sfx = run_sfx(compile_workload("sha"))
     edgar = run_pa(compile_workload("crc"), PAConfig(miner="edgar"))
     assert sfx.saved > 0 and edgar.saved > 0

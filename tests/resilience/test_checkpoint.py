@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.pa.driver import PAConfig, config_from_dict, config_to_dict
+from repro.pa.driver import (
+    PAConfig,
+    config_from_dict,
+    config_to_dict,
+    run_pa,
+)
 from repro.resilience.checkpoint import (
     CKPT_SCHEMA,
     Checkpoint,
@@ -126,6 +131,38 @@ def test_unknown_additive_fields_ignored(tmp_path, module):
     doc["added_in_a_newer_minor"] = {"x": 1}
     path.write_text(json.dumps(doc))
     assert load_checkpoint(str(path)).round == 0
+
+
+def test_legacy_carryover_field_is_ignored(tmp_path):
+    """Checkpoints of the former serial engine carry warm-start
+    candidates under ``carryover``.  They still load, the field is
+    dropped like any unknown one, and the resumed run matches the
+    uninterrupted one."""
+    reference = module_from_source(SHARED_FRAGMENT_PROGRAM)
+    run_pa(reference, PAConfig())
+
+    path = tmp_path / "ck.json"
+    partial = module_from_source(SHARED_FRAGMENT_PROGRAM)
+    run_pa(partial, PAConfig(max_rounds=1, checkpoint_path=str(path)))
+    doc = json.loads(path.read_text())
+    assert "carryover" not in doc
+    doc["carryover"] = [{
+        "method": "call", "benefit": 3,
+        "embeddings": [[0, [1, 2]], [1, [1, 2]]],
+        "union_edges": [[0, 1]], "origins": [["_start", 0]],
+        "fragment": {"labels": ["mov r1, #3", "add r2, r1, #5"],
+                     "edges": [[0, 1, "d"]], "support": 2},
+    }]
+    path.write_text(json.dumps(doc))
+
+    checkpoint = load_checkpoint(str(path))
+    assert not hasattr(checkpoint, "carryover")
+    resumed = module_from_checkpoint(checkpoint)
+    config = config_from_dict(checkpoint.config)
+    config.max_rounds = PAConfig().max_rounds
+    config.checkpoint_path = None
+    run_pa(resumed, config, resume=checkpoint)
+    assert resumed.render() == reference.render()
 
 
 def test_corrupt_fault_garbles_payload(tmp_path, module):

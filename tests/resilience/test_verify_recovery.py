@@ -7,11 +7,16 @@ point in ``corrupt`` mode (non-raising: the validator sees the marker
 and manufactures an equivalence failure for the first genuinely
 rewritten block), so the recovery path is exercised against a real
 candidate's origin coordinates.
+
+Every check runs at ``--workers 0`` (one shard) and ``--workers 1``
+(the clustered shards): the blocklist acts inside the funnel, before a
+blocklisted winner can set its shard's benefit floor.
 """
 
 import pytest
 
 from repro.report import ledger
+from repro.pa import driver
 from repro.pa.driver import PAConfig, run_pa
 from repro.resilience.faultinject import arm
 from repro.verify.lint import lint_module
@@ -21,15 +26,15 @@ from repro.workloads import compile_workload, verify_workload
 WORKLOAD = "crc"
 
 
-def _config(**overrides):
+def _config(workers, **overrides):
     overrides.setdefault("verify", True)
-    return PAConfig(max_nodes=4, **overrides)
+    return PAConfig(max_nodes=4, workers=workers, **overrides)
 
 
-def test_counterexample_triggers_rollback_blocklist_retry():
+def _check_rollback_blocklist_retry(workers):
     module = compile_workload(WORKLOAD)
     arm("verify.counterexample:corrupt")      # one forged failure
-    result = run_pa(module, _config())        # must not raise
+    result = run_pa(module, _config(workers))  # must not raise
     assert result.verify_retries == 1
     assert result.rolled_back_rounds == 1
     assert result.degraded
@@ -38,13 +43,34 @@ def test_counterexample_triggers_rollback_blocklist_retry():
     verify_workload(WORKLOAD, module)
 
 
-def test_retry_round_skips_the_blocklisted_candidate():
+def _check_retry_skips_the_blocklisted_candidate(workers):
     reference = compile_workload(WORKLOAD)
-    clean = run_pa(reference, _config())
+    clean = run_pa(reference, _config(workers))
 
     module = compile_workload(WORKLOAD)
     arm("verify.counterexample:corrupt")
-    recovered = run_pa(module, _config())
+    batches = []
+    real_apply = driver.apply_batch
+
+    def recording(module, config, candidates, applied=None):
+        outcome = real_apply(module, config, candidates, applied)
+        batches.append({c.fingerprint() for c in applied})
+        return outcome
+
+    ledger.reset()
+    ledger.enable()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(driver, "apply_batch", recording)
+            recovered = run_pa(module, _config(workers))
+        (retry,) = ledger.get().records_of("verify.retry")
+    finally:
+        ledger.disable()
+        ledger.reset()
+    # the re-mined round applies none of the blocklisted candidates
+    blocklisted = set(retry["blocklisted"])
+    assert blocklisted and blocklisted <= batches[0]
+    assert not blocklisted & batches[1]
     # recovery may skip the blocklisted extraction, so it can save at
     # most as much as the clean run — but the run must still finish
     # with a valid, verified module
@@ -52,30 +78,30 @@ def test_retry_round_skips_the_blocklisted_candidate():
     assert recovered.rounds >= 1
 
 
-def test_exhausted_retries_degrade_to_abort():
+def _check_exhausted_retries_abort(workers):
     module = compile_workload(WORKLOAD)
     before_asm = module.render()
     arm("verify.counterexample:corrupt:0")    # every verify fails
     with pytest.raises(TranslationValidationError):
-        run_pa(module, _config(verify_max_retries=2))
+        run_pa(module, _config(workers, verify_max_retries=2))
     # the failed round was rolled back: the module is untouched
     assert module.render() == before_asm
 
 
-def test_retry_budget_is_configurable():
+def _check_retry_budget(workers):
     module = compile_workload(WORKLOAD)
     arm("verify.counterexample:corrupt:0")
     with pytest.raises(TranslationValidationError):
-        run_pa(module, _config(verify_max_retries=0))
+        run_pa(module, _config(workers, verify_max_retries=0))
 
 
-def test_retry_emits_ledger_records():
+def _check_retry_ledger_records(workers):
     ledger.reset()
     ledger.enable()
     try:
         module = compile_workload(WORKLOAD)
         arm("verify.counterexample:corrupt")
-        run_pa(module, _config())
+        run_pa(module, _config(workers))
         retries = ledger.get().records_of("verify.retry")
         assert len(retries) == 1
         assert retries[0]["round"] == 0
@@ -90,3 +116,50 @@ def test_retry_emits_ledger_records():
     finally:
         ledger.disable()
         ledger.reset()
+
+
+CHECKS = [
+    _check_rollback_blocklist_retry,
+    _check_retry_skips_the_blocklisted_candidate,
+    _check_exhausted_retries_abort,
+    _check_retry_budget,
+    _check_retry_ledger_records,
+]
+
+
+def test_counterexample_triggers_rollback_blocklist_retry():
+    _check_rollback_blocklist_retry(0)
+
+
+def test_retry_round_skips_the_blocklisted_candidate():
+    _check_retry_skips_the_blocklisted_candidate(0)
+
+
+def test_exhausted_retries_degrade_to_abort():
+    _check_exhausted_retries_abort(0)
+
+
+def test_retry_budget_is_configurable():
+    _check_retry_budget(0)
+
+
+def test_retry_emits_ledger_records():
+    _check_retry_ledger_records(0)
+
+
+@pytest.mark.parametrize("check", CHECKS,
+                         ids=[c.__name__[len("_check_"):] for c in CHECKS])
+def test_recovery_with_clustered_shards(check):
+    check(1)
+
+
+def test_blocklisted_winner_does_not_set_the_floor():
+    """The recovered run keeps everything the blocklisted candidate's
+    shard still offers: one forged failure on crc costs at most the
+    blocklisted extraction, at either worker count."""
+    saved = {}
+    for workers in (0, 1):
+        arm("verify.counterexample:corrupt")
+        saved[workers] = run_pa(compile_workload(WORKLOAD),
+                                _config(workers)).saved
+    assert saved[0] == saved[1] > 0

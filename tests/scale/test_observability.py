@@ -10,6 +10,7 @@ import pytest
 
 from repro import telemetry
 from repro.pa.driver import PAConfig, run_pa
+from repro.report import ledger
 from repro.resilience import faultinject
 from repro.telemetry import chrome_trace, progress
 from repro.telemetry.progress import EVENTS_SCHEMA, ProgressBus
@@ -91,6 +92,31 @@ class TestInstrumentationParity:
                 telemetry.reset()
         assert tallies[1][0] == tallies[2][0]
         assert tallies[1][1] == tallies[2][1]
+
+
+class TestLedgerParity:
+    def test_funnel_records_match_across_workers(self):
+        """Shard mining records its funnel decisions in a ledger
+        capture scope, in process and in workers alike, and the parent
+        replays them in shard order: a cold-cache run's records are
+        the same for any worker count."""
+        funnel = {}
+        for workers in (1, 4):
+            ledger.reset()
+            ledger.enable()
+            try:
+                run_crc(workers=workers)
+                funnel[workers] = [
+                    r for r in ledger.get().records
+                    if r["type"] in ("mine.skips", "prune", "candidate")
+                ]
+            finally:
+                ledger.disable()
+                ledger.reset()
+        assert {r["type"] for r in funnel[1]} == {
+            "mine.skips", "prune", "candidate"
+        }
+        assert funnel[1] == funnel[4]
 
 
 class TestProgressIntegration:

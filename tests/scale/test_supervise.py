@@ -103,6 +103,18 @@ def test_serial_path_runs_the_same_quarantine_state_machine():
     assert "shards_quarantined" in result.degraded_reasons
 
 
+def test_funnel_error_in_the_parent_propagates():
+    """Only worker deaths and poison are retried and quarantined: an
+    error the funnel raises in the parent rolls the round back and
+    surfaces, as it does for one all-DFG shard."""
+    faultinject.arm("mine.pass:raise")
+    module = compile_workload("crc")
+    before = module.render()
+    with pytest.raises(faultinject.FaultInjected):
+        run_pa(module, _config(workers=1))
+    assert module.render() == before
+
+
 def test_strict_shards_raises_typed_error_and_rolls_back():
     faultinject.arm("scale.shard.poison:raise:1")
     module = compile_workload("crc")
