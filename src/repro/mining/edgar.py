@@ -153,6 +153,43 @@ class Edgar(DgSpan):
     def _support(self, db: MiningDB, unique: List[Embedding]) -> int:
         return len(unique)
 
+    def _may_be_frequent(self, entries: list) -> bool:
+        """Could the entries hold two node-disjoint occurrences?
+
+        Occurrences in two graphs are disjoint.  Occurrences in one
+        graph that all share a node are not, and neither are any subset
+        of them, so with ``min_support`` of at least 2 such a child
+        fails :meth:`_is_frequent` after truncation, the PA filter and
+        deduplication alike.  The shared nodes are a running
+        intersection that stops as soon as it is empty.
+        """
+        if self.min_support < 2:
+            return True
+        first = entries[0]
+        if type(first) is tuple:  # forward: (parent embedding, new node)
+            graph = first[0].graph
+            common = set(first[0].node_set)
+            common.add(first[1])
+            for emb, node in entries:
+                if emb.graph != graph:
+                    return True
+                shared = node in common
+                common &= emb.node_set
+                if shared:
+                    common.add(node)
+                elif not common:
+                    return True
+            return False
+        graph = first.graph
+        common = first.node_set
+        for emb in entries:
+            if emb.graph != graph:
+                return True
+            common = common & emb.node_set
+            if not common:
+                return True
+        return False
+
     def _disjoint(self, unique: List[Embedding]) -> List[Embedding]:
         adjacency = build_collision_graph(unique)
         chosen = max_independent_set(adjacency, exact_limit=self.mis_exact_limit)

@@ -375,42 +375,59 @@ class DgSpan:
         """The extensions worth a canonical check, with their legality
         states (*state* is the parent's; None for seeds).
 
-        An extension needs at least ``min_support`` raw embeddings:
-        neither miner's frequency can exceed the raw embedding count
-        (DgSpan counts distinct graphs, Edgar distinct node sets after a
-        filter that only removes embeddings), so every dropped extension
-        would fail :meth:`_is_frequent` whether or not its code is
-        minimal.  Dropping them before the canonical check — gSpan's
-        support-first order — skips most ``is_min`` calls.  A bound
-        legality prune then drops the dead children, whose subtrees
-        hold nothing extractable.  The survivors keep their relative
-        order, so the search is otherwise unchanged.
+        gSpan's support-first order, by each miner's own frequency: an
+        extension is dropped before its canonical check when it has
+        fewer than ``min_support`` raw entries (neither miner's
+        frequency can exceed that count) or fails
+        :meth:`_may_be_frequent`.  A bound legality prune drops the dead
+        children in between, so the hook only sees live ones.  Every
+        dropped child would fail :meth:`_is_frequent` or hold nothing
+        extractable whether or not its code is minimal, and the
+        survivors keep their relative order, so the search is otherwise
+        unchanged.
         """
         min_support = self.min_support
-        frequent = [
-            tup for tup, entries in extensions.items()
-            if len(entries) >= min_support
-        ]
-        kept: Dict[EdgeTuple, Optional[int]]
-        if self._legality is None:
-            kept = dict.fromkeys(frequent)
-        else:
-            child_state = self._legality.child
-            kept = {}
-            for tup in frequent:
+        may_be_frequent = self._may_be_frequent
+        child_state = None if self._legality is None else self._legality.child
+        kept: Dict[EdgeTuple, Optional[int]] = {}
+        dead = 0
+        for tup, entries in extensions.items():
+            if len(entries) < min_support:
+                continue
+            child = None
+            if child_state is not None:
                 child = child_state(state, tup)
-                if child is not None:
-                    kept[tup] = child
-            dead = len(frequent) - len(kept)
-            if dead:
-                self.pruned_illegal += dead
-                _TELEMETRY.count("mining.legality_prunes", dead)
+                if child is None:
+                    dead += 1
+                    continue
+            if may_be_frequent(entries):
+                kept[tup] = child
+        if dead:
+            self.pruned_illegal += dead
+            _TELEMETRY.count("mining.legality_prunes", dead)
         if _TELEMETRY.enabled:
             _TELEMETRY.count(
-                "mining.support_skips", len(extensions) - len(frequent)
+                "mining.support_skips", len(extensions) - dead - len(kept)
             )
             _TELEMETRY.count("mining.canonical_checks", len(kept))
         return kept
+
+    def _may_be_frequent(self, entries: list) -> bool:
+        """A necessary condition of :meth:`_is_frequent`, tested on a
+        live child's raw entries (at least ``min_support`` of them):
+        ``Embedding`` objects for seeds and backward children,
+        ``(parent embedding, new node)`` pairs for forward ones.
+
+        A False verdict must hold for every subset of the occurrences
+        too, since truncation, :meth:`_filter_embeddings` and
+        deduplication only drop some.  DgSpan's frequency is the number
+        of distinct graphs, so its test is exact up to those drops.
+        """
+        if type(entries[0]) is tuple:
+            graphs = {emb.graph for emb, __ in entries}
+        else:
+            graphs = {emb.graph for emb in entries}
+        return len(graphs) >= self.min_support
 
     # ------------------------------------------------------------------
     def _extensions(

@@ -1,17 +1,21 @@
 """Support-first lattice expansion and the per-DFG convexity memo.
 
-The miners drop every extension with fewer raw embeddings than
-``min_support`` before its canonical check, and ``between_nodes`` is
-cached per DFG by node set.  Both are exact: a reference miner with the
-older order — ``is_min`` on every child, support tested afterwards,
-convexity recomputed on every query — must find the same fragments in
-the same order, and a PA run with it must produce the same module.
+The miners drop every extension with fewer raw entries than
+``min_support``, or failing their own ``_may_be_frequent`` hook (Edgar:
+no two node-disjoint occurrences; DgSpan: too few graphs), before its
+canonical check, and ``between_nodes`` is cached per DFG by node set.
+Both are exact: a reference miner with the older order — ``is_min`` on
+every child, support tested afterwards, convexity recomputed on every
+query — must find the same fragments in the same order, and a PA run
+with it must produce the same module.
 """
 
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.dfg.builder import build_dfgs
@@ -19,8 +23,8 @@ from repro.dfg.graph import DFG
 from repro.mining import gspan, pruning
 from repro.mining.dfs_code import code_num_nodes, edge_sort_key
 from repro.mining.edgar import Edgar
-from repro.mining.embeddings import dedupe_by_node_set
-from repro.mining.gspan import DgSpan, _DeadlineReached
+from repro.mining.embeddings import Embedding, dedupe_by_node_set
+from repro.mining.gspan import DgSpan, MiningDB, _DeadlineReached
 from repro.pa.driver import PAConfig, run_pa
 from repro.scale import shard
 from repro.workloads import compile_workload
@@ -141,6 +145,7 @@ def count_is_min(monkeypatch):
 class TestExactness:
     @pytest.mark.parametrize("miner_cls, reference_cls, workload", [
         (Edgar, ReferenceEdgar, "crc"),
+        (Edgar, ReferenceEdgar, "qsort"),
         (Edgar, ReferenceEdgar, "sha"),
         (DgSpan, ReferenceDgSpan, "crc"),
     ])
@@ -161,13 +166,27 @@ class TestExactness:
         assert truncated == reference[2]
 
     def test_pa_run_identical(self, monkeypatch):
-        module = compile_workload("crc")
-        result = run_pa(module, PAConfig())
+        self._check_pa_run_identical("crc", {}, monkeypatch)
+
+    # Edgar's hook drops children on qsort and sha; DgSpan's on crc.
+    @pytest.mark.parametrize("workload, options", [
+        ("qsort", {}),
+        ("sha", {"max_nodes": 5}),
+        ("crc", {"miner": "dgspan"}),
+    ], ids=["qsort", "sha-5", "crc-dgspan"])
+    def test_pa_run_identical_where_the_hook_drops(self, workload, options,
+                                                  monkeypatch):
+        self._check_pa_run_identical(workload, options, monkeypatch)
+
+    @staticmethod
+    def _check_pa_run_identical(workload, options, monkeypatch):
+        module = compile_workload(workload)
+        result = run_pa(module, PAConfig(**options))
         with monkeypatch.context() as patch:
             patch.setattr(pruning, "between_nodes", uncached_between)
             patch.setattr(shard, "_make_miner", _make_reference_miner)
-            ref_module = compile_workload("crc")
-            reference = run_pa(ref_module, PAConfig())
+            ref_module = compile_workload(workload)
+            reference = run_pa(ref_module, PAConfig(**options))
         assert result.saved > 0
         assert module.render() == ref_module.render()
         assert result.records == reference.records
@@ -204,31 +223,178 @@ class TestWorkCounters:
     def test_funnel_counters_account_for_every_child(self, monkeypatch,
                                                      count_is_min):
         children = [0]
-        real = DgSpan._extensions
+        hook_drops = [0]
+        real_extensions = DgSpan._extensions
+        real_hook = Edgar._may_be_frequent
 
         def counting(self, db, code, embeddings):
-            extensions = real(self, db, code, embeddings)
+            extensions = real_extensions(self, db, code, embeddings)
             children[0] += len(extensions)
             return extensions
 
+        def counting_hook(self, entries):
+            kept = real_hook(self, entries)
+            hook_drops[0] += not kept
+            return kept
+
         monkeypatch.setattr(DgSpan, "_extensions", counting)
+        monkeypatch.setattr(Edgar, "_may_be_frequent", counting_hook)
+        # crc: only raw counts drop children; qsort: the hook does too
+        for workload in ("crc", "qsort"):
+            children[0] = hook_drops[0] = count_is_min[0] = 0
+            telemetry.reset()
+            telemetry.enable()
+            try:
+                Edgar(max_nodes=5).mine(_dfgs(workload))
+                registry = telemetry.get()
+                seeds = sum(
+                    r.args["seeds"] for r in registry.spans
+                    if r.name == "mining.mine"
+                )
+                skips = registry.counter_value("mining.support_skips")
+                checks = registry.counter_value("mining.canonical_checks")
+            finally:
+                telemetry.disable()
+                telemetry.reset()
+            assert skips > hook_drops[0]
+            assert checks == count_is_min[0]
+            assert skips + checks == children[0] + seeds
+        assert hook_drops[0] > 0
+
+    def test_sha_deep_work_counters_pinned(self):
+        """Exact, machine-independent work of sha at ``max_nodes`` 5
+        under Edgar: the lattice and the canonical checks behind it."""
         telemetry.reset()
         telemetry.enable()
         try:
-            Edgar(max_nodes=5).mine(_dfgs("crc"))
+            result = run_pa(compile_workload("sha"), PAConfig(max_nodes=5))
             registry = telemetry.get()
-            seeds = sum(
-                r.args["seeds"] for r in registry.spans
-                if r.name == "mining.mine"
-            )
+            checks = registry.counter_value("mining.canonical_checks")
+            nodes = registry.counter_value("mining.lattice_nodes")
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert result.lattice_nodes == nodes == 5940
+        assert checks == 17400
+
+
+@st.composite
+def _random_dfgs(draw):
+    """One to three small blocks over two labels; each dependence edge
+    is mined ("d") or only constrains legality ("a")."""
+    dfgs = []
+    for __ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(2, 8))
+        labels = draw(st.lists(st.sampled_from("AB"), min_size=size,
+                               max_size=size))
+        pairs = draw(st.sets(st.tuples(st.integers(0, size - 1),
+                                       st.integers(0, size - 1))
+                             .filter(lambda p: p[0] < p[1]), max_size=12))
+        kinds = {pair: draw(st.sampled_from("dda")) for pair in sorted(pairs)}
+        mined = {(s, d, "d") for (s, d), k in kinds.items() if k == "d"}
+        dfgs.append(DFG(
+            labels=labels, insns=[None] * size, edges=mined,
+            dep_edges={(s, d, k) for (s, d), k in kinds.items()},
+        ))
+    return dfgs
+
+
+def _embeddings_of(entries):
+    if type(entries[0]) is tuple:
+        return [Embedding(emb.graph, emb.nodes + (node,))
+                for emb, node in entries]
+    return list(entries)
+
+
+class TestMayBeFrequent:
+    def test_edgar_drops_only_occurrences_sharing_a_node(self):
+        edgar = Edgar(min_support=2)
+        sharing = [Embedding(0, (0, 1)), Embedding(0, (1, 2))]
+        disjoint = [Embedding(0, (0, 1)), Embedding(0, (2, 3))]
+        two_graphs = [Embedding(0, (0, 1)), Embedding(1, (0, 1))]
+        assert not edgar._may_be_frequent(sharing)
+        assert edgar._may_be_frequent(disjoint)
+        assert edgar._may_be_frequent(two_graphs)
+        # forward entries: the shared node may be the new one
+        parents = [Embedding(0, (0, 1)), Embedding(0, (2, 3))]
+        assert not edgar._may_be_frequent([(e, 5) for e in parents])
+        assert edgar._may_be_frequent(list(zip(parents, (5, 6))))
+        assert not edgar._may_be_frequent(
+            [(sharing[0], 4), (sharing[1], 5)]
+        )
+
+    def test_dgspan_counts_graphs(self):
+        one_graph = [Embedding(0, (0, 1)), Embedding(0, (2, 3))]
+        assert not DgSpan(min_support=2)._may_be_frequent(one_graph)
+        assert not DgSpan(min_support=2)._may_be_frequent(
+            [(e, 5) for e in one_graph]
+        )
+        assert DgSpan(min_support=2)._may_be_frequent(
+            one_graph + [Embedding(1, (0, 1))]
+        )
+
+    def test_min_support_one_keeps_every_child(self):
+        sharing = [Embedding(0, (0, 1)), Embedding(0, (1, 2))]
+        forward = [(Embedding(0, (0, 1)), 2), (Embedding(0, (1, 3)), 2)]
+        for miner in (Edgar(min_support=1), DgSpan(min_support=1)):
+            assert miner._may_be_frequent(sharing)
+            assert miner._may_be_frequent(forward)
+        # nothing is dropped before the canonical check either
+        chain = DFG(labels=list("ABAB"), insns=[None] * 4,
+                    edges={(0, 1, "d"), (1, 2, "d"), (2, 3, "d")},
+                    dep_edges={(0, 1, "d"), (1, 2, "d"), (2, 3, "d")})
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            fragments = Edgar(min_support=1).mine([chain])
+            registry = telemetry.get()
             skips = registry.counter_value("mining.support_skips")
             checks = registry.counter_value("mining.canonical_checks")
         finally:
             telemetry.disable()
             telemetry.reset()
-        assert skips > 0
-        assert checks == count_is_min[0]
-        assert skips + checks == children[0] + seeds
+        assert fragments
+        assert skips == 0 and checks > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(dfgs=_random_dfgs(), min_support=st.integers(2, 3),
+           max_embeddings=st.integers(1, 6),
+           miner_cls=st.sampled_from([Edgar, DgSpan]))
+    def test_every_dropped_child_is_infrequent(self, dfgs, min_support,
+                                               max_embeddings, miner_cls):
+        db = MiningDB(dfgs)
+        miner = miner_cls(min_support=min_support, max_nodes=5,
+                          max_embeddings=max_embeddings)
+        real = miner._may_be_frequent
+        dropped = []
+
+        def recording(entries):
+            kept = real(entries)
+            if not kept:
+                dropped.append(_embeddings_of(entries))
+            return kept
+
+        miner._may_be_frequent = recording
+        miner.mine(dfgs)
+        for embeddings in dropped:
+            # the whole list, and the prefix the search would truncate to
+            for kept in (embeddings, embeddings[:max_embeddings]):
+                unique = dedupe_by_node_set(
+                    miner._filter_embeddings(db, None, kept)
+                )
+                assert not miner._is_frequent(db, unique)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dfgs=_random_dfgs(), min_support=st.integers(1, 3),
+           miners=st.sampled_from([(Edgar, ReferenceEdgar),
+                                   (DgSpan, ReferenceDgSpan)]))
+    def test_random_dfgs_mine_as_the_reference(self, dfgs, min_support,
+                                               miners):
+        fast, reference = (
+            cls(min_support=min_support, max_nodes=5) for cls in miners
+        )
+        assert fast.mine(dfgs) == reference.mine(dfgs)
+        assert fast.visited_nodes == reference.visited_nodes
 
 
 class TestBetweenMemo:
