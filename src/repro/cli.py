@@ -616,11 +616,12 @@ def cmd_pa(args) -> int:
 def cmd_audit(args) -> int:
     """Abstract-interpretation audit: per-function invariant dump.
 
-    Exit 1 when the interpreter proves a miscompile-class fact
-    (a clobbered saved return address or an unbalanced stack merge);
-    warnings — caller-frame addressing, uninit reads, unbounded
-    growth — report but do not fail, since outlined helpers exhibit
-    them legitimately.
+    Exit 1 when the interpreter proves a miscompile-class fact: a
+    clobbered saved return address, paths that merge at two stack
+    heights (or a conditional ``sp`` move), or returns at two heights.
+    Warnings — caller-frame addressing, uninit reads, unbounded growth,
+    a non-zero or negative height — report but do not fail, since
+    outlined helpers exhibit them legitimately.
     """
     if args.json_out and args.json_out != "-":
         directory = os.path.dirname(args.json_out) or "."

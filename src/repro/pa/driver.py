@@ -657,7 +657,7 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
         if config.verify and records:
             verify_round(
                 module, snapshot, records, pre_lr_live,
-                round_index=round_index,
+                round_index=round_index, memo=memo,
             )
         if not records:
             if _LEDGER.enabled:

@@ -7,11 +7,12 @@ one catches the other's bugs).  Layering:
 
 * :mod:`repro.verify.cfg` — module-wide CFG over basic blocks,
 * :mod:`repro.verify.dataflow` — the generic worklist solver,
-* :mod:`repro.verify.passes` — liveness, maybe-undefined, flag def-use
-  and stack-depth analyses built on the solver,
+* :mod:`repro.verify.passes` — liveness, maybe-undefined and flag
+  def-use analyses built on the solver,
 * :mod:`repro.verify.domains` — abstract value/stack/frame lattices,
 * :mod:`repro.verify.absint` — the interprocedural abstract interpreter
-  (``repro audit``, the sp-fragility facts, the lint v2 rules),
+  and the only stack analysis (``repro audit``, the sp-fragility facts,
+  every lint stack rule),
 * :mod:`repro.verify.lint` — the invariant linter (``repro lint``),
 * :mod:`repro.verify.symeval` — symbolic per-block evaluation,
 * :mod:`repro.verify.validate` — the per-round translation validator
@@ -39,11 +40,9 @@ from repro.verify.lint import Finding, LintReport, Severity, lint_module
 from repro.verify.passes import (
     flag_def_use,
     flag_effect_summaries,
-    function_summaries,
     live_out_blocks,
     liveness,
     maybe_undef,
-    stack_depths,
 )
 from repro.verify.symeval import BlockEvaluator, SymEvalError, SymState
 from repro.verify.validate import (
@@ -85,7 +84,6 @@ __all__ = [
     "build_module_cfg",
     "flag_def_use",
     "flag_effect_summaries",
-    "function_summaries",
     "lint_module",
     "live_out_blocks",
     "liveness",
@@ -93,6 +91,5 @@ __all__ = [
     "outlined_body",
     "snapshot_module",
     "solve",
-    "stack_depths",
     "verify_round",
 ]

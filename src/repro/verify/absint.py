@@ -29,8 +29,8 @@ Consumers:
 * :func:`module_summaries` — per-function facts for
   ``pa/legality.py``'s sp-fragility gate (proven, not heuristic);
 * :func:`audit_module` — the full :class:`AuditResult` (summaries plus
-  site-level events) behind the ``audit`` CLI subcommand and the lint
-  v2 rules.
+  site-level events) behind the ``audit`` CLI subcommand and every
+  lint rule about the stack: this is the one stack analysis.
 """
 
 from __future__ import annotations
@@ -86,12 +86,15 @@ UNINIT_READ = "uninit-slot-read"
 NEGATIVE_HEIGHT = "negative-height"
 HEIGHT_MISMATCH = "height-mismatch"
 GROWTH_CYCLE = "growth-cycle"
+RETURN_MISMATCH = "return-height-mismatch"
+NONZERO_RETURN = "nonzero-return"
+HEIGHT_LOST = "height-lost"
 
 #: Versioned schema of the ``audit --json`` payload.
 AUDIT_SCHEMA = "repro.verify.audit/1"
 #: Event kinds that are outright miscompiles (audit exits 1 on them);
 #: everything else is legitimate — if unusual — code shape.
-ERROR_KINDS = frozenset({RETADDR_CLOBBER, HEIGHT_MISMATCH})
+ERROR_KINDS = frozenset({RETADDR_CLOBBER, HEIGHT_MISMATCH, RETURN_MISMATCH})
 
 
 @dataclass(frozen=True)
@@ -379,11 +382,6 @@ def _step_core(regs: List[AbsVal], frame: Dict[int, AbsVal],
             value = TOP
         if rd == SP:
             _set_sp(regs, frame, value)
-            new_h = stack_depth_of(value)
-            if sink and new_h is not None and new_h < 0:
-                sink.emit(NEGATIVE_HEIGHT,
-                          f"{what} raises sp {-new_h} bytes above its "
-                          f"function-entry value")
         else:
             regs[rd] = value
     elif m in DATAPROC_MOVE:
@@ -463,10 +461,6 @@ def _step_core(regs: List[AbsVal], frame: Dict[int, AbsVal],
             for r, value in values:
                 if r not in (SP, PC):
                     regs[r] = value
-            if sink and new_h < 0:
-                sink.emit(NEGATIVE_HEIGHT,
-                          f"{what} raises sp {-new_h} bytes above its "
-                          f"function-entry value")
             if SP in regs_list:
                 regs[SP] = TOP  # restored from memory, then bumped
                 for depth in [d for d in frame]:
@@ -499,12 +493,15 @@ class _Machine:
     extraction walk both step through it.
     """
 
-    __slots__ = ("regs", "frame", "escaped")
+    __slots__ = ("regs", "frame", "escaped", "taken")
 
     def __init__(self, state: AbsState) -> None:
         self.regs: List[AbsVal] = list(state.regs)
         self.frame: Dict[int, AbsVal] = dict(state.frame)
         self.escaped = [state.escaped]
+        #: the height right after the last conditional instruction, on
+        #: the path where it executed
+        self.taken: Optional[int] = None
 
     @property
     def height(self) -> Optional[int]:
@@ -524,6 +521,12 @@ class _Machine:
         before_regs = regs[:]
         before_frame = frame.copy()
         _step_core(regs, frame, insn, summaries, self.escaped, sink)
+        self.taken = stack_depth_of(regs[SP])
+        if insn.is_return:
+            # a taken return leaves the function: only the pre-state
+            # falls through
+            self.regs, self.frame = before_regs, before_frame
+            return
         if regs != before_regs:
             for num, before in enumerate(before_regs):
                 if regs[num] is not before:
@@ -620,9 +623,21 @@ def _walk_blocks(
     result: DataflowResult,
     summaries: Dict[str, FuncSummary],
 ) -> Tuple[List[AbsEvent], Dict[BlockKey, _BlockStats]]:
-    """One global pass: collect events and per-block height stats."""
+    """One global pass: collect events and per-block height stats.
+
+    Besides the events the kernel emits, the walk reports where ``sp``
+    moves: a conditional instruction that leaves it at two heights
+    (:data:`HEIGHT_MISMATCH`), the first instruction of a function
+    that loses it (:data:`HEIGHT_LOST`), and each instruction that
+    raises it above the function-entry value (:data:`NEGATIVE_HEIGHT`).
+    Per function, returns at different known heights are a
+    :data:`RETURN_MISMATCH` and one non-zero height a
+    :data:`NONZERO_RETURN`, both anchored at the first such return.
+    """
     events: List[AbsEvent] = []
     stats: Dict[BlockKey, _BlockStats] = {}
+    lost: Set[str] = set()
+    return_sites: Dict[str, List[Tuple[int, int, int]]] = {}
     for key in cfg.keys:
         state = result.in_facts[key]
         if state.bottom:
@@ -640,9 +655,30 @@ def _walk_blocks(
                     retaddrs.add(depth)
             sink.site = (key[0], key[1], index)
             machine.step(insn, summaries, sink)
+            after = machine.height
+            done = machine.taken if insn.is_conditional else after
+            if h is not None:
+                if done is None:
+                    if key[0] not in lost:
+                        lost.add(key[0])
+                        sink.emit(HEIGHT_LOST,
+                                  f"{insn} loses track of sp; stack "
+                                  f"checks are suppressed downstream")
+                elif after is None:
+                    sink.emit(HEIGHT_MISMATCH,
+                              f"{insn} moves sp on one path only "
+                              f"(height {h} or {done})")
+                elif done < min(h, 0):
+                    sink.emit(NEGATIVE_HEIGHT,
+                              f"{insn} raises sp {-done} bytes above its "
+                              f"function-entry value", done)
             if insn.is_return:
-                returns.append(machine.height if insn.mnemonic == "pop"
-                               else h)
+                returns.append(done)
+                if done is not None:
+                    return_sites.setdefault(key[0], []).append(
+                        (key[1], index, done))
+                if insn.is_conditional:
+                    heights.append(done)
         heights.append(machine.height)
         known = [height for height in heights if height is not None]
         events.extend(sink.events)
@@ -653,6 +689,20 @@ def _walk_blocks(
             retaddrs=tuple(sorted(retaddrs)),
             return_heights=tuple(returns),
         )
+    for name, sites in return_sites.items():
+        heights_seen = sorted({height for __, __, height in sites})
+        block, index, __ = sites[0]
+        if len(heights_seen) > 1:
+            events.append(AbsEvent(
+                RETURN_MISMATCH, name, block, index,
+                f"returns of this function are reached at stack heights "
+                f"{heights_seen}"))
+        elif heights_seen != [0]:
+            events.append(AbsEvent(
+                NONZERO_RETURN, name, block, index,
+                f"function consistently returns at height "
+                f"{heights_seen[0]}; legitimate only if every call site "
+                f"compensates", heights_seen[0]))
     return events, stats
 
 

@@ -18,16 +18,18 @@ rule                        severity  meaning
 ``pool-range``              error     a literal-pool reference beyond the
                                       ±4 KiB pc-relative range
 ``stack-imbalance``         error     a function's returns are reached at
-                                      inconsistent stack depths
+                                      different stack heights (absint)
 ``stack-nonzero-return``    warning   a function consistently returns at a
-                                      non-zero depth (legitimate only for
+                                      non-zero height (legitimate only for
                                       an outlined helper whose call sites
-                                      all compensate)
-``stack-negative``          warning   ``sp`` can rise above the function
-                                      entry value (pop without push —
-                                      legitimate only for an outlined
-                                      helper reading its caller's frame)
-``stack-unknown``           info      ``sp`` escaped affine tracking
+                                      all compensate; absint)
+``stack-negative``          warning   an instruction raises ``sp`` above
+                                      the function-entry value (pop
+                                      without push — legitimate only for
+                                      an outlined helper reading its
+                                      caller's frame; absint)
+``stack-unknown``           info      the first instruction of a function
+                                      that loses track of ``sp`` (absint)
 ``undefined-flag-read``     error     a conditional (or carry-consuming)
                                       instruction whose flags may be
                                       undefined or call-clobbered on some
@@ -37,7 +39,8 @@ rule                        severity  meaning
 ``unreachable-block``       warning   a block no function entry reaches
 ``empty-block``             info      a block with no instructions
 ``unbalanced-stack``        error     paths merge at provably different
-                                      stack heights (absint)
+                                      stack heights, or a conditional
+                                      instruction moves ``sp`` (absint)
 ``clobbered-saved-lr``      error     a store provably overwrites a saved
                                       return address on the stack (absint)
 ``uninit-read``             warning   a stack slot is read before any
@@ -51,8 +54,10 @@ rule                        severity  meaning
                                       path ever reads
 ==========================  ========  =====================================
 
-The six ``absint``-backed rules come from the abstract interpreter of
-:mod:`repro.verify.absint` — proven facts, not pattern heuristics.
+The nine ``absint``-backed rules come from the abstract interpreter of
+:mod:`repro.verify.absint` — proven facts, not pattern heuristics.  It
+is the only stack analysis: the four ``stack-*`` rules read the same
+:class:`~repro.verify.absint.AuditResult` as the other five.
 
 Severities: an *error* means layout, execution, or a later abstraction
 round can go wrong; a *warning* is suspicious but can be benign dead
@@ -79,23 +84,22 @@ from repro.verify.absint import (
     CALLER_READ,
     CALLER_WRITE,
     GROWTH_CYCLE,
+    HEIGHT_LOST,
     HEIGHT_MISMATCH,
     NEGATIVE_HEIGHT,
+    NONZERO_RETURN,
     RETADDR_CLOBBER,
+    RETURN_MISMATCH,
     UNINIT_READ,
     AuditResult,
     audit_module,
 )
 from repro.verify.cfg import ModuleCFG, build_module_cfg
 from repro.verify.passes import (
-    TOP,
     flag_def_use,
-    function_summaries,
     insn_accesses,
     liveness,
     maybe_undef,
-    stack_depths,
-    step_depth,
     step_undef,
 )
 
@@ -242,7 +246,6 @@ def lint_module(module: Module,
         _check_labels(module, report)
         _check_block_shape(module, cfg, report)
         _check_pool_range(module, report)
-        _check_stack(module, cfg, report)
         _check_undefined_reads(module, cfg, report)
         _check_reachability(module, cfg, report)
         _check_absint(module, cfg, report, audit)
@@ -364,78 +367,6 @@ def _check_pool_range(module: Module, report: LintReport) -> None:
                 ))
 
 
-def _check_stack(module: Module, cfg: ModuleCFG,
-                 report: LintReport) -> None:
-    """stack-imbalance, stack-nonzero-return, stack-negative, stack-unknown.
-
-    Runs the interprocedural variant of the depth pass: each call applies
-    its callee's net stack effect, so callers of deliberately imbalanced
-    outlined helpers still check out.  Per function, *inconsistent*
-    return depths are an error; a consistent non-zero depth is only a
-    warning because an outlined helper may carry an unmatched push or pop
-    that every call site compensates.
-    """
-    summaries = function_summaries(module, cfg)
-    result = stack_depths(module, cfg, summaries)
-    unknown_reported: Set[str] = set()
-    return_sites: Dict[str, List[Tuple[int, int, Instruction, frozenset]]]
-    return_sites = {}
-    for key in cfg.keys:
-        func_name, bi = key
-        depths = result.in_facts[key]
-        if depths == frozenset():
-            continue  # unreachable; reported separately
-        for ii, insn in enumerate(cfg.blocks[key].instructions):
-            after = step_depth(depths, insn, summaries)
-            if after is TOP and depths is not TOP:
-                if func_name not in unknown_reported:
-                    unknown_reported.add(func_name)
-                    report.findings.append(Finding(
-                        rule="stack-unknown", severity=Severity.INFO,
-                        message="sp escapes affine tracking here; stack "
-                                "checks are suppressed downstream",
-                        function=func_name, block=bi, insn=ii,
-                        text=str(insn),
-                    ))
-            if after is not TOP and any(d < 0 for d in after):
-                report.findings.append(Finding(
-                    rule="stack-negative", severity=Severity.WARNING,
-                    message="sp can rise above its function-entry value "
-                            f"(depths {sorted(after)})",
-                    function=func_name, block=bi, insn=ii,
-                    text=str(insn),
-                ))
-            if insn.is_return:
-                # For pop {…, pc} the pop has restored sp by the time
-                # control leaves; for lr-based returns sp is unchanged.
-                at_return = after if insn.mnemonic == "pop" else depths
-                if at_return is not TOP:
-                    return_sites.setdefault(func_name, []).append(
-                        (bi, ii, insn, at_return)
-                    )
-            depths = after
-
-    for func_name, sites in return_sites.items():
-        union = frozenset().union(*(at for __, __, __, at in sites))
-        if len(union) > 1:
-            bi, ii, insn, __ = sites[0]
-            report.findings.append(Finding(
-                rule="stack-imbalance", severity=Severity.ERROR,
-                message="returns of this function are reached at "
-                        f"inconsistent stack depths {sorted(union)}",
-                function=func_name, block=bi, insn=ii, text=str(insn),
-            ))
-        elif union and next(iter(union)) != 0:
-            bi, ii, insn, __ = sites[0]
-            depth = next(iter(union))
-            report.findings.append(Finding(
-                rule="stack-nonzero-return", severity=Severity.WARNING,
-                message=f"function consistently returns at depth {depth}; "
-                        "legitimate only if every call site compensates",
-                function=func_name, block=bi, insn=ii, text=str(insn),
-            ))
-
-
 def _check_undefined_reads(module: Module, cfg: ModuleCFG,
                            report: LintReport) -> None:
     """undefined-flag-read and undefined-register-read."""
@@ -528,19 +459,22 @@ def _check_reachability(module: Module, cfg: ModuleCFG,
 
 #: Event kind -> (lint rule, severity) for the absint-backed rules.
 _ABSINT_RULES = {
+    RETURN_MISMATCH: ("stack-imbalance", Severity.ERROR),
+    NONZERO_RETURN: ("stack-nonzero-return", Severity.WARNING),
+    NEGATIVE_HEIGHT: ("stack-negative", Severity.WARNING),
+    HEIGHT_LOST: ("stack-unknown", Severity.INFO),
     RETADDR_CLOBBER: ("clobbered-saved-lr", Severity.ERROR),
     HEIGHT_MISMATCH: ("unbalanced-stack", Severity.ERROR),
     UNINIT_READ: ("uninit-read", Severity.WARNING),
     CALLER_READ: ("caller-frame-escape", Severity.WARNING),
     CALLER_WRITE: ("caller-frame-escape", Severity.WARNING),
-    NEGATIVE_HEIGHT: ("caller-frame-escape", Severity.WARNING),
     GROWTH_CYCLE: ("unbounded-stack-growth", Severity.WARNING),
 }
 
 
 def _check_absint(module: Module, cfg: ModuleCFG, report: LintReport,
                   audit: Optional[AuditResult]) -> None:
-    """The six absint-backed rules: each event maps to one finding."""
+    """The nine absint-backed rules: each event maps to one finding."""
     audit = audit or audit_module(module, cfg)
     for event in audit.events:
         rule, severity = _ABSINT_RULES[event.kind]

@@ -1,6 +1,6 @@
 """Concrete dataflow passes over the module CFG.
 
-Four analyses, all built on the generic solver of
+Three analyses, all built on the generic solver of
 :mod:`repro.verify.dataflow`:
 
 * :class:`LivenessAnalysis` — full per-resource liveness (all sixteen
@@ -17,9 +17,9 @@ Four analyses, all built on the generic solver of
   sites reach each flag consumer.  The definition sites distinguish
   real setters from call clobbers and from the undefined entry state,
   which is what the linter's ``undefined-flag-read`` rule keys on.
-* :class:`StackDepthAnalysis` — forward per-function stack depth (bytes
-  pushed since function entry) as a small set of possibilities;
-  ``TOP`` when ``sp`` escapes affine tracking.
+
+Stack heights are not a pass here: :mod:`repro.verify.absint` proves
+them, for the legality gate and for every lint stack rule alike.
 
 Resources are register numbers ``0..15`` plus the string ``"flags"``;
 memory is deliberately not a liveness resource here (the DFG builder
@@ -33,8 +33,6 @@ from typing import Dict, FrozenSet, Optional, Set, Tuple
 from repro.binary.program import BasicBlock, Module
 from repro.dfg.builder import FLAGS, MEM, _accesses
 from repro.isa.instructions import Instruction
-from repro.isa.operands import Imm, Mem, Reg
-from repro.isa.registers import SP
 from repro.telemetry import GLOBAL as _TELEMETRY
 
 from repro.verify.cfg import BlockKey, ModuleCFG, build_module_cfg
@@ -358,185 +356,3 @@ def flag_def_use(
             step_flag_defs(state, key, index, insn, summaries)
     return chains
 
-
-# ----------------------------------------------------------------------
-# stack depth
-# ----------------------------------------------------------------------
-#: ``TOP`` means sp escaped affine tracking (e.g. ``mov sp, r0``).
-TOP = None
-
-#: A stack-depth fact: the set of possible byte depths, or :data:`TOP`.
-DepthSet = Optional[FrozenSet[int]]
-
-#: Beyond this many distinct depths the fact widens to TOP — both a
-#: termination guarantee (an unbalanced loop otherwise grows the set
-#: forever) and a report-noise cap.
-MAX_DEPTHS = 16
-
-
-def sp_delta(insn: Instruction,
-             summaries: Optional[Dict[str, Optional[int]]] = None
-             ) -> Optional[int]:
-    """Bytes of stack the instruction *grows* (sp decrement positive).
-
-    Returns 0 for instructions that leave ``sp`` alone and ``None`` when
-    the effect cannot be tracked affinely.  *summaries* supplies the net
-    stack effect of called functions (see :func:`function_summaries`);
-    without it calls are assumed balanced — true for convention-
-    respecting code, but an outlined helper may legitimately carry an
-    unmatched ``push`` or ``pop`` that its call sites compensate.
-    """
-    if insn.mnemonic == "push":
-        return 4 * len(insn.operands[0].regs)
-    if insn.mnemonic == "pop":
-        regs = insn.operands[0].regs
-        if SP in regs:
-            return None  # pop into sp: value comes from memory
-        return -4 * len(regs)
-    if insn.is_call:
-        if summaries is None:
-            return 0
-        return summaries.get(insn.label_target, 0)
-    writes_sp = SP in insn.regs_written()
-    if not writes_sp:
-        return 0
-    if (
-        insn.mnemonic in ("add", "sub")
-        and insn.operands[0] == Reg(SP)
-        and insn.operands[1] == Reg(SP)
-        and isinstance(insn.operands[2], Imm)
-    ):
-        value = insn.operands[2].value
-        return value if insn.mnemonic == "sub" else -value
-    if insn.mnemonic in ("ldr", "ldrb", "str", "strb"):
-        mem = insn.operands[1]
-        if isinstance(mem, Mem) and mem.writeback and mem.base == SP \
-                and mem.index is None:
-            return -mem.offset  # writeback adds the offset to sp
-    return None
-
-
-class StackDepthAnalysis(Analysis):
-    """Forward per-function stack depth in bytes since function entry.
-
-    Facts are frozensets of possible depths, or :data:`TOP`.  Function
-    entries start at depth 0; cross-function edges (shared cross-jump
-    tails) simply propagate the feeders' depths, which agree in any
-    balanced program.
-    """
-
-    direction = FORWARD
-
-    def __init__(self,
-                 summaries: Optional[Dict[str, Optional[int]]] = None
-                 ) -> None:
-        self.summaries = summaries
-
-    def boundary(self, cfg: ModuleCFG, key: BlockKey) -> DepthSet:
-        return frozenset({0})
-
-    def initial(self, cfg: ModuleCFG, key: BlockKey) -> DepthSet:
-        return frozenset()
-
-    def join(self, a: DepthSet, b: DepthSet) -> DepthSet:
-        if a is TOP or b is TOP:
-            return TOP
-        merged = a | b
-        return TOP if len(merged) > MAX_DEPTHS else merged
-
-    def transfer(self, key: BlockKey, block: BasicBlock,
-                 depths: DepthSet) -> DepthSet:
-        for insn in block.instructions:
-            depths = step_depth(depths, insn, self.summaries)
-        return depths
-
-
-def step_depth(depths: DepthSet, insn: Instruction,
-               summaries: Optional[Dict[str, Optional[int]]] = None
-               ) -> DepthSet:
-    """Advance a depth set across one instruction (TOP-propagating)."""
-    if depths is TOP:
-        return TOP
-    delta = sp_delta(insn, summaries)
-    if delta is None:
-        return TOP
-    if delta == 0:
-        return depths
-    moved = frozenset(d + delta for d in depths)
-    if insn.is_conditional:
-        moved = moved | depths
-    return TOP if len(moved) > MAX_DEPTHS else moved
-
-
-def return_depth(cfg: ModuleCFG, result: DataflowResult, key: BlockKey,
-                 index: int,
-                 summaries: Optional[Dict[str, Optional[int]]] = None
-                 ) -> DepthSet:
-    """Depth set at the moment a return at (*key*, *index*) transfers.
-
-    For ``pop {…, pc}`` the pop has restored ``sp`` by the time control
-    leaves; for lr-based returns ``sp`` is unchanged.
-    """
-    depths = result.in_facts[key]
-    block = cfg.blocks[key]
-    for ii in range(index):
-        depths = step_depth(depths, block.instructions[ii], summaries)
-    insn = block.instructions[index]
-    if insn.mnemonic == "pop":
-        depths = step_depth(depths, insn, summaries)
-    return depths
-
-
-def function_summaries(
-    module: Module, cfg: Optional[ModuleCFG] = None, max_iterations: int = 4
-) -> Dict[str, Optional[int]]:
-    """Net stack effect of every function (bytes grown at return).
-
-    Convention-respecting functions summarize to 0; an outlined helper
-    with an unmatched ``push`` summarizes to its residue.  ``TOP`` when
-    the function's returns disagree or escape tracking.  Summaries are
-    iterated to a fixpoint so helpers-calling-helpers resolve.
-    """
-    cfg = cfg or build_module_cfg(module)
-    reach_cache: Dict[str, set] = {}
-    summaries: Dict[str, Optional[int]] = {}
-    for __ in range(max_iterations):
-        result = solve(cfg, StackDepthAnalysis(summaries))
-        updated: Dict[str, Optional[int]] = {}
-        for func in module.functions:
-            if not func.blocks:
-                updated[func.name] = 0
-                continue
-            if func.name not in reach_cache:
-                reach_cache[func.name] = cfg.reachable([(func.name, 0)])
-            depths_seen = set()
-            top = False
-            for key in reach_cache[func.name]:
-                block = cfg.blocks[key]
-                for ii, insn in enumerate(block.instructions):
-                    if insn.is_return:
-                        at = return_depth(cfg, result, key, ii, summaries)
-                        if at is TOP:
-                            top = True
-                        else:
-                            depths_seen |= at
-            if top or len(depths_seen) > 1:
-                updated[func.name] = TOP
-            elif depths_seen:
-                updated[func.name] = depths_seen.pop()
-            else:
-                updated[func.name] = 0  # never returns (exits via swi)
-        if updated == summaries:
-            break
-        summaries = updated
-    return summaries
-
-
-def stack_depths(
-    module: Module,
-    cfg: Optional[ModuleCFG] = None,
-    summaries: Optional[Dict[str, Optional[int]]] = None,
-) -> DataflowResult:
-    cfg = cfg or build_module_cfg(module)
-    with _TELEMETRY.span("verify.pass", analysis="stack_depth"):
-        return solve(cfg, StackDepthAnalysis(summaries))

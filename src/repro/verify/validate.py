@@ -46,6 +46,9 @@ from repro.report.ledger import GLOBAL as _LEDGER
 from repro.resilience.faultinject import fault
 from repro.telemetry import GLOBAL as _TELEMETRY
 
+from repro.verify.absint import audit_module
+from repro.verify.cfg import build_module_cfg
+from repro.verify.dataflow import AnalysisMemo
 from repro.verify.lint import LintReport, lint_module
 from repro.verify.symeval import BlockEvaluator, SymEvalError, SymState
 
@@ -314,18 +317,21 @@ def verify_round(
     records: Sequence[object],
     pre_lr_live: Set[Tuple[str, int]],
     round_index: int = 0,
+    memo: Optional[AnalysisMemo] = None,
 ) -> RoundVerification:
     """Prove one round's rewrites equivalent; raise on any failure.
 
     *snapshot* is the module as :func:`snapshot_module` saw it before
     the round, *records* the round's :class:`ExtractionRecord` list and
     *pre_lr_live* the pre-round block set where ``lr`` is live out
-    (see the module docstring for why the validator needs it).
+    (see the module docstring for why the validator needs it).  Pass
+    the run's *memo* so the lint's audit reuses the component solves
+    the next round's legality gate then finds again.
     """
     fault("verify.round")
     with _TELEMETRY.span("pa.verify", round=round_index):
         return _verify_round(
-            module, snapshot, records, pre_lr_live, round_index
+            module, snapshot, records, pre_lr_live, round_index, memo
         )
 
 
@@ -335,6 +341,7 @@ def _verify_round(
     records: Sequence[object],
     pre_lr_live: Set[Tuple[str, int]],
     round_index: int,
+    memo: Optional[AnalysisMemo],
 ) -> RoundVerification:
     call_symbols = {
         r.new_symbol for r in records if r.method == "call"
@@ -347,7 +354,8 @@ def _verify_round(
         new_symbols=sorted(call_symbols | tail_labels),
     )
 
-    report = lint_module(module)
+    cfg = build_module_cfg(module)
+    report = lint_module(module, cfg, audit_module(module, cfg, memo))
     stats.lint_findings = len(report.findings)
     if not report.ok:
         if _LEDGER.enabled:

@@ -83,6 +83,22 @@ def test_audit_exit_1_on_proven_clobber(clobber_asm, capsys):
     assert "retaddr-clobber" in out
 
 
+@pytest.mark.parametrize("body, kind", [
+    ("    push {r4, lr}\n    cmp r0, #0\n    beq other\n"
+     "    pop {r4, pc}\nother:\n    push {r5}\n    pop {r4, pc}\n",
+     "return-height-mismatch"),
+    ("    push {r4, lr}\n    cmp r0, #0\n    pusheq {r4}\n"
+     "    pop {r4, pc}\n",
+     "height-mismatch"),
+], ids=["two-returns", "cond-push"])
+def test_audit_exit_1_on_an_unbalanced_stack(body, kind, tmp_path, capsys):
+    path = tmp_path / "unbalanced.s"
+    path.write_text("_start:\n    bl f\n    mov r0, #0\n    swi #0\n"
+                    "f:\n" + body)
+    assert main(["audit", str(path), "--assembly"]) == 1
+    assert f"[{kind}] f, block" in capsys.readouterr().out
+
+
 def test_audit_json_file_and_clobber_guard(clean_asm, tmp_path, capsys):
     out = tmp_path / "audit.json"
     assert main(["audit", clean_asm, "--assembly",

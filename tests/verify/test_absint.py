@@ -7,8 +7,10 @@ from repro.verify.absint import (
     CALLER_WRITE,
     ERROR_KINDS,
     GROWTH_CYCLE,
+    HEIGHT_LOST,
     HEIGHT_MISMATCH,
     RETADDR_CLOBBER,
+    RETURN_MISMATCH,
     UNINIT_READ,
     audit_module,
     module_summaries,
@@ -193,4 +195,69 @@ def test_payload_shape():
 
 
 def test_error_kinds_cover_exactly_the_unsound_events():
-    assert ERROR_KINDS == {RETADDR_CLOBBER, HEIGHT_MISMATCH}
+    assert ERROR_KINDS == {RETADDR_CLOBBER, HEIGHT_MISMATCH, RETURN_MISMATCH}
+
+
+def test_conditional_return_keeps_the_fall_through_height():
+    """A taken ``popeq {r4, pc}`` leaves; the fall-through still holds
+    the frame, so both returns leave at height 0."""
+    module = module_from_source("""
+_start:
+    bl f
+    mov r0, #0
+    swi #0
+f:
+    push {r4, lr}
+    cmp r0, #0
+    popeq {r4, pc}
+    mov r4, #2
+    pop {r4, pc}
+""")
+    result = audit_module(module)
+    summary = result.summaries["f"]
+    assert summary.net_delta == 0
+    assert summary.height_known
+    assert summary.returns == 2
+    assert not summary.fragile
+    assert result.ok and result.events == []
+
+
+def test_returns_at_two_heights_are_an_error():
+    module = module_from_source("""
+_start:
+    bl f
+    mov r0, #0
+    swi #0
+f:
+    push {r4, lr}
+    cmp r0, #0
+    beq other
+    pop {r4, pc}
+other:
+    push {r5}
+    pop {r4, pc}
+""")
+    result = audit_module(module)
+    assert [(e.kind, e.function, e.block, e.insn) for e in result.events] \
+        == [(HEIGHT_LOST, "_start", 0, 0), (RETURN_MISMATCH, "f", 1, 0)]
+    assert not result.ok
+    assert result.summaries["f"].net_delta is None
+
+
+def test_conditional_push_is_an_error():
+    module = module_from_source("""
+_start:
+    bl f
+    mov r0, #0
+    swi #0
+f:
+    push {r4, lr}
+    cmp r0, #0
+    pusheq {r4}
+    pop {r4, pc}
+""")
+    result = audit_module(module)
+    assert [(e.kind, e.function, e.block, e.insn) for e in result.events] \
+        == [(HEIGHT_LOST, "_start", 0, 0), (HEIGHT_MISMATCH, "f", 0, 2)]
+    assert not result.ok
+    assert not result.summaries["f"].height_known

@@ -2,8 +2,9 @@
 
 :class:`~repro.verify.absint._Machine` steps one mutable register list
 and frame dict across a whole block, joining the pre-state back in
-after a conditional instruction, and the extraction walk reads every
-return's height off it in the same pass.  The reference below is the
+after a conditional instruction (a conditional return keeps just the
+pre-state), and the extraction walk reads every return's height and
+every ``sp`` move off it in the same pass.  The reference below is the
 code it replaced: a fold that builds one immutable :class:`AbsState`
 per instruction (``join_states`` for conditional ones), and a walk that
 re-steps a block's prefix for every return in it.  The memo tests of
@@ -41,19 +42,26 @@ from repro.verify.domains import (
 from repro.workloads import PROGRAMS, compile_workload
 
 
-def reference_step(state, insn, summaries=None, sink=None):
-    """Advance one immutable state across one instruction."""
-    if state.bottom:
-        return state
+def reference_execute(state, insn, summaries=None, sink=None):
+    """The immutable state once *insn* has executed."""
     regs = list(state.regs)
     frame = dict(state.frame)
     escaped = [state.escaped]
     absint._step_core(regs, frame, insn, summaries, escaped, sink)
-    after = AbsState(regs=tuple(regs), frame=frame_from_dict(frame),
-                     escaped=escaped[0])
-    if insn.is_conditional:
-        return join_states(state, after)
-    return after
+    return AbsState(regs=tuple(regs), frame=frame_from_dict(frame),
+                    escaped=escaped[0])
+
+
+def reference_step(state, insn, summaries=None, sink=None):
+    """Advance one immutable state across one instruction."""
+    if state.bottom:
+        return state
+    after = reference_execute(state, insn, summaries, sink)
+    if not insn.is_conditional:
+        return after
+    if insn.is_return:
+        return state  # only the not-taken path falls through
+    return join_states(state, after)
 
 
 def reference_transfer(state, instructions, summaries):
@@ -66,16 +74,16 @@ def reference_return_height(state, block, upto, summaries):
     """Height at the return *upto*, re-stepping the block's prefix."""
     for insn in block.instructions[:upto]:
         state = reference_step(state, insn, summaries)
-    ret = block.instructions[upto]
-    if ret.mnemonic == "pop":
-        state = reference_step(state, ret, summaries)
-    return state.height
+    return reference_execute(state, block.instructions[upto],
+                             summaries).height
 
 
 def reference_walk(cfg, result, summaries):
     """Events and per-block stats, one immutable state per step."""
     events = []
     stats = {}
+    lost = set()
+    return_sites = {}
     for key in cfg.keys:
         state = result.in_facts[key]
         if state.bottom:
@@ -85,10 +93,30 @@ def reference_walk(cfg, result, summaries):
         heights = []
         retaddrs = set()
         for index, insn in enumerate(block.instructions):
-            heights.append(state.height)
+            h = state.height
+            heights.append(h)
             retaddrs.update(d for d, v in state.frame if v is RETADDR)
+            done = reference_execute(state, insn, summaries).height
             sink.site = (key[0], key[1], index)
             state = reference_step(state, insn, summaries, sink)
+            if h is not None and done is None and key[0] not in lost:
+                lost.add(key[0])
+                sink.emit(absint.HEIGHT_LOST,
+                          f"{insn} loses track of sp; stack checks are "
+                          f"suppressed downstream")
+            elif h is not None and done is not None and state.height is None:
+                sink.emit(absint.HEIGHT_MISMATCH,
+                          f"{insn} moves sp on one path only (height {h} "
+                          f"or {done})")
+            elif h is not None and done is not None and done < min(h, 0):
+                sink.emit(absint.NEGATIVE_HEIGHT,
+                          f"{insn} raises sp {-done} bytes above its "
+                          f"function-entry value", done)
+            if insn.is_return and done is not None:
+                return_sites.setdefault(key[0], []).append(
+                    (key[1], index, done))
+            if insn.is_return and insn.is_conditional:
+                heights.append(done)
         heights.append(state.height)
         known = [h for h in heights if h is not None]
         events.extend(sink.events)
@@ -104,6 +132,20 @@ def reference_walk(cfg, result, summaries):
                 if insn.is_return
             ),
         )
+    for name, sites in return_sites.items():
+        seen = sorted({height for __, __, height in sites})
+        block, index, __ = sites[0]
+        if len(seen) > 1:
+            events.append(absint.AbsEvent(
+                absint.RETURN_MISMATCH, name, block, index,
+                f"returns of this function are reached at stack heights "
+                f"{seen}"))
+        elif seen != [0]:
+            events.append(absint.AbsEvent(
+                absint.NONZERO_RETURN, name, block, index,
+                f"function consistently returns at height {seen[0]}; "
+                f"legitimate only if every call site compensates",
+                seen[0]))
     return events, stats
 
 
@@ -264,7 +306,7 @@ def test_growing_sp_allocates_like_the_domain():
 def _two_return_module():
     """``f``'s only block returns twice: a conditional ``moveq pc, lr``
     before its frame exists and a ``pop {pc}`` after; ``g`` returns
-    through a conditional ``popeq`` that loses the height."""
+    through a conditional ``popeq`` and falls through to a ``pop``."""
     def func(name, *lines):
         return Function(name=name, blocks=[BasicBlock(
             labels=[name],
@@ -284,8 +326,10 @@ def test_returns_are_read_off_the_single_walk():
     assert result.summaries["f"] == FuncSummary(
         net_delta=0, height_known=True, max_height=4, retaddr_slots=(4,),
         returns=2)
+    # the taken popeq leaves at height 0; the fall-through keeps 8
     assert result.summaries["g"] == FuncSummary(
-        net_delta=None, height_known=False, max_height=8,
+        net_delta=0, height_known=True, max_height=8,
         retaddr_slots=(4,), returns=2)
     assert result.summaries["_start"] == FuncSummary(
-        net_delta=0, height_known=False, max_height=0, returns=0)
+        net_delta=0, height_known=True, max_height=0, returns=0)
+    assert result.events == []

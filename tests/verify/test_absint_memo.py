@@ -115,6 +115,23 @@ def test_back_to_back_runs_solve_the_same_components(registry):
     assert solves[0] == solves[1]
 
 
+def test_a_verified_run_solves_no_more_than_a_plain_one(registry):
+    """The validator lints each round's module through the run's memo,
+    and the next round's legality gate audits that same module: with
+    ``verify=True`` every solve is shared, none is added."""
+    solves = {}
+    modules = {}
+    for verify in (False, True):
+        registry.reset()
+        result = run_pa(compile_workload("crc"),
+                        PAConfig(miner="edgar", verify=verify))
+        assert result.rounds > 1
+        solves[verify] = registry.counter_value("verify.audit.solves")
+        modules[verify] = result.module.render()
+    assert modules[True] == modules[False]
+    assert solves[True] == solves[False] > 0
+
+
 def test_memo_keeps_only_the_last_audits_entries():
     module = compile_workload("crc")
     memo = AnalysisMemo()

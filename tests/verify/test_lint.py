@@ -3,6 +3,8 @@ quiet on clean code."""
 
 import json
 
+import pytest
+
 from repro.isa.assembler import parse_instruction
 
 from repro.verify.lint import Severity, lint_module
@@ -82,17 +84,114 @@ def test_function_fallthrough():
     assert findings_for(report, "function-fallthrough")
 
 
+def stack_sites(report):
+    """Exact ``(rule, severity, function, block, insn)`` of every
+    finding of a rule about the stack height."""
+    return [
+        (f.rule, str(f.severity), f.function, f.block, f.insn)
+        for f in report.findings
+        if f.rule.startswith("stack-")
+        or f.rule in ("unbalanced-stack", "unbounded-stack-growth")
+    ]
+
+
 def test_stack_imbalance():
     module = module_from_source(CLEAN)
-    # remove the push but keep the pop: returns at inconsistent depth
+    # remove the push but keep the pop: f returns 8 bytes above its
+    # entry sp, and its caller's sp rises with it
     blocks = module.function("f").blocks
     assert blocks[0].instructions[0].mnemonic == "push"
     del blocks[0].instructions[0]
     report = lint_module(module)
-    assert (findings_for(report, "stack-imbalance")
-            or findings_for(report, "stack-nonzero-return"))
-    # a lone pop rises above the entry sp on the only return path
-    assert not report.ok or findings_for(report, "stack-nonzero-return")
+    assert stack_sites(report) == [
+        ("stack-negative", "warning", "_start", 0, 0),
+        ("stack-negative", "warning", "f", 2, 1),
+        ("stack-nonzero-return", "warning", "f", 2, 1),
+    ]
+    assert report.ok  # warnings only: a helper may be meant this way
+
+
+#: ``_start`` calls ``f``; each shape is ``f``'s body.
+SHAPES_START = "_start:\n    bl f\n    mov r0, #0\n    swi #0\nf:\n"
+
+#: Shape -> its exact stack findings.  A callee whose return height is
+#: unknown loses its caller's height too (``stack-unknown`` in
+#: ``_start``).
+STACK_SHAPES = {
+    "two-returns": (
+        """
+    push {r4, lr}
+    cmp r0, #0
+    beq other
+    pop {r4, pc}
+other:
+    push {r5}
+    pop {r4, pc}
+""", [("stack-unknown", "info", "_start", 0, 0),
+      ("stack-imbalance", "error", "f", 1, 0)]),
+    "cond-push": (
+        """
+    push {r4, lr}
+    cmp r0, #0
+    pusheq {r4}
+    pop {r4, pc}
+""", [("stack-unknown", "info", "_start", 0, 0),
+      ("unbalanced-stack", "error", "f", 0, 2)]),
+    "cond-return": (
+        """
+    push {r4, lr}
+    cmp r0, #0
+    popeq {r4, pc}
+    mov r4, #2
+    pop {r4, pc}
+""", []),
+    "nonzero-helper": (
+        """
+    sub sp, sp, #8
+    mov pc, lr
+""", [("stack-nonzero-return", "warning", "f", 0, 1)]),
+    "negative": (
+        """
+    pop {r4}
+    mov r0, r4
+    push {r4}
+    bx lr
+""", [("stack-negative", "warning", "f", 0, 0)]),
+    "unknown": (
+        """
+    push {r4, lr}
+    mov sp, r0
+    pop {r4, pc}
+""", [("stack-unknown", "info", "_start", 0, 0),
+      ("stack-unknown", "info", "f", 0, 1)]),
+    "loop-growth": (
+        """
+    sub sp, sp, #4
+    cmp r0, #0
+    bne f
+    mov pc, lr
+""", [("stack-unknown", "info", "_start", 0, 0),
+      ("unbounded-stack-growth", "warning", "f", 0, None)]),
+    "merge-mismatch": (
+        """
+    push {r4, lr}
+    cmp r0, #0
+    beq skip
+    push {r5}
+skip:
+    pop {r4, pc}
+""", [("stack-unknown", "info", "_start", 0, 0),
+      ("unbalanced-stack", "error", "f", 2, None)]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(STACK_SHAPES))
+def test_stack_shapes(shape):
+    body, want = STACK_SHAPES[shape]
+    report = lint_module(module_from_source(SHAPES_START + body))
+    assert stack_sites(report) == want
+    assert report.ok == all(severity != "error"
+                            for __, severity, *___ in want)
 
 
 def test_undefined_flag_read():

@@ -1,17 +1,16 @@
-"""The concrete dataflow passes: liveness, undef, flags, stack depth."""
+"""The concrete dataflow passes: liveness, undef and flags; and the
+absint stack-height summaries that replaced the depth-set pass."""
 
 from repro.dfg.builder import FLAGS
 from repro.isa.registers import LR
 
-from repro.verify.cfg import build_module_cfg
+from repro.verify.absint import audit_module
 from repro.verify.passes import (
     flag_def_use,
     flag_effect_summaries,
-    function_summaries,
     live_out_blocks,
     liveness,
     maybe_undef,
-    stack_depths,
 )
 
 from tests.conftest import module_from_source
@@ -292,7 +291,7 @@ def test_flag_def_use_entry_undef_reaches_reader():
 
 
 # ----------------------------------------------------------------------
-# stack depth
+# stack height (absint summaries)
 # ----------------------------------------------------------------------
 def test_stack_balanced_function_summary_zero():
     module = module_from_source(
@@ -307,7 +306,9 @@ def test_stack_balanced_function_summary_zero():
             pop {r4, pc}
         """
     )
-    assert function_summaries(module)["f"] == 0
+    summary = audit_module(module).summaries["f"]
+    assert summary.net_delta == 0
+    assert summary.height_known
 
 
 def test_stack_balanced_callee_is_transparent():
@@ -328,17 +329,15 @@ def test_stack_balanced_callee_is_transparent():
             bx lr
         """
     )
-    summaries = function_summaries(module)
-    assert summaries["helper"] == 0
-    assert summaries["f"] == 0
-    cfg = build_module_cfg(module)
-    result = stack_depths(module, cfg, summaries)
-    # the push/pop bracket nets out: depth 0 leaving f's single block
-    assert result.out_facts[("f", 0)] == frozenset({0})
+    audit = audit_module(module)
+    assert audit.summaries["helper"].net_delta == 0
+    assert audit.summaries["f"].net_delta == 0
+    # the push/pop bracket nets out: height 0 leaving f's single block
+    assert audit.result.out_facts[("f", 0)].height == 0
 
 
 def test_stack_depth_interprocedural():
-    """A callee with a nonzero net effect shifts the caller's depth."""
+    """A callee with a nonzero net effect shifts the caller's height."""
     module = module_from_source(
         """
         _start:
@@ -351,7 +350,7 @@ def test_stack_depth_interprocedural():
             bx lr
         """
     )
-    summaries = function_summaries(module)
-    assert summaries["grow"] == 4
-    result = stack_depths(module, build_module_cfg(module), summaries)
-    assert result.out_facts[("_start", 0)] == frozenset({0})
+    audit = audit_module(module)
+    assert audit.summaries["grow"].net_delta == 4
+    assert audit.summaries["_start"].height_known
+    assert audit.result.out_facts[("_start", 0)].height == 0
