@@ -227,8 +227,8 @@ class DgSpan:
         fault("mine.pass")
         db = MiningDB(dfgs)
         # visited_nodes and truncated_branches accumulate across calls
-        # (the driver mines the full graph and the flow projection with
-        # one miner instance and reads the totals afterwards)
+        # (the funnel runs the shallow and the full pass with one miner
+        # instance and reads the totals afterwards)
         self.deadline_hit = False
         self._governor = _governor.current()
         self._legality = (

@@ -14,7 +14,7 @@ antimonotone).  This module adds the PA-specific rules:
   embedding stays non-convex and the embedding can be dropped from the
   search.
 * :func:`successor_closures` — per-node dependence-successor closures,
-  the size bound Edgar's legality prune (:mod:`repro.pa.legality`) puts
+  the size bound the legality prune (:mod:`repro.pa.legality`) puts
   on the cross-jump occurrences an embedding can grow into.
 """
 

@@ -52,16 +52,17 @@ class PAConfig:
     max_nodes: int = 8
     max_rounds: int = 10_000
     mis_exact_limit: int = 60         #: 0 = greedy MIS (ablation)
-    pa_pruning: bool = True           #: Edgar's PA-specific pruning
-    #: Edge kinds of the primary mining pass.  The default is the full
+    #: PA-specific pruning: every miner stops growing lattice subtrees
+    #: that hold nothing legally extractable, and Edgar also drops
+    #: never-convex and cyclic embeddings.
+    pa_pruning: bool = True
+    #: Edge kinds of the mined graph.  The default is the full
     #: dependence graph (the graph the Fig. 9 legality check needs).
+    #: The miners match connected subgraphs that need not be induced,
+    #: so a fragment of any subset of these kinds — the pure data-flow
+    #: projection that matches reordered duplicates included — is
+    #: already a fragment of this graph, with the same embeddings.
     mined_kinds: FrozenSet[str] = MINED_KINDS
-    #: Run a second pass on the pure data-flow projection (d/m/f edges
-    #: only).  Anti/output dependence edges are order-*sensitive* — two
-    #: occurrences of the same computation scheduled differently carry
-    #: them in opposite directions — so only the projection can match
-    #: reordered duplicates, which is the paper's headline effect.
-    flow_pass: bool = True
     #: Apply every non-conflicting candidate found in a round (ordered by
     #: benefit) instead of only the single best.  Results match the
     #: paper's one-per-round greedy almost exactly (conflicting
@@ -362,7 +363,6 @@ def run_pa(module: Module, config: Optional[PAConfig] = None,
             "max_nodes": config.max_nodes,
             "mis_exact_limit": config.mis_exact_limit,
             "pa_pruning": config.pa_pruning,
-            "flow_pass": config.flow_pass,
             "batch": config.batch,
             "time_budget": config.time_budget,
             "workers": config.workers,

@@ -23,8 +23,8 @@ outlined:
   then jump into the shared tail; the occurrence must also contain the
   block's control transfer.
 
-**Lattice level**: Edgar folds the fragment-level rules along its search
-lattice (:class:`LatticeLegality`) and cuts every subtree in which no
+**Lattice level**: the miner folds the fragment-level rules along its
+search lattice (:class:`LatticeLegality`) and cuts every subtree in which no
 fragment can pass both levels, so such fragments never reach the funnel.
 """
 
@@ -133,7 +133,7 @@ def sp_fragile_functions(module,
 # Per-instruction legality flags.  Every fragment-level rule reads the
 # instruction texts as a set, so a fragment's verdict is the fold of its
 # instructions' flags (:func:`fold_flags`) — one definition shared by
-# :func:`classify_fragment` and Edgar's lattice prune
+# :func:`classify_fragment` and the lattice prune
 # (:class:`LatticeLegality`).
 _DEAD = 1         # no fragment holding this instruction is extractable
 _TERM = 2         # the block's control transfer (cross-jump exit)
@@ -321,11 +321,12 @@ def _fragment_insns(
 # lattice level
 # ----------------------------------------------------------------------
 class LatticeLegality:
-    """Edgar's legality prune: cut every lattice subtree in which no
+    """The legality prune: cut every lattice subtree in which no
     fragment can have two node-disjoint, legally extractable occurrences.
 
-    The funnels install one per round as ``miner.prune_illegal``, with
-    the round's sp-fragile callees.  The miner binds it to each mining
+    The funnel installs one per shard mine as ``miner.prune_illegal``
+    (on either miner, when ``pa_pruning`` is on), with the round's
+    sp-fragile callees.  The miner binds it to each mining
     database (:meth:`bind`) and folds a verdict state along the lattice:
     a child's state is its parent's plus the new node's flags
     (:meth:`BoundLegality.child`).  Every verdict is antimonotone and

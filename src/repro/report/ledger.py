@@ -34,7 +34,7 @@ run.begin  driver — schema tag, engine, config snapshot, instruction
 round.begin / round.end
            driver — per-round instruction counts, candidates applied,
            instructions saved
-mine.pass  miner — one record per mining pass (shallow / full / flow):
+mine.pass  miner — one record per mining pass (shallow / full):
            graphs, seeds, lattice nodes expanded, truncated branches,
            deadline hit
 mine.skips mining round — per-round aggregate of candidate-rejection

@@ -14,11 +14,6 @@ multi-node fragment lie inside a single component, so each component
 ("shard") can be mined independently — smaller lattices, parallel
 expansion, and content-addressed reuse — without losing a candidate.
 
-The flow-projection pass mines the same blocks restricted to
-``FLOW_KINDS``; those edge signatures are a subset of the full-graph
-ones, so flow-pass fragments are contained in the same components and
-the partition covers both passes.
-
 (Single-node fragments *could* span components, but they can never
 become candidates: ``call_benefit(1, n) < 0`` and
 ``crossjump_benefit(1, n) = 0`` for every occurrence count, so the

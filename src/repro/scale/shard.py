@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.binary.program import BasicBlock
 from repro.dfg.builder import build_dfg
-from repro.dfg.graph import DFG, FLOW_KINDS
+from repro.dfg.graph import DFG
 from repro.isa.instructions import Instruction
 from repro.isa.operands import LabelRef
 from repro.mining.edgar import Edgar, non_overlapping_embeddings
@@ -63,7 +63,7 @@ import time
 #: change to the funnel, the payload fields or the candidate wire
 #: format — it is folded into every cache key, so a bump invalidates
 #: all persisted entries instead of silently reviving stale results.
-SHARD_SCHEMA = "repro.scale.shard/2"
+SHARD_SCHEMA = "repro.scale.shard/3"
 
 #: Funnel tallies a shard reports: the ``mine.skips`` census, also
 #: replayed into telemetry counters by the parent.
@@ -93,7 +93,6 @@ class ShardMiningConfig:
     pa_pruning: bool
     mis_exact_limit: int
     mined_kinds: Tuple[str, ...]      #: sorted
-    flow_pass: bool
 
     @classmethod
     def from_config(cls, config) -> "ShardMiningConfig":
@@ -106,7 +105,6 @@ class ShardMiningConfig:
             pa_pruning=config.pa_pruning,
             mis_exact_limit=config.mis_exact_limit,
             mined_kinds=tuple(sorted(config.mined_kinds)),
-            flow_pass=config.flow_pass,
         )
 
 
@@ -174,7 +172,6 @@ class ShardPayload:
             str(conf.pa_pruning),
             str(conf.mis_exact_limit),
             ",".join(conf.mined_kinds),
-            str(conf.flow_pass),
             "\x1e".join(self.fragile),
         ]
         for insns, lr_flag in zip(self.block_insns, self.lr_live):
@@ -338,7 +335,9 @@ def mine_shard(payload: ShardPayload,
     shard's best candidate.  Candidates scored along the way (before the
     floor overtook them) are kept for batch application.  A shallow
     pre-pass (``max_nodes`` 3) seeds the floor cheaply, then the full
-    pass and the flow-projection pass run with the same miner.
+    pass runs with the same miner.  With ``pa_pruning`` on, either
+    miner grows only subtrees that can still hold a legal candidate
+    (:class:`~repro.pa.legality.LatticeLegality`).
 
     *dfgs* are the shard's DFGs in payload order; the parent passes
     the round's own DFGs, a worker rebuilds them from the payload.
@@ -356,7 +355,6 @@ def mine_shard(payload: ShardPayload,
     _progress.publish("shard.start", shard=payload.shard_index,
                       blocks=len(payload.block_insns))
     conf = payload.config
-    mined_kinds = frozenset(conf.mined_kinds)
     if dfgs is None:
         dfgs = payload.build_dfgs()
     fragile = frozenset(payload.fragile)
@@ -493,7 +491,7 @@ def mine_shard(payload: ShardPayload,
             miner.mine(graphs)
 
     miner.prune_subtree = prune_subtree
-    if getattr(miner, "pa_pruning", False):
+    if conf.pa_pruning:
         # the funnel scores only legal candidates, so subtrees with
         # nothing legally extractable need not be grown
         miner.prune_illegal = LatticeLegality(fragile)
@@ -514,12 +512,6 @@ def mine_shard(payload: ShardPayload,
                 finally:
                     miner.max_nodes = saved_max
             mine_pass("full", dfgs)
-            if conf.flow_pass and FLOW_KINDS != mined_kinds:
-                # Second pass on the data-flow projection; node
-                # numbering is identical, so embeddings transfer
-                # directly and legality still checks the full dep_edges.
-                mine_pass("flow",
-                          [dfg.projection(FLOW_KINDS) for dfg in dfgs])
     finally:
         miner.prune_subtree = None
         miner.prune_illegal = None

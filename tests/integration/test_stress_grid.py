@@ -16,9 +16,7 @@ from repro.workloads import PROGRAMS, compile_workload, verify_workload
 
 CONFIGS = [
     PAConfig(miner="edgar", time_budget=60),
-    PAConfig(miner="edgar", mined_kinds=FLOW_KINDS, flow_pass=False,
-             time_budget=60),
-    PAConfig(miner="edgar", flow_pass=False, time_budget=60),
+    PAConfig(miner="edgar", mined_kinds=FLOW_KINDS, time_budget=60),
     PAConfig(miner="dgspan", time_budget=60),
     PAConfig(miner="edgar", max_nodes=5, time_budget=60),
     PAConfig(miner="edgar", mis_exact_limit=0, time_budget=60),

@@ -274,8 +274,8 @@ class TestWorkCounters:
         finally:
             telemetry.disable()
             telemetry.reset()
-        assert result.lattice_nodes == nodes == 5940
-        assert checks == 17400
+        assert result.lattice_nodes == nodes == 5618
+        assert checks == 16297
 
 
 @st.composite

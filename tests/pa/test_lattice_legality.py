@@ -1,11 +1,12 @@
-"""Edgar's legality prune against a reference miner without it.
+"""The legality prune against reference miners without it.
 
-The funnels install :class:`LatticeLegality` on Edgar: it folds a
-verdict state along the lattice, drops dead children before their
-canonical check, and cuts cross-jump-only nodes whose embeddings cannot
-reach two node-disjoint legal occurrences.  The prune is exact, so a
-reference Edgar that ignores the installed prune must score the same
-candidates in every round and shard and produce the same module.
+The funnel installs :class:`LatticeLegality` on either miner while
+``pa_pruning`` is on: it folds a verdict state along the lattice, drops
+dead children before their canonical check, and cuts cross-jump-only
+nodes whose embeddings cannot reach two node-disjoint legal
+occurrences.  The prune is exact, so a reference Edgar or DgSpan that
+ignores the installed prune must score the same candidates in every
+round and shard and produce the same module.
 
 Every node's verdict is also checked against a reference recomputed
 from the instruction texts: ``classify_fragment`` and its older,
@@ -22,6 +23,7 @@ from repro.dfg.builder import build_dfgs
 from repro.isa.assembler import parse_instruction
 from repro.isa.instructions import Instruction
 from repro.mining.edgar import Edgar
+from repro.mining.gspan import DgSpan
 from repro.pa import legality
 from repro.pa.driver import PAConfig, run_pa
 from repro.pa.legality import (
@@ -151,9 +153,9 @@ def hook_cut(bound, code, unique) -> bool:
     return bound.cut(state, unique)
 
 
-class ReferenceEdgar(Edgar):
-    """Edgar that ignores an installed legality prune and records every
-    visited node with the prune the funnel installed."""
+class _Reference:
+    """A miner that ignores an installed legality prune and records
+    every visited node with the prune the funnel installed."""
 
     def __init__(self, *args, **kwargs):
         self.installed = None
@@ -174,8 +176,16 @@ class ReferenceEdgar(Edgar):
         return super()._fragment(db, code, unique)
 
 
-class RecordingEdgar(Edgar):
-    """Edgar that records the code and folded state of every node."""
+class ReferenceEdgar(_Reference, Edgar):
+    pass
+
+
+class ReferenceDgSpan(_Reference, DgSpan):
+    pass
+
+
+class _Recording:
+    """A miner that records the code and folded state of every node."""
 
     def __init__(self, *args, **kwargs):
         self.states = []
@@ -193,22 +203,40 @@ class RecordingEdgar(Edgar):
         return super()._fragment(db, code, unique)
 
 
+class RecordingEdgar(_Recording, Edgar):
+    pass
+
+
+class RecordingDgSpan(_Recording, DgSpan):
+    pass
+
+
+#: miner name -> (recording class, reference class)
+MINERS = {
+    "edgar": (RecordingEdgar, ReferenceEdgar),
+    "dgspan": (RecordingDgSpan, ReferenceDgSpan),
+}
+
+
 def _miner_factory(cls, made):
     def make(config):
+        options = {}
+        if issubclass(cls, Edgar):
+            options = {"pa_pruning": config.pa_pruning,
+                       "mis_exact_limit": config.mis_exact_limit}
         miner = cls(
             min_support=config.min_support,
             min_nodes=config.min_nodes,
             max_nodes=config.max_nodes,
             max_embeddings=config.max_embeddings,
-            pa_pruning=config.pa_pruning,
-            mis_exact_limit=config.mis_exact_limit,
+            **options,
         )
         made.append(miner)
         return miner
     return make
 
 
-def _run(workload, max_nodes, miner_cls, monkeypatch):
+def _run(workload, config, miner_cls, monkeypatch):
     """One PA run with *miner_cls*; returns the module text, the run
     result, each round's candidates and the miners used."""
     made: list = []
@@ -227,16 +255,18 @@ def _run(workload, max_nodes, miner_cls, monkeypatch):
                       _miner_factory(miner_cls, made))
         patch.setattr(pool, "run_sharded_round", mine_round)
         module = compile_workload(workload)
-        result = run_pa(module, PAConfig(max_nodes=max_nodes))
+        result = run_pa(module, config)
     return module.render(), result, rounds, made
 
 
-def _check_against_reference(workload, max_nodes, monkeypatch):
+def _check_against_reference(workload, max_nodes, miner, monkeypatch):
+    config = PAConfig(miner=miner, max_nodes=max_nodes)
+    recording_cls, reference_cls = MINERS[miner]
     text, result, rounds, fast = _run(
-        workload, max_nodes, RecordingEdgar, monkeypatch
+        workload, config, recording_cls, monkeypatch
     )
     ref_text, reference, ref_rounds, slow = _run(
-        workload, max_nodes, ReferenceEdgar, monkeypatch
+        workload, config, reference_cls, monkeypatch
     )
     # identical output: candidates in every round, records, module
     assert result.saved > 0
@@ -277,14 +307,18 @@ def _check_against_reference(workload, max_nodes, monkeypatch):
     assert kept == [code for __, code, *___ in states]
 
 
-@pytest.mark.parametrize("workload, max_nodes", [
-    ("crc", 8),
-    ("search", 8),
-    ("sha", 5),
-    pytest.param("sha", 8, marks=pytest.mark.slow),
+@pytest.mark.parametrize("workload, max_nodes, miner", [
+    pytest.param("crc", 8, "edgar", id="crc-8"),
+    pytest.param("search", 8, "edgar", id="search-8"),
+    pytest.param("sha", 5, "edgar", id="sha-5"),
+    pytest.param("sha", 8, "edgar", id="sha-8", marks=pytest.mark.slow),
+    pytest.param("crc", 8, "dgspan", id="crc-8-dgspan"),
+    pytest.param("search", 8, "dgspan", id="search-8-dgspan"),
+    pytest.param("sha", 5, "dgspan", id="sha-5-dgspan",
+                 marks=pytest.mark.slow),
 ])
-def test_run_pa_matches_reference(workload, max_nodes, monkeypatch):
-    _check_against_reference(workload, max_nodes, monkeypatch)
+def test_run_pa_matches_reference(workload, max_nodes, miner, monkeypatch):
+    _check_against_reference(workload, max_nodes, miner, monkeypatch)
 
 
 def test_mine_shard_matches_reference(monkeypatch):
@@ -309,21 +343,27 @@ def test_mine_shard_matches_reference(monkeypatch):
 
 
 def test_prune_rides_on_pa_pruning(monkeypatch):
-    """With ``pa_pruning`` off no prune is installed, and the lattice is
-    the reference's."""
-    runs = []
-    for cls in (Edgar, ReferenceEdgar):
-        made: list = []
-        with monkeypatch.context() as patch:
-            patch.setattr(shard_mod, "_make_miner",
-                          _miner_factory(cls, made))
-            result = run_pa(compile_workload("crc"),
-                            PAConfig(pa_pruning=False))
-        runs.append((result.lattice_nodes, made))
-    (nodes, made), (ref_nodes, ref_made) = runs
-    assert nodes == ref_nodes
-    assert all(m.pruned_illegal == 0 for m in made)
-    assert all(m.installed is None for m in ref_made)
+    """For either miner, no prune is installed with ``pa_pruning`` off
+    and the lattice is the reference's; with it on, one is installed."""
+    for miner, cls in (("edgar", Edgar), ("dgspan", DgSpan)):
+        reference_cls = MINERS[miner][1]
+        runs = []
+        for pa_pruning, factory_cls in ((False, cls),
+                                        (False, reference_cls),
+                                        (True, reference_cls)):
+            made: list = []
+            with monkeypatch.context() as patch:
+                patch.setattr(shard_mod, "_make_miner",
+                              _miner_factory(factory_cls, made))
+                result = run_pa(compile_workload("crc"),
+                                PAConfig(miner=miner,
+                                         pa_pruning=pa_pruning))
+            runs.append((result.lattice_nodes, made))
+        (nodes, made), (ref_nodes, ref_made), (__, on_made) = runs
+        assert nodes == ref_nodes, miner
+        assert all(m.pruned_illegal == 0 for m in made)
+        assert all(m.installed is None for m in ref_made)
+        assert all(m.installed is not None for m in on_made)
 
 
 class TestFold:

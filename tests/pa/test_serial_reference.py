@@ -11,6 +11,10 @@ loop, carryover included (ledger and telemetry emission left out).
 A ``--workers 0`` run must match it round by round: the same
 candidates in the same order, the same extraction records, the same
 module text and the same lattice size.
+
+With ``flow_pass=True`` the reference also runs the engine's former
+second pass over the data-flow projection of every DFG;
+``tests/pa/test_flow_subsumption.py`` compares against it.
 """
 
 from typing import List, Optional
@@ -39,7 +43,8 @@ from repro.workloads import compile_workload
 
 def reference_collect(module, config: PAConfig, miner,
                       warm: List[Candidate],
-                      memo: AnalysisMemo) -> List[Candidate]:
+                      memo: AnalysisMemo,
+                      flow_pass: bool = False) -> List[Candidate]:
     """The serial funnel: one floor over the whole database, seeded by
     the *warm* candidates."""
     dfgs = build_dfgs(module, min_nodes=0, mined_kinds=config.mined_kinds)
@@ -101,7 +106,7 @@ def reference_collect(module, config: PAConfig, miner,
             best[0] = candidate
 
     miner.prune_subtree = prune_subtree
-    if getattr(miner, "pa_pruning", False):
+    if config.pa_pruning:
         miner.prune_illegal = LatticeLegality(fragile)
     miner.on_fragment = consider
     if miner.max_nodes > 4:
@@ -110,13 +115,15 @@ def reference_collect(module, config: PAConfig, miner,
         miner.mine(dfgs)
         miner.max_nodes = saved_max
     miner.mine(dfgs)
-    if config.flow_pass and FLOW_KINDS != config.mined_kinds:
+    if flow_pass:
+        # the same blocks with only the data-flow edges mined; legality
+        # still checks every dependence
         miner.mine(build_dfgs(module, min_nodes=0, mined_kinds=FLOW_KINDS))
     collected.sort(key=lambda c: c.sort_key())
     return collected
 
 
-def reference_run(module, config: PAConfig):
+def reference_run(module, config: PAConfig, flow_pass: bool = False):
     """The serial round loop with carryover: ``(records, lattice
     nodes, per-round candidates)``."""
     memo = AnalysisMemo()
@@ -127,7 +134,7 @@ def reference_run(module, config: PAConfig):
     for round_index in range(config.max_rounds):
         miner = _make_miner(config)
         candidates = reference_collect(module, config, miner, carryover,
-                                       memo)
+                                       memo, flow_pass)
         lattice_nodes += miner.visited_nodes
         rounds.append(_summary(candidates))
         if not candidates:

@@ -121,7 +121,7 @@ class TestGoldenRun:
                 p["mine_pass"] for p in passes
                 if p["round"] == round_number
             ]
-            assert labels == ["shallow", "full", "flow"]
+            assert labels == ["shallow", "full"]
         assert all(p["engine"] == "edgar" for p in passes)
 
     def test_funnel_and_prune_records(self, golden):
@@ -142,10 +142,11 @@ class TestGoldenRun:
         # the legality prune cuts branches before they reach the funnel
         # or the convexity filter: in round 2 it cuts every branch that
         # held a never-convex embedding
-        assert [p["illegal"] for p in prunes] == [595, 555, 66]
+        assert [p["illegal"] for p in prunes] == [591, 551, 60]
         assert [p["never_convex"] for p in prunes] == [18, 18, 0]
-        # the outlined pa_1 body makes the Fig. 9 cyclic check fire
-        assert prunes[-1]["cyclic"] > 0
+        # the Fig. 9 cyclic prune needs a re-entering path through a node
+        # with no mined edges; the full dependence graph has none here
+        assert [p["cyclic"] for p in prunes] == [0, 0, 0]
 
     def test_candidate_records_include_the_winners(self, golden):
         __, ___, records = golden

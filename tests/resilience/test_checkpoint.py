@@ -22,6 +22,7 @@ from repro.resilience.checkpoint import (
 from repro.resilience.errors import CheckpointError
 from repro.resilience.faultinject import arm
 from tests.conftest import SHARED_FRAGMENT_PROGRAM, module_from_source
+from tests.report.conftest import GOLDEN_PROGRAM
 
 
 @pytest.fixture
@@ -161,6 +162,32 @@ def test_legacy_carryover_field_is_ignored(tmp_path):
     config = config_from_dict(checkpoint.config)
     config.max_rounds = PAConfig().max_rounds
     config.checkpoint_path = None
+    run_pa(resumed, config, resume=checkpoint)
+    assert resumed.render() == reference.render()
+
+
+def test_legacy_flow_pass_field_is_ignored(tmp_path):
+    """Checkpoints written while the engine had a second, data-flow
+    projection pass carry ``flow_pass`` in their config.  The key is
+    dropped on load, and the resumed run matches the uninterrupted one."""
+    reference = module_from_source(GOLDEN_PROGRAM)
+    assert run_pa(reference, PAConfig(batch=False)).rounds == 2
+
+    path = tmp_path / "ck.json"
+    partial = module_from_source(GOLDEN_PROGRAM)
+    run_pa(partial, PAConfig(batch=False, max_rounds=1,
+                             checkpoint_path=str(path)))
+    doc = json.loads(path.read_text())
+    assert "flow_pass" not in doc["config"]
+    doc["config"]["flow_pass"] = True
+    path.write_text(json.dumps(doc))
+
+    checkpoint = load_checkpoint(str(path))
+    config = config_from_dict(checkpoint.config)
+    assert not hasattr(config, "flow_pass")
+    config.max_rounds = PAConfig().max_rounds
+    config.checkpoint_path = None
+    resumed = module_from_checkpoint(checkpoint)
     run_pa(resumed, config, resume=checkpoint)
     assert resumed.render() == reference.render()
 
