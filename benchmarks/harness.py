@@ -44,6 +44,7 @@ from repro.dfg.graph import FLOW_KINDS
 from repro.pa.driver import PAConfig, PAResult, run_pa
 from repro.pa.sfx import SFXConfig, run_sfx
 from repro.resilience.atomicio import atomic_write_text
+from repro.telemetry.events import emit
 from repro.workloads import PROGRAMS, compile_workload, verify_workload
 
 #: Engine configurations used for the headline comparison.
@@ -127,8 +128,9 @@ def run_engine(name: str, engine: str, **overrides) -> Tuple[PAResult, float]:
     """Run one engine on one workload, verified; returns (result, secs).
 
     The run is wrapped in a ``bench.engine_run`` telemetry span and its
-    headline numbers are published as a structured event, so a profiled
-    benchmark session exports through the same registry as the CLI.
+    headline numbers are emitted as a ``bench.engine_run`` event, so a
+    profiled benchmark session exports through the same registry as the
+    CLI.
     """
     import time
 
@@ -144,7 +146,7 @@ def run_engine(name: str, engine: str, **overrides) -> Tuple[PAResult, float]:
     elapsed = time.perf_counter() - started
     verify_workload(name, module)
     telemetry.count("bench.engine_runs")
-    telemetry.event(
+    emit(
         "bench.engine_run",
         workload=name,
         engine=engine,

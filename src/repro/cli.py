@@ -35,9 +35,11 @@ plain ones, so the flag is free until a counterexample fires.
 
 ``pa``, ``table1`` and ``profile`` accept ``--trace-out FILE`` (Chrome
 ``trace_event`` JSON, viewable in ``chrome://tracing`` / Perfetto) and
-``--stats-out FILE`` (flat stats JSON: counters, histogram and span
-summaries, structured events).  ``table1 --json FILE`` writes the same
-stats schema with one ``table1.row`` event per workload/engine cell.
+``--stats-out FILE`` (flat stats JSON, schema
+``repro.telemetry.stats/3``: counters, histogram and span summaries,
+the ``round.end`` / ``extraction`` / ``shard.done`` events).
+``table1 --json FILE`` writes the same stats schema with one
+``table1.row`` event per workload/engine cell.
 Output options refuse to overwrite existing files unless ``--force``.
 
 ``pa`` additionally accepts ``--report FILE`` (self-contained HTML run
@@ -45,6 +47,9 @@ report) and ``--ledger-out FILE`` (the decision ledger as JSONL, schema
 ``repro.report.ledger/1``), both backed by the provenance records of
 :mod:`repro.report.ledger`; ``explain`` renders the same records as
 text, either by re-running a workload or replaying ``--ledger FILE``.
+The ledger, the events stream and the stats events are sinks of one
+event model (:mod:`repro.telemetry.events` tabulates which kinds each
+takes).
 
 Scale (see ``src/repro/scale/``): ``pa``, ``table1`` and ``profile``
 accept ``--workers N`` (how the one mining funnel partitions the block
@@ -58,7 +63,7 @@ every cache state — only wall-clock changes.
 Observability (see :mod:`repro.telemetry`): the same three commands
 accept ``--progress`` (a live one-line status on stderr),
 ``--events-out FILE`` (a JSONL stream of progress events, schema
-``repro.telemetry.events/1``) and ``--metrics-out FILE`` (an
+``repro.telemetry.events/2``) and ``--metrics-out FILE`` (an
 OpenMetrics/Prometheus-textfile snapshot of the run's counters,
 histograms and per-shard mining timings).  With ``--workers`` the
 ``--trace-out`` Chrome trace stitches every worker process's spans in
@@ -73,8 +78,8 @@ uninterrupted run.  ``--fault point[:mode[:at]]`` (repeatable; also the
 ``REPRO_FAULT`` environment variable) arms the deterministic
 fault-injection harness.  Every internal failure crosses :func:`main`
 as one structured ``error[CODE]: message`` diagnostic plus a
-``run.abort`` ledger record — never a traceback (set ``REPRO_DEBUG=1``
-to re-raise).
+``run.abort`` event, the last record of the ledger and of the events
+stream — never a traceback (set ``REPRO_DEBUG=1`` to re-raise).
 """
 
 from __future__ import annotations
@@ -85,11 +90,12 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro import telemetry
 from repro.telemetry import progress as telemetry_progress
-from repro.telemetry.openmetrics import SHARD_TIMING_EVENT
+from repro.telemetry.events import context, emit
+from repro.telemetry.openmetrics import shard_totals
 from repro.analysis.tables import Table1Row, format_table1, format_table2
 from repro.report import ledger
 from repro.report.explain import explain_round, explain_run
@@ -154,7 +160,7 @@ def _load_source(source: str, assembly: bool) -> Module:
 
 
 # ----------------------------------------------------------------------
-# telemetry plumbing shared by pa / table1 / profile
+# event sinks and telemetry plumbing shared by the commands
 # ----------------------------------------------------------------------
 #: args attributes that name output files (checked before the run)
 _OUTPUT_ATTRS = ("trace_out", "stats_out", "json", "report", "ledger_out",
@@ -268,48 +274,87 @@ def _check_output_paths(args) -> list:
     return paths
 
 
-def _telemetry_begin(args, force: bool = False) -> bool:
-    """Enable + reset the registry when any telemetry output is wanted."""
+def _abort_fields(exc: BaseException) -> Tuple[str, str]:
+    """The ``run.abort`` code and message of a failure."""
+    if isinstance(exc, ReproError):
+        return exc.code, str(exc)
+    if isinstance(exc, KeyboardInterrupt):
+        return "REPRO-INTERRUPT", "interrupted"
+    return "REPRO-INTERNAL", f"{type(exc).__name__}: {exc}"
+
+
+@contextlib.contextmanager
+def _sinks(args, title: str = "", force_telemetry: bool = False):
+    """Attach the event sinks the output flags ask for — telemetry,
+    the decision ledger, the live events bus — for the block, and
+    write their files on the way out.
+
+    A failure inside the block emits ``run.abort`` while every sink is
+    still open, so the ledger and the events stream both end with it;
+    the ledger JSONL is then still written, the other outputs are not.
+    """
     _check_output_paths(args)
-    wanted = force or any(
+    traced = force_telemetry or any(
         getattr(args, name, None)
         for name in ("trace_out", "stats_out", "json", "report",
                      "metrics_out")
     )
-    if wanted:
+    ledgered = bool(getattr(args, "report", None)
+                    or getattr(args, "ledger_out", None))
+    if traced:
         telemetry.reset()
         telemetry.enable()
-    return wanted
-
-
-def _ledger_begin(args) -> bool:
-    """Enable + reset the decision ledger when provenance is wanted."""
-    wanted = bool(getattr(args, "report", None)
-                  or getattr(args, "ledger_out", None))
-    if wanted:
+    if ledgered:
         ledger.reset()
         ledger.enable()
-    return wanted
+    wants_tty = bool(getattr(args, "progress", False))
+    events_path = getattr(args, "events_out", None)
+    bus = None
+    if wants_tty or events_path:
+        bus = telemetry_progress.ProgressBus(
+            tty=sys.stderr if wants_tty else None,
+            events_path=events_path,
+        )
+    try:
+        with telemetry_progress.activate(bus):
+            try:
+                yield
+            except (Exception, KeyboardInterrupt) as exc:
+                code, message = _abort_fields(exc)
+                emit("run.abort", code=code, message=message)
+                if getattr(args, "ledger_out", None):
+                    try:
+                        ledger.get().write_jsonl(args.ledger_out)
+                    except Exception:
+                        pass    # the abort diagnostic must never be masked
+                raise
+        if ledgered:
+            decisions = ledger.get()
+            if getattr(args, "ledger_out", None):
+                decisions.write_jsonl(args.ledger_out)
+                print(f"wrote {args.ledger_out}", file=sys.stderr)
+            if getattr(args, "report", None):
+                write_report(args.report, decisions.records,
+                             stats=telemetry.stats_dict(telemetry.get()),
+                             tree=telemetry.tree_summary(telemetry.get()),
+                             title=title)
+                print(f"wrote {args.report}", file=sys.stderr)
+        if traced:
+            _write_telemetry(args)
+    finally:
+        if bus is not None:
+            bus.close()
+            if events_path and not bus.broken:
+                print(f"wrote {events_path}", file=sys.stderr)
+        if ledgered:
+            ledger.disable()
+            ledger.reset()
+        if traced:
+            telemetry.disable()
 
 
-def _ledger_finish(args, title: str) -> None:
-    """Write the requested report/ledger files and disable the ledger."""
-    registry = ledger.get()
-    if getattr(args, "ledger_out", None):
-        registry.write_jsonl(args.ledger_out)
-        print(f"wrote {args.ledger_out}", file=sys.stderr)
-    if getattr(args, "report", None):
-        stats = telemetry.stats_dict(telemetry.get())
-        tree = telemetry.tree_summary(telemetry.get())
-        write_report(args.report, registry.records,
-                     stats=stats, tree=tree, title=title)
-        print(f"wrote {args.report}", file=sys.stderr)
-    ledger.disable()
-    ledger.reset()
-
-
-def _telemetry_finish(args) -> None:
-    """Write the requested export files and disable the registry."""
+def _write_telemetry(args) -> None:
+    """Write the requested telemetry export files."""
     registry = telemetry.get()
     if getattr(args, "trace_out", None):
         telemetry.write_chrome_trace(registry, args.trace_out)
@@ -330,51 +375,12 @@ def _telemetry_finish(args) -> None:
         except Exception as exc:
             print(f"warning: metrics export failed ({exc})",
                   file=sys.stderr)
-    telemetry.disable()
-
-
-@contextlib.contextmanager
-def _progress_scope(args):
-    """Route run progress onto a live bus when ``--progress`` or
-    ``--events-out`` ask for one; a no-op scope otherwise."""
-    wants_tty = bool(getattr(args, "progress", False))
-    events_path = getattr(args, "events_out", None)
-    if not wants_tty and not events_path:
-        yield None
-        return
-    bus = telemetry_progress.ProgressBus(
-        tty=sys.stderr if wants_tty else None,
-        events_path=events_path,
-    )
-    try:
-        with telemetry_progress.activate(bus):
-            yield bus
-    finally:
-        bus.close()
-        if events_path and not bus.broken:
-            print(f"wrote {events_path}", file=sys.stderr)
 
 
 def _shard_imbalance_table(registry) -> str:
-    """Per-shard mining wall-clock table (``profile``).
-
-    Aggregated from the ``scale.shard.timing`` events the pool parent
-    emits per mined shard; empty string when none were recorded (every
-    shard came from the cache)."""
-    seconds = {}
-    nodes = {}
-    rounds = {}
-    for event in registry.events:
-        if event.get("name") != SHARD_TIMING_EVENT:
-            continue
-        shard = event.get("shard")
-        if shard is None:
-            continue
-        seconds[shard] = (seconds.get(shard, 0.0)
-                          + float(event.get("seconds", 0)))
-        nodes[shard] = (nodes.get(shard, 0)
-                        + int(event.get("lattice_nodes", 0)))
-        rounds[shard] = rounds.get(shard, 0) + 1
+    """Per-shard mining wall-clock table (``profile``); empty string
+    when no shard was mined (every shard came from the cache)."""
+    seconds, nodes, rounds = shard_totals(registry)
     if not seconds:
         return ""
     total = sum(seconds.values())
@@ -464,8 +470,13 @@ def cmd_pa(args) -> int:
         if not os.path.isdir(directory):
             sys.exit("error: output directory does not exist: "
                      f"{args.checkpoint}")
-    traced = _telemetry_begin(args)
-    ledgered = _ledger_begin(args)
+    with _sinks(args, title=f"PA run report — {args.source} "
+                            f"({args.engine})"):
+        return _pa(args)
+
+
+def _pa(args) -> int:
+    """``cmd_pa`` once the sinks are attached: run, check, report."""
     resume = None
     if args.resume:
         # The checkpointed config wins (the continuation must replay
@@ -512,8 +523,7 @@ def cmd_pa(args) -> int:
                           sanitizer=ref_sanitizer)
     before = module.num_instructions
     try:
-        with _progress_scope(args), \
-                ledger.GLOBAL.context(source=args.source):
+        with context(source=args.source):
             if args.engine == "sfx":
                 result = run_sfx(module, SFXConfig(max_len=args.max_nodes))
             else:
@@ -524,13 +534,6 @@ def cmd_pa(args) -> int:
             ce = exc.counterexample
             print(f"  counterexample: {ce.function} block {ce.old_block}, "
                   f"resource {ce.resource}", file=sys.stderr)
-        if ledgered:
-            _ledger_finish(
-                args,
-                title=f"PA run report — {args.source} ({args.engine})",
-            )
-        if traced:
-            _telemetry_finish(args)
         return 2
     after_sanitizer = Sanitizer() if args.sanitize else None
     after = run_image(layout(module), max_steps=args.max_steps,
@@ -545,21 +548,13 @@ def cmd_pa(args) -> int:
                 if finding.kind in new_kinds:
                     print(f"  [{finding.kind}] pc={finding.pc:#x}: "
                           f"{finding.detail}", file=sys.stderr)
-            if ledgered:
-                ledger.emit(
-                    "sanitize.counterexample",
-                    kinds=sorted(new_kinds),
-                    findings=[f.to_dict()
-                              for f in after_sanitizer.findings
-                              if f.kind in new_kinds],
-                )
-                _ledger_finish(
-                    args,
-                    title=f"PA run report — {args.source} "
-                          f"({args.engine})",
-                )
-            if traced:
-                _telemetry_finish(args)
+            emit(
+                "sanitize.counterexample",
+                kinds=sorted(new_kinds),
+                findings=[f.to_dict()
+                          for f in after_sanitizer.findings
+                          if f.kind in new_kinds],
+            )
             return 2
     status = "OK" if (after.output, after.exit_code) == (
         reference.output, reference.exit_code) else "BEHAVIOUR CHANGED!"
@@ -604,12 +599,6 @@ def cmd_pa(args) -> int:
         with open(args.output, "w") as handle:
             handle.write(module.render())
         print(f"wrote {args.output}")
-    if ledgered:
-        _ledger_finish(
-            args, title=f"PA run report — {args.source} ({args.engine})"
-        )
-    if traced:
-        _telemetry_finish(args)
     return 0 if status.startswith("OK") else 1
 
 
@@ -631,9 +620,9 @@ def cmd_audit(args) -> int:
         if os.path.exists(args.json_out) and not args.force:
             sys.exit(f"error: refusing to overwrite {args.json_out} "
                      "(use --force)")
-    traced = _telemetry_begin(args)
-    module = _load_source(args.source, args.assembly)
-    result = audit_module(module)
+    with _sinks(args):
+        module = _load_source(args.source, args.assembly)
+        result = audit_module(module)
     payload = result.to_payload(source=args.source)
 
     if args.json_out == "-":
@@ -669,8 +658,6 @@ def cmd_audit(args) -> int:
             if event.insn is not None:
                 where += f", insn {event.insn}"
             print(f"  [{event.kind}] {where}: {event.detail}")
-    if traced:
-        _telemetry_finish(args)
     return 0 if payload["ok"] else 1
 
 
@@ -693,9 +680,8 @@ def cmd_lint(args) -> int:
 def cmd_table1(args) -> int:
     if args.fragment_cache and not args.workers:
         args.workers = 1     # a persistent cache implies clustered shards
-    traced = _telemetry_begin(args)
     rows = []
-    with _progress_scope(args):
+    with _sinks(args):
         for name in args.programs or sorted(PROGRAMS):
             base = compile_workload(name).num_instructions
             saved = {}
@@ -716,7 +702,7 @@ def cmd_table1(args) -> int:
                 verify_workload(name, module)
                 saved[engine] = base - module.num_instructions
                 elapsed = time.perf_counter() - started
-                telemetry.event(
+                emit(
                     "table1.row",
                     program=name,
                     engine=engine,
@@ -743,8 +729,6 @@ def cmd_table1(args) -> int:
             rows.append(Table1Row(name, base, saved["sfx"],
                                   saved["dgspan"], saved["edgar"]))
     print(format_table1(rows))
-    if traced:
-        _telemetry_finish(args)
     return 0
 
 
@@ -755,10 +739,9 @@ def cmd_profile(args) -> int:
                  "does not go through the round loop the validator hooks")
     if args.fragment_cache and not args.workers:
         args.workers = 1     # a persistent cache implies clustered shards
-    _telemetry_begin(args, force=True)
-    module = _load_source(args.source, args.assembly)
-    before = module.num_instructions
-    with _progress_scope(args):
+    with _sinks(args, force_telemetry=True):
+        module = _load_source(args.source, args.assembly)
+        before = module.num_instructions
         if args.engine == "sfx":
             result = run_sfx(module, SFXConfig(max_len=args.max_nodes))
         else:
@@ -785,7 +768,6 @@ def cmd_profile(args) -> int:
     if shard_table:
         print()
         print(shard_table)
-    _telemetry_finish(args)
     return 0
 
 
@@ -803,7 +785,7 @@ def cmd_explain(args) -> int:
         ledger.enable()
         try:
             module = _load_source(args.source, args.assembly)
-            with ledger.GLOBAL.context(source=args.source):
+            with context(source=args.source):
                 run_pa(module, PAConfig(
                     miner=args.engine,
                     max_nodes=args.max_nodes,
@@ -870,8 +852,6 @@ def cmd_variance(args) -> int:
         if os.path.exists(args.json_out) and not args.force:
             sys.exit(f"error: refusing to overwrite {args.json_out} "
                      "(use --force)")
-    ledgered = _ledger_begin(args)
-
     config = VarianceConfig(
         engine=args.engine,
         n_variants=args.variants,
@@ -882,7 +862,9 @@ def cmd_variance(args) -> int:
         max_steps=args.max_steps,
         sanitize=args.sanitize,
     )
-    with ledger.GLOBAL.context(source=source_name):
+    with _sinks(args, title=f"Variance sweep — {source_name} "
+                            f"({args.engine})"), \
+            context(source=source_name):
         report = run_variance(source, config, source_name=source_name)
 
     out = sys.stderr if args.json_out == "-" else sys.stdout
@@ -925,9 +907,6 @@ def cmd_variance(args) -> int:
             json.dump(report, handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.json_out}", file=sys.stderr)
-    if ledgered:
-        _ledger_finish(args, title=f"Variance sweep — {source_name} "
-                                   f"({args.engine})")
     return status
 
 
@@ -1170,22 +1149,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _abort_record(args, code: str, message: str) -> None:
-    """Leave a ``run.abort`` ledger record (and the requested JSONL)
-    behind, so even an aborted run has typed provenance."""
-    if not ledger.is_enabled():
-        return
-    ledger.emit("run.abort", code=code, message=message)
-    path = getattr(args, "ledger_out", None)
-    if path:
-        try:
-            ledger.get().write_jsonl(path)
-        except Exception:
-            pass    # the abort diagnostic must never be masked
-    ledger.disable()
-    ledger.reset()
-
-
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     faultinject.arm_from_env()
@@ -1194,22 +1157,19 @@ def main(argv: Optional[list] = None) -> int:
     except ReproError as exc:
         # The typed boundary: every internal failure leaves one
         # structured diagnostic and a documented exit code, never a
-        # traceback.
-        _abort_record(args, exc.code, str(exc))
+        # traceback (its run.abort event is emitted by ``_sinks``).
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_code
     except KeyboardInterrupt:
         # Interrupts inside the round loop degrade to exit 0 (the
         # driver's anytime path); only one landing outside it — or a
         # second Ctrl-C — reaches this boundary.
-        _abort_record(args, "REPRO-INTERRUPT", "interrupted")
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
     except Exception as exc:
         if os.environ.get("REPRO_DEBUG"):
             raise
-        message = f"{type(exc).__name__}: {exc}"
-        _abort_record(args, "REPRO-INTERNAL", message)
+        __, message = _abort_fields(exc)
         print(f"error[REPRO-INTERNAL]: {message}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:

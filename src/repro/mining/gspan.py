@@ -30,10 +30,10 @@ from repro.mining.dfs_code import (
     rightmost_path,
 )
 from repro.mining.embeddings import Embedding, dedupe_by_node_set
-from repro.report.ledger import GLOBAL as _LEDGER
 from repro.resilience import governor as _governor
 from repro.resilience.faultinject import fault
 from repro.telemetry import GLOBAL as _TELEMETRY
+from repro.telemetry.events import emit
 
 
 class _DeadlineReached(Exception):
@@ -280,19 +280,18 @@ class DgSpan:
             self.deadline_hit = True
             _TELEMETRY.count("mining.deadline_hits")
         self._legality = None
-        if _LEDGER.enabled:
-            _LEDGER.emit(
-                "mine.pass",
-                engine=type(self).__name__.lower(),
-                graphs=len(db.graphs),
-                seeds=len(seeds),
-                max_nodes=self.max_nodes,
-                lattice_nodes=self.visited_nodes - visited_before,
-                truncated_branches=(
-                    self.truncated_branches - truncated_before
-                ),
-                deadline_hit=self.deadline_hit,
-            )
+        emit(
+            "mine.pass",
+            engine=type(self).__name__.lower(),
+            graphs=len(db.graphs),
+            seeds=len(seeds),
+            max_nodes=self.max_nodes,
+            lattice_nodes=self.visited_nodes - visited_before,
+            truncated_branches=(
+                self.truncated_branches - truncated_before
+            ),
+            deadline_hit=self.deadline_hit,
+        )
         return results
 
     # ------------------------------------------------------------------

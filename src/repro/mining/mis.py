@@ -14,10 +14,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.mining.collision import connected_components
-from repro.report.ledger import GLOBAL as _LEDGER
 from repro.resilience import governor as _governor
 from repro.resilience.faultinject import fault
 from repro.telemetry import GLOBAL as _TELEMETRY
+from repro.telemetry import events as _events
 
 #: Components larger than this fall back to the greedy heuristic; the
 #: exact search is exponential in the worst case.
@@ -163,7 +163,7 @@ def max_independent_set(
     fault("mis.solve")
     result: List[int] = []
     telemetry_on = _TELEMETRY.enabled
-    ledger_on = _LEDGER.enabled
+    ledger_on = _events.wants("mis")
     info: Optional[Dict[str, Any]] = (
         {
             "vertices": len(adjacency),
@@ -220,7 +220,7 @@ def max_independent_set(
         if stats is not None:
             stats.update(info)
         if ledger_on:
-            _LEDGER.emit("mis", **info)
+            _events.emit("mis", **info)
     return sorted(result)
 
 

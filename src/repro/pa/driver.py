@@ -23,12 +23,13 @@ from repro.binary.program import Module
 from repro.dfg.builder import build_dfgs
 from repro.dfg.graph import MINED_KINDS
 from repro.report.dot import collision_to_dot, dfg_to_dot, fragment_to_dot
-from repro.report.ledger import GLOBAL as _LEDGER, LEDGER_SCHEMA
+from repro.report.ledger import LEDGER_SCHEMA
 from repro.resilience import checkpoint as _ckpt
 from repro.resilience.faultinject import fault
 from repro.resilience.governor import RunGovernor, activate
 from repro.telemetry import GLOBAL as _TELEMETRY
-from repro.telemetry import progress as _progress
+from repro.telemetry import events as _events
+from repro.telemetry.events import emit
 
 from repro.pa.extract import extract_call, extract_crossjump
 from repro.pa.fragments import Candidate
@@ -277,7 +278,7 @@ def apply_batch(module: Module, config: PAConfig,
                 f"benefit model mismatch: predicted {candidate.benefit}, "
                 f"actual {saved}"
             )
-        if _LEDGER.enabled:
+        if _events.wants("extraction"):
             _emit_extraction(candidate, dfgs, method, symbol)
         records.append(
             ExtractionRecord(
@@ -297,7 +298,7 @@ def apply_batch(module: Module, config: PAConfig,
 
 def _emit_extraction(candidate: Candidate, dfgs, method: str,
                      symbol: str) -> None:
-    """One ``extraction`` ledger record, with inline DOT artifacts."""
+    """One ``extraction`` event, with inline DOT artifacts."""
     prov = candidate.provenance or {}
     fragment = candidate.fragment
     witness = candidate.embeddings[0]
@@ -309,7 +310,7 @@ def _emit_extraction(candidate: Candidate, dfgs, method: str,
             adjacency, prov.get("chosen_indices"),
             title=f"{symbol}: collision graph",
         )
-    _LEDGER.emit(
+    emit(
         "extraction",
         method=method,
         size=candidate.size,
@@ -355,29 +356,19 @@ def run_pa(module: Module, config: Optional[PAConfig] = None,
     """
     config = config or PAConfig()
     governor = RunGovernor(time_budget=config.time_budget)
-    if _LEDGER.enabled:
-        begin_config = {
-            "miner": config.miner,
-            "min_support": config.min_support,
-            "min_nodes": config.min_nodes,
-            "max_nodes": config.max_nodes,
-            "mis_exact_limit": config.mis_exact_limit,
-            "pa_pruning": config.pa_pruning,
-            "batch": config.batch,
-            "time_budget": config.time_budget,
-            "workers": config.workers,
-        }
-        extra = {}
-        if resume is not None:
-            extra["resumed_from"] = resume.round
-        _LEDGER.emit(
-            "run.begin",
-            schema=LEDGER_SCHEMA,
-            engine=config.miner,
-            instructions=module.num_instructions,
-            config=begin_config,
-            **extra,
-        )
+    begin_config = {key: getattr(config, key) for key in (
+        "miner", "min_support", "min_nodes", "max_nodes",
+        "mis_exact_limit", "pa_pruning", "batch", "time_budget", "workers",
+    )}
+    extra = {} if resume is None else {"resumed_from": resume.round}
+    emit(
+        "run.begin",
+        schema=LEDGER_SCHEMA,
+        engine=config.miner,
+        instructions=module.num_instructions,
+        config=begin_config,
+        **extra,
+    )
     with activate(governor), governor.signals():
         with _TELEMETRY.span("pa.run", miner=config.miner):
             result = _run_pa(module, config, governor, resume)
@@ -396,34 +387,26 @@ def run_pa(module: Module, config: Optional[PAConfig] = None,
         _TELEMETRY.count("pa.lattice_nodes", result.lattice_nodes)
         for name, value in sorted(governor.counters.items()):
             _TELEMETRY.count(f"pa.governor.{name}", value)
-    if _LEDGER.enabled:
-        if result.degraded:
-            _LEDGER.emit(
-                "run.degraded",
-                reasons=result.degraded_reasons,
-                rounds=result.rounds,
-                instructions=result.instructions_after,
-                deadline_hits=result.deadline_hits,
-                mis_budget_exhausted=result.mis_budget_exhausted,
-                verify_retries=result.verify_retries,
-                rolled_back_rounds=result.rolled_back_rounds,
-            )
-        _LEDGER.emit(
-            "run.end",
+    if result.degraded:
+        emit(
+            "run.degraded",
+            reasons=result.degraded_reasons,
             rounds=result.rounds,
             instructions=result.instructions_after,
-            saved=result.saved,
-            bytes_saved=result.saved * 4,
-            call_extractions=result.call_extractions,
-            crossjump_extractions=result.crossjump_extractions,
-            elapsed_seconds=round(result.elapsed_seconds, 6),
-            dropped=dict(_LEDGER.dropped),
+            deadline_hits=result.deadline_hits,
+            mis_budget_exhausted=result.mis_budget_exhausted,
+            verify_retries=result.verify_retries,
+            rolled_back_rounds=result.rolled_back_rounds,
         )
-    _progress.publish(
-        "run.done",
-        saved=result.saved,
+    emit(
+        "run.end",
         rounds=result.rounds,
         instructions=result.instructions_after,
+        saved=result.saved,
+        bytes_saved=result.saved * 4,
+        call_extractions=result.call_extractions,
+        crossjump_extractions=result.crossjump_extractions,
+        elapsed_seconds=round(result.elapsed_seconds, 6),
         degraded=result.degraded,
     )
     return result
@@ -559,14 +542,13 @@ def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
             governor.note("verify_retries")
             governor.count("verify.retries")
             _TELEMETRY.count("pa.verify.retries")
-            if _LEDGER.enabled:
-                _LEDGER.emit(
-                    "verify.retry",
-                    round=round_index,
-                    attempt=attempt,
-                    blocklisted=fingerprints,
-                    error=str(error),
-                )
+            emit(
+                "verify.retry",
+                round=round_index,
+                attempt=attempt,
+                blocklisted=fingerprints,
+                error=str(error),
+            )
 
 
 def _verify_offenders(error: TranslationValidationError,
@@ -595,16 +577,8 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
     from repro.scale.pool import run_sharded_round
 
     with _TELEMETRY.span("pa.round", round=round_index), \
-            _LEDGER.context(round=round_index):
-        if _LEDGER.enabled:
-            _LEDGER.emit(
-                "round.begin", instructions=module.num_instructions,
-            )
-        _progress.publish(
-            "round.start", round=round_index,
-            instructions=module.num_instructions,
-        )
-        mine_started = time.perf_counter()
+            _events.context(round=round_index):
+        emit("round.begin", instructions=module.num_instructions)
         cache, planner = scale
         with _TELEMETRY.span("pa.collect", round=round_index):
             candidates, scale_stats = run_sharded_round(
@@ -629,83 +603,45 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
         if scale_stats.deadline_hits:
             result.deadline_hits += scale_stats.deadline_hits
             governor.count("mine.deadline_hits", scale_stats.deadline_hits)
-        mine_seconds = time.perf_counter() - mine_started
-        if not candidates:
-            if _LEDGER.enabled:
-                _LEDGER.emit(
-                    "round.end",
-                    instructions=module.num_instructions,
-                    applied=0, saved=0,
-                )
-            _progress.publish("round.done", round=round_index,
-                              applied=0, saved=0)
-            return None
-        if not config.batch:
-            candidates = candidates[:1]
+        records: List[ExtractionRecord] = []
         before_apply = module.num_instructions
-        if config.verify:
-            # Captured before the rewrite: the validator compares
-            # against this state, and the pre-round lr liveness is
-            # what makes the inserted bl's lr clobber excusable.
-            snapshot = snapshot_module(module)
-            pre_lr_live = lr_live_out_blocks(module, memo)
-        fault("extract.apply")
-        with _TELEMETRY.span("pa.apply", round=round_index):
-            records, __, ___ = apply_batch(
-                module, config, candidates, applied=applied
-            )
-        if config.verify and records:
-            verify_round(
-                module, snapshot, records, pre_lr_live,
-                round_index=round_index, memo=memo,
-            )
-        if not records:
-            if _LEDGER.enabled:
-                _LEDGER.emit(
-                    "round.end",
-                    instructions=module.num_instructions,
-                    applied=0, saved=0,
+        if candidates:
+            if not config.batch:
+                candidates = candidates[:1]
+            if config.verify:
+                # Captured before the rewrite: the validator compares
+                # against this state, and the pre-round lr liveness is
+                # what makes the inserted bl's lr clobber excusable.
+                snapshot = snapshot_module(module)
+                pre_lr_live = lr_live_out_blocks(module, memo)
+            fault("extract.apply")
+            with _TELEMETRY.span("pa.apply", round=round_index):
+                records, __, ___ = apply_batch(
+                    module, config, candidates, applied=applied
                 )
-            _progress.publish("round.done", round=round_index,
-                              applied=0, saved=0)
-            return None
-        if _LEDGER.enabled:
-            _LEDGER.emit(
-                "round.end",
-                instructions=module.num_instructions,
-                applied=len(records),
-                saved=before_apply - module.num_instructions,
-            )
-        _progress.publish(
-            "round.done", round=round_index,
+            if config.verify and records:
+                verify_round(
+                    module, snapshot, records, pre_lr_live,
+                    round_index=round_index, memo=memo,
+                )
+        emit(
+            "round.end",
+            instructions=module.num_instructions,
             applied=len(records),
             saved=before_apply - module.num_instructions,
+            lattice_nodes=scale_stats.lattice_nodes_mined,
+            candidates=len(candidates),
         )
+        if not records:
+            return None
         for record in records:
             record.round = round_index
         if _TELEMETRY.enabled:
             _TELEMETRY.count("pa.rounds")
             _TELEMETRY.count("pa.candidates.applied", len(records))
-            _TELEMETRY.event(
-                "pa.round",
-                round=round_index,
-                mine_seconds=mine_seconds,
-                lattice_nodes=scale_stats.lattice_nodes_mined,
-                candidates=len(candidates),
-                applied=len(records),
-            )
             for record in records:
                 _TELEMETRY.observe(
                     "pa.extraction.benefit", record.benefit
-                )
-                _TELEMETRY.event(
-                    "pa.extraction",
-                    round=record.round,
-                    method=record.method,
-                    size=record.size,
-                    occurrences=record.occurrences,
-                    benefit=record.benefit,
-                    new_symbol=record.new_symbol,
                 )
     return records
 
@@ -774,5 +710,4 @@ def _write_run_checkpoint(path: str, module: Module, config: PAConfig,
         shards_quarantined=result.shards_quarantined,
     )
     _ckpt.write_checkpoint(path, checkpoint)
-    if _LEDGER.enabled:
-        _LEDGER.emit("checkpoint", round=round_index, path=path)
+    emit("checkpoint", round=round_index, path=path)

@@ -33,8 +33,8 @@ from repro.dfg.linearize import (
     topological_order,
 )
 from repro.mining.embeddings import Embedding
-from repro.report.ledger import GLOBAL as _LEDGER
 from repro.telemetry import GLOBAL as _TELEMETRY
+from repro.telemetry.events import emit
 
 
 class ExtractionError(RuntimeError):
@@ -257,10 +257,8 @@ def extract_call(
         func.blocks[block_index].instructions = list(stream)
 
     module.functions.append(new_func)
-    if _LEDGER.enabled:
-        _LEDGER.emit("rewrite", method="call", symbol=name,
-                     occurrences=len(embeddings),
-                     body_size=len(body))
+    emit("rewrite", method="call", symbol=name,
+         occurrences=len(embeddings), body_size=len(body))
     return name
 
 
@@ -331,10 +329,8 @@ def extract_crossjump(
                 ]
             else:
                 old.instructions = head + [branch]
-    if _LEDGER.enabled:
-        _LEDGER.emit("rewrite", method="crossjump", symbol=label,
-                     occurrences=len(embeddings),
-                     body_size=len(tail_body))
+    emit("rewrite", method="crossjump", symbol=label,
+         occurrences=len(embeddings), body_size=len(tail_body))
     return label
 
 

@@ -41,7 +41,7 @@ from repro.dfg.graph import DFG
 from repro.mining.embeddings import Embedding
 from repro.mining.gspan import Fragment
 from repro.mining.pruning import is_convex, popcount, successor_closures
-from repro.report.ledger import GLOBAL as _LEDGER
+from repro.telemetry.events import emit
 from repro.verify.absint import module_summaries
 from repro.verify.cfg import ModuleCFG
 from repro.verify.dataflow import AnalysisMemo
@@ -115,18 +115,17 @@ def sp_fragile_functions(module,
     fragile = {
         name for name, summary in summaries.items() if summary.fragile
     }
-    if _LEDGER.enabled:
-        for name in sorted(fragile):
-            summary = summaries[name]
-            _LEDGER.emit(
-                "legality.sp_fragile",
-                function=name,
-                net_delta=summary.net_delta,
-                height_known=summary.height_known,
-                caller_reads=list(summary.caller_reads),
-                caller_writes=list(summary.caller_writes),
-                has_negative_height=summary.has_negative_height,
-            )
+    for name in sorted(fragile):
+        summary = summaries[name]
+        emit(
+            "legality.sp_fragile",
+            function=name,
+            net_delta=summary.net_delta,
+            height_known=summary.height_known,
+            caller_reads=list(summary.caller_reads),
+            caller_writes=list(summary.caller_writes),
+            has_negative_height=summary.has_negative_height,
+        )
     return frozenset(fragile)
 
 
@@ -282,30 +281,28 @@ def legal_embeddings(
     insns = _fragment_insns(dfgs, fragment, sample)
     method = classify_fragment(insns, fragile_callees)
     if method is None:
-        if _LEDGER.enabled:
-            _LEDGER.emit(
-                "legality",
-                labels=list(fragment.node_labels),
-                size=fragment.num_nodes,
-                method=None,
-                embeddings=len(fragment.embeddings),
-                kept=0,
-            )
+        emit(
+            "legality",
+            labels=list(fragment.node_labels),
+            size=fragment.num_nodes,
+            method=None,
+            embeddings=len(fragment.embeddings),
+            kept=0,
+        )
         return None, []
     kept = [
         emb
         for emb in fragment.embeddings
         if embedding_legal(dfgs[emb.graph], emb.nodes, method)
     ]
-    if _LEDGER.enabled:
-        _LEDGER.emit(
-            "legality",
-            labels=list(fragment.node_labels),
-            size=fragment.num_nodes,
-            method=method.value,
-            embeddings=len(fragment.embeddings),
-            kept=len(kept),
-        )
+    emit(
+        "legality",
+        labels=list(fragment.node_labels),
+        size=fragment.num_nodes,
+        method=method.value,
+        embeddings=len(fragment.embeddings),
+        kept=len(kept),
+    )
     return method, kept
 
 

@@ -9,11 +9,12 @@ cyclic-dependency pruning (paper §3.5, Fig. 9).
 Three layers, consumed by ``repro pa --report`` / ``repro explain``:
 
 :mod:`repro.report.ledger`
-    The decision ledger — a process-global stream of typed records
-    (schema ``repro.report.ledger/1``) emitted by the driver, the
-    miners, the MIS solver, the legality checker and the extractor.
-    Off by default, inert when disabled (same guard contract as the
-    telemetry registry).
+    The decision ledger — the sink of the one event model
+    (:mod:`repro.telemetry.events`) that keeps typed provenance records
+    (schema ``repro.report.ledger/1``) from the driver, the miners, the
+    MIS solver, the legality checker and the extractor.  Off by
+    default, inert when disabled (same guard contract as the telemetry
+    registry).
 
 :mod:`repro.report.dot`
     Graphviz DOT (and JSON) renderings of basic-block DFGs, winning
@@ -29,7 +30,6 @@ from repro.report.ledger import (
     LEDGER_SCHEMA,
     Ledger,
     disable,
-    emit,
     enable,
     get,
     is_enabled,
@@ -53,7 +53,6 @@ __all__ = [
     "disable",
     "reset",
     "is_enabled",
-    "emit",
     "read_jsonl",
     "dfg_to_dot",
     "dfg_to_json",

@@ -55,7 +55,6 @@ from repro.scale.shard import (
 )
 from repro.scale.supervise import (
     DEFAULT_SHARD_RETRIES,
-    ShardAttempt,
     SuperviseOutcome,
     mine_serial,
     supervise_mine,
@@ -71,7 +70,6 @@ __all__ = [
     "SHARD_SCHEMA",
     "ScaleStats",
     "Shard",
-    "ShardAttempt",
     "ShardPayload",
     "ShardResult",
     "SuperviseOutcome",

@@ -22,21 +22,21 @@ relies on these):
   content digest of the work unit (instructions, legality facts,
   mining config, wire-format schema), so a hit returns exactly what
   mining would produce.
-* **Instrumentation parity.**  When telemetry is enabled, shard mining
-  records into an isolated capture scope (:mod:`repro.telemetry.remote`)
-  in *both* the in-process and the worker path, and the parent stitches
-  every snapshot back in deterministic shard order — so counters and
-  span counts are identical for any ``--workers`` value and any cache
-  temperature (only durations, pids and timestamps differ, which is
-  what a trace is for).  When telemetry is disabled the same capture
-  scope runs suppressed, preserving the bit-identity guarantee.  The
-  ledger works the same way (:func:`repro.report.ledger.capture`): the
-  parent replays each mined shard's funnel records in shard order,
-  then emits the round's ``mine.skips`` and ``prune`` census from the
-  shard tallies and its per-shard ``scale.*`` records.  Progress
-  events (:mod:`repro.telemetry.progress`) flow from workers over a
-  queue handed through the pool initializer and are drained in the
-  parent's poll loop, which doubles as the straggler watchdog.
+* **Instrumentation parity.**  Shard mining records metrics into an
+  isolated capture scope (:mod:`repro.telemetry.remote`) and events
+  into the one event model's (:func:`repro.telemetry.events.capture`),
+  in *both* the in-process and the worker path, and the parent
+  stitches and replays every snapshot in deterministic shard order —
+  so counters, span counts, ledger records and stats events are
+  identical for any ``--workers`` value and any cache temperature
+  (only durations, pids and timestamps differ, which is what a trace
+  is for).  With a sink off, its capture runs suppressed, preserving
+  the bit-identity guarantee.  The parent then emits the round's
+  ``mine.skips`` and ``prune`` census from the shard tallies and its
+  per-shard ``scale.*`` records.  Live events reach the events sink
+  as they happen: from workers over a queue handed through the worker
+  initializer, drained in the parent's poll loop, which doubles as the
+  straggler watchdog.
 
 Fault tolerance: shard expansion runs on the supervised executor
 (:mod:`repro.scale.supervise`) — tracked worker processes with
@@ -72,13 +72,14 @@ from repro.pa.legality import sp_fragile_functions
 from repro.pa.liveness import lr_live_out_blocks
 from repro.verify.cfg import build_module_cfg
 from repro.verify.dataflow import AnalysisMemo
-from repro.report.ledger import GLOBAL as _LEDGER
 from repro.resilience.errors import ShardError
 from repro.resilience.faultinject import fault
 from repro.resilience.governor import RunGovernor
 from repro.telemetry import GLOBAL as _TELEMETRY
+from repro.telemetry import events as _events
 from repro.telemetry import progress as _progress
 from repro.telemetry import remote as _remote
+from repro.telemetry.events import emit
 
 from repro.scale.cache import FragmentCache
 from repro.scale.cluster import Shard, cluster_dfgs
@@ -170,7 +171,7 @@ def run_sharded_round(
     workers = config.workers
     stats = ScaleStats(workers=workers)
     bus = _progress.active()
-    capture = (_TELEMETRY.enabled, _LEDGER.enabled)
+    capture = (_TELEMETRY.enabled, _events.capture_spec())
     with _TELEMETRY.span("scale.round", workers=workers):
         dfgs = build_dfgs(module, min_nodes=0,
                           mined_kinds=config.mined_kinds)
@@ -218,7 +219,7 @@ def run_sharded_round(
             stats.cache_hits = len(results)
             stats.cache_misses = len(to_mine)
             stats.cache_invalid = cache.stats.invalid - invalid_before
-        _progress.publish(
+        emit(
             "round.shards",
             shards=stats.shards,
             cached=stats.cache_hits,
@@ -250,7 +251,7 @@ def run_sharded_round(
                 stats.shards_retried = sup.shards_retried
                 stats.shard_fallbacks = sup.fallbacks
                 stats.shards_quarantined = len(sup.dropped)
-                # stitch shard telemetry and ledger records in
+                # stitch shard metrics and replay shard events in
                 # deterministic shard order, inside the scale.mine span
                 # so shard spans nest under it in the profile tree
                 for shard in shards:
@@ -258,8 +259,8 @@ def run_sharded_round(
                     if result is None:
                         continue
                     _remote.merge_snapshot(_TELEMETRY, result.telemetry)
-                    _LEDGER.replay(result.ledger)
-                    result.telemetry = result.ledger = None
+                    _events.replay(result.events)
+                    result.telemetry = result.events = None
             for shard, payload, digest in to_mine:
                 result = results.get(shard.index)
                 if result is None:
@@ -269,13 +270,6 @@ def run_sharded_round(
                 if _TELEMETRY.enabled and result.mine_seconds:
                     _TELEMETRY.observe("scale.shard.mine_seconds",
                                        result.mine_seconds)
-                    _TELEMETRY.event(
-                        "scale.shard.timing",
-                        shard=shard.index,
-                        seconds=round(result.mine_seconds, 6),
-                        lattice_nodes=result.lattice_nodes,
-                        graphs=shard.num_graphs,
-                    )
                 if result.deadline_hit:
                     # partial (the mine unwound at the deadline);
                     # usable this round, but never cached
@@ -321,74 +315,52 @@ def run_sharded_round(
                     _TELEMETRY.count(counter, tallies[key])
         dropped = ({q["shard"] for q in sup.dropped}
                    if sup is not None else set())
-        if _LEDGER.enabled:
-            _LEDGER.emit("mine.skips", **{
-                key: tallies.get(key, 0) for key in TALLY_KEYS
-            })
-            _LEDGER.emit("prune", **{
-                key: tallies.get(attribute, 0)
-                for key, attribute in PRUNE_KEYS.items()
-            })
-            for shard, payload, digest in zip(shards, payloads, digests):
-                result = results.get(shard.index)
-                _LEDGER.emit(
-                    "scale.shard",
-                    index=shard.index,
-                    graphs=shard.num_graphs,
-                    nodes=shard.num_nodes(dfgs),
-                    digest=digest[:12],
-                    cached=shard.index not in
-                           {s.index for s, __, ___ in to_mine},
-                    candidates=(len(result.candidates)
-                                if result else None),
-                    lattice_nodes=(result.lattice_nodes
-                                   if result else None),
-                    lost=shard.index in lost,
-                    quarantined=shard.index in dropped,
-                )
-            if sup is not None:
-                for attempt in sup.failures:
-                    _LEDGER.emit(
-                        "scale.retry",
-                        shard=attempt.shard,
-                        attempt=attempt.attempt,
-                        error=attempt.error,
-                        retried=attempt.will_retry,
-                    )
-                for q in sup.quarantined:
-                    _LEDGER.emit(
-                        "scale.quarantine",
-                        shard=q["shard"],
-                        attempts=q["attempts"],
-                        error=q["error"],
-                        recovered=q["recovered"],
-                    )
-            _LEDGER.emit(
-                "scale.round",
-                workers=workers,
-                shards=stats.shards,
-                mined=stats.shards_mined,
-                lost=stats.shards_lost,
-                cache_hits=stats.cache_hits,
-                cache_misses=stats.cache_misses,
-                cache_invalid=stats.cache_invalid,
-                lattice_nodes_mined=stats.lattice_nodes_mined,
-                lattice_nodes_reused=stats.lattice_nodes_reused,
-                delta_clean=stats.delta_clean,
-                delta_dirty=stats.delta_dirty,
-                stragglers=stats.stragglers,
-                retries=stats.shard_retries,
-                fallbacks=stats.shard_fallbacks,
-                quarantined=stats.shards_quarantined,
+        emit("mine.skips", **{key: tallies.get(key, 0) for key in TALLY_KEYS})
+        emit("prune", **{
+            key: tallies.get(attribute, 0)
+            for key, attribute in PRUNE_KEYS.items()
+        })
+        mined = {s.index for s, __, ___ in to_mine}
+        for shard, digest in zip(shards, digests):
+            result = results.get(shard.index)
+            emit(
+                "scale.shard",
+                index=shard.index,
+                graphs=shard.num_graphs,
+                nodes=shard.num_nodes(dfgs),
+                digest=digest[:12],
+                cached=shard.index not in mined,
+                candidates=(len(result.candidates) if result else None),
+                lattice_nodes=(result.lattice_nodes if result else None),
+                lost=shard.index in lost,
+                quarantined=shard.index in dropped,
+            )
+        emit(
+            "scale.round",
+            workers=workers,
+            shards=stats.shards,
+            mined=stats.shards_mined,
+            lost=stats.shards_lost,
+            cache_hits=stats.cache_hits,
+            cache_misses=stats.cache_misses,
+            cache_invalid=stats.cache_invalid,
+            lattice_nodes_mined=stats.lattice_nodes_mined,
+            lattice_nodes_reused=stats.lattice_nodes_reused,
+            delta_clean=stats.delta_clean,
+            delta_dirty=stats.delta_dirty,
+            stragglers=stats.stragglers,
+            retries=stats.shard_retries,
+            fallbacks=stats.shard_fallbacks,
+            quarantined=stats.shards_quarantined,
+            candidates=len(merged),
+        )
+        if torn_down or lost:
+            emit(
+                "scale.salvage",
+                salvaged=sorted(results),
+                lost=sorted(lost),
                 candidates=len(merged),
             )
-            if torn_down or lost:
-                _LEDGER.emit(
-                    "scale.salvage",
-                    salvaged=sorted(results),
-                    lost=sorted(lost),
-                    candidates=len(merged),
-                )
         if stats.shards_quarantined:
             # the merge above already excluded the dropped shards; the
             # run continues degraded — unless the user asked for

@@ -52,9 +52,10 @@ from repro.pa.legality import (
     LatticeLegality,
     legal_embeddings,
 )
-from repro.report.ledger import GLOBAL as _LEDGER
 from repro.telemetry import GLOBAL as _TELEMETRY
+from repro.telemetry import events as _events
 from repro.telemetry import progress as _progress
+from repro.telemetry.events import emit
 
 import hashlib
 import time
@@ -219,12 +220,12 @@ class ShardResult:
     #: from :meth:`to_doc`, so a cached entry never replays a stale
     #: timing (cache hits report 0.0).
     mine_seconds: float = 0.0
-    #: worker telemetry snapshot (:mod:`repro.telemetry.remote`), set
+    #: worker metrics snapshot (:mod:`repro.telemetry.remote`), set
     #: by the pool when capture is on.  Transient, never persisted.
     telemetry: Optional[Dict[str, Any]] = None
-    #: the funnel's ledger records (:func:`repro.report.ledger.capture`),
-    #: set when the parent's ledger is on.  Transient, never persisted.
-    ledger: Optional[Dict[str, Any]] = None
+    #: the shard's captured events (:func:`repro.telemetry.events.capture`),
+    #: set when an ordered sink is on.  Transient, never persisted.
+    events: Optional[Dict[str, Any]] = None
 
     def to_doc(self) -> Dict[str, Any]:
         """The JSON body persisted by the fragment cache."""
@@ -342,9 +343,9 @@ def mine_shard(payload: ShardPayload,
     *dfgs* are the shard's DFGs in payload order; the parent passes
     the round's own DFGs, a worker rebuilds them from the payload.
     Deterministic for fixed payload content: no randomness, no global
-    state, stable tie-breaks.  While the ledger is on, the funnel emits
-    ``candidate`` records and attaches provenance to the scored
-    candidates.
+    state, stable tie-breaks.  While a sink takes ``candidate`` events
+    (the ledger), the funnel emits them and attaches provenance to the
+    scored candidates.
 
     The active run governor is polled throughout, so a deadline or
     interrupt unwinds cleanly mid-shard; the result is then flagged
@@ -352,8 +353,8 @@ def mine_shard(payload: ShardPayload,
     cache it).
     """
     started = time.perf_counter()
-    _progress.publish("shard.start", shard=payload.shard_index,
-                      blocks=len(payload.block_insns))
+    emit("shard.start", shard=payload.shard_index,
+         blocks=len(payload.block_insns))
     conf = payload.config
     if dfgs is None:
         dfgs = payload.build_dfgs()
@@ -364,7 +365,7 @@ def mine_shard(payload: ShardPayload,
     best: List[Optional[Candidate]] = [None]
     collected: List[Candidate] = []
     tallies = {key: 0 for key in TALLY_KEYS}
-    ledger_on = _LEDGER.enabled
+    ledger_on = _events.wants("candidate")
 
     def floor() -> int:
         return best[0].benefit if best[0] is not None else 0
@@ -418,8 +419,8 @@ def mine_shard(payload: ShardPayload,
             if len(legal) < 2:
                 tallies["lr_infeasible"] += 1
                 if ledger_on:
-                    _LEDGER.emit("candidate", verdict="lr_infeasible",
-                                 **funnel, lr_feasible=len(legal))
+                    emit("candidate", verdict="lr_infeasible", **funnel,
+                         lr_feasible=len(legal))
                 return
         mis_stats = {} if ledger_on else None
         disjoint = non_overlapping_embeddings(
@@ -437,8 +438,7 @@ def mine_shard(payload: ShardPayload,
         if len(kept) < 2:
             tallies["order_inconsistent"] += 1
             if ledger_on:
-                _LEDGER.emit("candidate", verdict="order_inconsistent",
-                             **funnel)
+                emit("candidate", verdict="order_inconsistent", **funnel)
             return
         witness = kept[0]
         insns = [dfgs[witness.graph].insns[n] for n in witness.nodes]
@@ -453,8 +453,8 @@ def mine_shard(payload: ShardPayload,
                     )
                 else:
                     benefit = crossjump_benefit(frag.num_nodes, len(kept))
-                _LEDGER.emit("candidate", verdict="unprofitable",
-                             **funnel, benefit=benefit)
+                emit("candidate", verdict="unprofitable", **funnel,
+                     benefit=benefit)
             return
         if blocklist and candidate.fingerprint() in blocklist:
             # Blocklisted by a verify-failure recovery step: the
@@ -479,15 +479,15 @@ def mine_shard(payload: ShardPayload,
                 "fragment_labels": funnel["labels"],
                 "fragment_edges": sorted(tuple(e) for e in frag.edges),
             }
-            _LEDGER.emit("candidate", verdict="scored", **funnel,
-                         benefit=candidate.benefit)
+            emit("candidate", verdict="scored", **funnel,
+                 benefit=candidate.benefit)
         collected.append(candidate)
         if best[0] is None or candidate.sort_key() < best[0].sort_key():
             best[0] = candidate
 
     def mine_pass(name: str, graphs: Sequence[DFG]) -> None:
         with _TELEMETRY.span(f"pa.mine.{name}"), \
-                _LEDGER.context(mine_pass=name):
+                _events.context(mine_pass=name):
             miner.mine(graphs)
 
     miner.prune_subtree = prune_subtree
@@ -527,11 +527,12 @@ def mine_shard(payload: ShardPayload,
         deadline_hit=miner.deadline_hit,
         mine_seconds=time.perf_counter() - started,
     )
-    _progress.publish(
+    emit(
         "shard.done",
         shard=payload.shard_index,
         seconds=round(result.mine_seconds, 6),
         lattice_nodes=result.lattice_nodes,
+        graphs=len(dfgs),
         candidates=len(result.candidates),
         deadline_hit=result.deadline_hit,
     )

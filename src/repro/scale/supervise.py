@@ -58,16 +58,15 @@ Mechanics:
 The in-process path (``workers <= 1``) runs the same poison/quarantine
 state machine via :func:`mine_serial` (minus crash/hang directives,
 which only make sense for a child process).  Both paths mine inside
-isolated telemetry and ledger capture scopes; the parent stitches the
-snapshots back in shard order.
+isolated metric and event capture scopes; the parent stitches and
+replays the snapshots in shard order.
 
-Progress surface: every redelivery publishes a ``shard.retry`` event
-and every quarantine resolution a ``shard.quarantined`` event onto the
-``repro.telemetry.events/1`` stream; the caller turns the outcome's
-counts into ``scale.shard.retries`` / ``scale.shards.quarantined``
-counters (OpenMetrics: ``repro_scale_shard_retries_total`` /
-``repro_scale_shards_quarantined_total``) and ``scale.retry`` /
-``scale.quarantine`` ledger records.
+Every failed delivery emits a ``scale.retry`` event and every
+quarantine resolution a ``scale.quarantine`` event (ledger and events
+stream); the caller turns the outcome's counts into
+``scale.shard.retries`` / ``scale.shards.quarantined`` counters
+(OpenMetrics: ``repro_scale_shard_retries_total`` /
+``repro_scale_shards_quarantined_total``).
 """
 
 from __future__ import annotations
@@ -81,15 +80,15 @@ from multiprocessing import connection as _mpconn
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dfg.graph import DFG
-from repro.report import ledger as _ledger
-from repro.report.ledger import GLOBAL as _LEDGER
 from repro.resilience import governor as _governor
 from repro.resilience.errors import FaultInjected
 from repro.resilience.faultinject import disarm_all, fault
 from repro.resilience.governor import RunGovernor
 from repro.telemetry import GLOBAL as _TELEMETRY
+from repro.telemetry import events as _events
 from repro.telemetry import progress as _progress
 from repro.telemetry import remote as _remote
+from repro.telemetry.events import emit
 
 from repro.scale.cluster import Shard
 from repro.scale.shard import ShardPayload, ShardResult, mine_shard
@@ -128,16 +127,6 @@ _SERIAL_FAULT_DIRECTIVES = (
 
 
 @dataclass
-class ShardAttempt:
-    """One failed delivery of a shard (feeds ``scale.retry`` records)."""
-
-    shard: int
-    attempt: int           #: 1-based delivery number that failed
-    error: str
-    will_retry: bool       #: False when this failure exhausted the budget
-
-
-@dataclass
 class SuperviseOutcome:
     """Everything one supervised expansion produced and endured."""
 
@@ -152,8 +141,6 @@ class SuperviseOutcome:
     shards_retried: int = 0
     #: exhausted shards recovered by the in-parent serial fallback
     fallbacks: int = 0
-    #: every failed delivery, in failure order
-    failures: List[ShardAttempt] = field(default_factory=list)
     #: quarantine resolutions: ``{"shard", "attempts", "error",
     #: "recovered"}`` — recovered means the serial fallback saved it
     quarantined: List[Dict[str, Any]] = field(default_factory=list)
@@ -173,40 +160,39 @@ def _worker_init(progress_queue=None) -> None:
     a forked child inherits it, and a child that shrugs off SIGTERM
     would hang the supervisor's join.  Inherited instrumentation
     registries and armed fault specs are cleared so a child neither
-    double-counts nor fires parent-targeted chaos specs.  When the
-    parent runs a progress bus, its queue arrives here and the child's
-    publish hooks are routed onto it.
+    double-counts nor fires parent-targeted chaos specs.  Every event
+    sink inherited through fork is dropped; when the parent runs a
+    progress bus, its queue arrives here and becomes the child's
+    events sink.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     disarm_all()
     _TELEMETRY.enabled = False
-    _LEDGER.enabled = False
-    # also drops any bus inherited from the parent through fork
     _progress.worker_attach(progress_queue)
 
 
 def _mine_captured(payload: ShardPayload, dfgs: Sequence[DFG],
-                   capture: Tuple[bool, bool]) -> ShardResult:
-    """Mine one shard inside isolated telemetry and ledger scopes.
+                   capture: Tuple[bool, Any]) -> ShardResult:
+    """Mine one shard inside isolated metric and event scopes.
 
-    *capture* is ``(telemetry, ledger)``: each scope records when the
-    parent's sink is on and runs suppressed otherwise.  The snapshots
+    *capture* is ``(metrics, event spec)``: the parent's telemetry flag
+    and :func:`repro.telemetry.events.capture_spec`.  The snapshots
     ride back on the (transient) ``result.telemetry`` and
-    ``result.ledger`` fields for the parent to stitch in, so a shard
+    ``result.events`` fields for the parent to stitch in, so a shard
     reports the same wherever it was mined.
     """
-    capture_telemetry, capture_ledger = capture
-    with _remote.capture(enabled=capture_telemetry) as telemetry, \
-            _ledger.capture(enabled=capture_ledger) as ledger:
+    metrics_on, spec = capture
+    with _remote.capture(enabled=metrics_on) as metrics, \
+            _events.capture(spec) as recorded:
         result = mine_shard(payload, dfgs)
-    result.telemetry = telemetry.snapshot
-    result.ledger = ledger.snapshot
+    result.telemetry = metrics.snapshot
+    result.events = recorded.snapshot
     return result
 
 
 def _mine_shard_job(payload: ShardPayload, budget: Optional[float],
-                    capture: Tuple[bool, bool]) -> ShardResult:
+                    capture: Tuple[bool, Any]) -> ShardResult:
     """Mine one shard in a worker, under a child-local governor.  The
     DFGs are rebuilt from the payload outside the capture scopes: the
     parent mines its own, already-built DFGs, and both must report the
@@ -292,7 +278,7 @@ def _backoff(attempt: int, governor: RunGovernor) -> float:
 class _Worker:
     """One tracked child process with its duplex task pipe."""
 
-    def __init__(self, progress_queue, capture: Tuple[bool, bool]):
+    def __init__(self, progress_queue, capture: Tuple[bool, Any]):
         parent_conn, child_conn = multiprocessing.Pipe()
         self.conn = parent_conn
         self.process = multiprocessing.Process(
@@ -328,7 +314,7 @@ def supervise_mine(
     workers: int,
     governor: RunGovernor,
     bus=None,
-    capture: Tuple[bool, bool] = (False, False),
+    capture: Tuple[bool, Any] = (False, None),
     retries: int = DEFAULT_SHARD_RETRIES,
     timeout: Optional[float] = None,
 ) -> SuperviseOutcome:
@@ -372,16 +358,13 @@ def supervise_mine(
     def fail(shard_index: int, error: str) -> None:
         attempt = attempts[shard_index]
         will_retry = attempt <= retries
-        outcome.failures.append(
-            ShardAttempt(shard_index, attempt, error, will_retry))
+        delay = _backoff(attempt, governor) if will_retry else 0.0
+        emit("scale.retry", shard=shard_index, attempt=attempt,
+             error=error, retried=will_retry, backoff=round(delay, 3))
         if will_retry:
-            delay = _backoff(attempt, governor)
             pending.append((time.monotonic() + delay, shard_index))
             outcome.retries += 1
             retried.add(shard_index)
-            _progress.publish("shard.retry", shard=shard_index,
-                              attempt=attempt, error=error,
-                              backoff=round(delay, 3))
         else:
             exhausted.append((shard_index, attempt, error))
 
@@ -529,20 +512,14 @@ def supervise_mine(
                   "error": error, "recovered": False}
         if shard_index in poisoned:
             record["error"] = _poison_error(shard_index)
-            outcome.quarantined.append(record)
-            _progress.publish("shard.quarantined", shard=shard_index,
-                              attempts=record["attempts"],
-                              recovered=False, error=record["error"])
-            continue
-        result = _mine_captured(
-            payload_by_shard[shard_index],
-            [dfgs[g] for g in members[shard_index]], capture)
-        record["recovered"] = True
-        outcome.completed[shard_index] = result
-        outcome.fallbacks += 1
+        else:
+            outcome.completed[shard_index] = _mine_captured(
+                payload_by_shard[shard_index],
+                [dfgs[g] for g in members[shard_index]], capture)
+            record["recovered"] = True
+            outcome.fallbacks += 1
         outcome.quarantined.append(record)
-        _progress.publish("shard.quarantined", shard=shard_index,
-                          attempts=record["attempts"], recovered=True)
+        emit("scale.quarantine", **record)
     outcome.shards_retried = len(retried)
     return outcome
 
@@ -552,7 +529,7 @@ def mine_serial(
     dfgs: Sequence[DFG],
     governor: RunGovernor,
     bus=None,
-    capture: Tuple[bool, bool] = (False, False),
+    capture: Tuple[bool, Any] = (False, None),
     retries: int = DEFAULT_SHARD_RETRIES,
 ) -> SuperviseOutcome:
     """The ``workers <= 1`` path: each shard is mined in-process on the
@@ -575,22 +552,16 @@ def mine_serial(
             error = _poison_error(shard.index)
             for attempt in range(1, retries + 2):
                 will_retry = attempt <= retries
-                outcome.failures.append(
-                    ShardAttempt(shard.index, attempt, error, will_retry))
+                emit("scale.retry", shard=shard.index, attempt=attempt,
+                     error=error, retried=will_retry, backoff=0.0)
                 if will_retry:
                     outcome.retries += 1
-                    _progress.publish("shard.retry", shard=shard.index,
-                                      attempt=attempt, error=error,
-                                      backoff=0.0)
             if retries:
                 outcome.shards_retried += 1
-            outcome.quarantined.append({
-                "shard": shard.index, "attempts": retries + 1,
-                "error": error, "recovered": False,
-            })
-            _progress.publish("shard.quarantined", shard=shard.index,
-                              attempts=retries + 1, recovered=False,
-                              error=error)
+            record = {"shard": shard.index, "attempts": retries + 1,
+                      "error": error, "recovered": False}
+            outcome.quarantined.append(record)
+            emit("scale.quarantine", **record)
         if bus is not None:
             for __beat in bus.stragglers():
                 outcome.stragglers += 1
@@ -605,7 +576,6 @@ __all__ = [
     "DEFAULT_SHARD_RETRIES",
     "POLL_MAX",
     "POLL_MIN",
-    "ShardAttempt",
     "SuperviseOutcome",
     "mine_serial",
     "supervise_mine",

@@ -1,12 +1,12 @@
 """Telemetry: hierarchical tracing, metrics, and profile export.
 
 The measurement substrate of the whole pipeline.  Instrumented code
-reports to a process-global registry through the module-level helpers
-(`span`, `count`, `gauge`, `observe`, `event`); the registry is off by
-default and all helpers are near-free while disabled.  See
-:mod:`repro.telemetry.core` for the design notes and
-:mod:`repro.telemetry.export` for the Chrome-trace / stats-JSON /
-tree-summary output formats.
+reports metrics to a process-global registry through the module-level
+helpers (`span`, `count`, `gauge`, `observe`) and events through the
+one `emit` of :mod:`repro.telemetry.events`; everything is off by
+default and near-free while disabled.  See :mod:`repro.telemetry.core`
+for the design notes and :mod:`repro.telemetry.export` for the
+Chrome-trace / stats-JSON / tree-summary output formats.
 """
 
 from repro.telemetry.core import (
@@ -16,7 +16,6 @@ from repro.telemetry.core import (
     count,
     disable,
     enable,
-    event,
     gauge,
     get,
     is_enabled,
@@ -64,7 +63,6 @@ __all__ = [
     "count",
     "gauge",
     "observe",
-    "event",
     "STATS_SCHEMA",
     "EVENTS_SCHEMA",
     "SNAPSHOT_SCHEMA",

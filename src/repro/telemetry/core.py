@@ -20,11 +20,17 @@ Usage::
 
     from repro import telemetry
 
+    from repro.telemetry.events import emit
+
     telemetry.enable()
     with telemetry.span("pa.round", round=3):
         telemetry.count("mining.lattice_nodes")
         telemetry.observe("mining.support_check_seconds", dt)
-    telemetry.event("pa.extraction", method="call", benefit=7)
+    emit("extraction", method="call", benefit=7)
+
+Events are not registry calls: the enabled registry is a sink of the
+one event model (:mod:`repro.telemetry.events`) and keeps the kinds it
+takes in ``events``, for the stats JSON.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.telemetry import events as _events
 from repro.telemetry.metrics import Counter, Gauge, Histogram, Number
 
 
@@ -107,8 +114,10 @@ class _LiveSpan:
         return False
 
 
-class Telemetry:
+class Telemetry(_events.Sink):
     """A registry of spans, counters, gauges, histograms and events."""
+
+    kinds = _events.STATS_KINDS
 
     def __init__(self) -> None:
         self.enabled = False
@@ -131,9 +140,11 @@ class Telemetry:
     # ------------------------------------------------------------------
     def enable(self) -> None:
         self.enabled = True
+        _events.attach(self)
 
     def disable(self) -> None:
         self.enabled = False
+        _events.detach(self)
 
     def reset(self) -> None:
         """Drop all recorded data (the enabled flag is preserved)."""
@@ -241,14 +252,12 @@ class Telemetry:
                 histogram = self.histograms[name] = Histogram()
             histogram.observe(value)
 
-    def event(self, name: str, **fields) -> None:
-        """Record one structured event (an extraction, a round row)."""
-        if not self.enabled:
-            return
-        record = {"name": name}
-        record.update(fields)
+    def take(self, kind: str, record: Dict[str, Any]) -> None:
+        """Keep one event (an extraction, a round end) for the stats."""
+        entry = {"name": kind}
+        entry.update(record)
         with self._lock:
-            self.events.append(record)
+            self.events.append(entry)
 
     # ------------------------------------------------------------------
     def counter_value(self, name: str, default: Number = 0) -> Number:
@@ -299,7 +308,3 @@ def gauge(name: str, value: Number) -> None:
 
 def observe(name: str, value: Number) -> None:
     GLOBAL.observe(name, value)
-
-
-def event(name: str, **fields) -> None:
-    GLOBAL.event(name, **fields)

@@ -1,0 +1,322 @@
+"""One event model with many sinks.
+
+Every fact the pipeline reports — a round ended, a fragment was
+extracted, a shard finished — is recorded once, by one
+:func:`emit` call, and fanned out to the sinks attached in the current
+process.  Each sink picks the kinds it takes (its ``kinds`` set) and
+shapes its own records:
+
+``ledger``
+    :class:`repro.report.ledger.Ledger` — the decision ledger: per-kind
+    caps, ``records``, ``write_jsonl`` (schema
+    ``repro.report.ledger/1``).  Records are ``{"type": kind, ...}``.
+``events``
+    :class:`repro.telemetry.progress.ProgressBus` in the parent, a
+    bounded queue to it in a worker — the live TTY line, the JSONL
+    stream (schema ``repro.telemetry.events/2``) and the straggler
+    watchdog.  It stamps ``ts`` and ``pid``; records are
+    ``{"kind": kind, "ts": ..., "pid": ..., ...}``.
+``stats``
+    :class:`repro.telemetry.core.Telemetry` — the registry's event
+    list, which feeds the stats JSON (schema
+    ``repro.telemetry.stats/3``), OpenMetrics and ``profile``'s shard
+    table.  Records are ``{"name": kind, ...}``.  Spans, counters and
+    histograms stay registry calls: they are metrics, not events.
+
+Every record is the ambient :func:`context` (``round``, ``mine_pass``,
+``source``) merged with the emitted fields, so the fields a fact shares
+across sinks are equal by construction.  With no sink attached,
+:func:`emit` returns after one check; a call site guards its field
+building (:func:`wants`) only where that is costly.
+
+Shards record through one :func:`capture` scope, in the parent and in
+worker processes alike: inside it the *ordered* sinks (ledger, stats)
+are replaced by one buffer that takes their kinds, while the *live*
+events sink keeps receiving.  The parent :func:`replay`\\ s each
+shard's buffer in shard order, so a cold-cache run records the same
+ledger and stats streams for every worker count >= 1.
+
+Kinds (fields are additive; consumers must ignore unknown fields; L =
+ledger, E = events, S = stats; "(capped)" = capped per run in the
+ledger):
+
+======================= ===== ==========================================
+kind                    sinks emitted by — contents
+======================= ===== ==========================================
+run.begin               L     driver — schema tag, engine, config,
+                              instructions before
+round.begin             L E   driver — instructions
+round.shards            E     mining round — shards, cache hits, to mine
+shard.start             E     funnel — shard, blocks
+heartbeat               E     funnel, rate-limited — funnel counts,
+                              lattice nodes, best benefit
+mine.pass               L     miner — per pass (shallow / full): graphs,
+                              seeds, lattice nodes, truncated branches
+legality                L     legality — one verdict per classified
+                              fragment: mechanism, kept embeddings
+                              (capped)
+legality.sp_fragile     L     legality — an sp-fragile function's
+                              evidence
+mis                     L     MIS — one overlap resolution: collision
+                              graph, components, exact vs greedy
+                              (capped)
+candidate               L     funnel — a candidate in the cost/benefit
+                              race: labels, embeddings per stage, MIS,
+                              benefit, verdict (capped)
+shard.done              E S   funnel — shard, seconds, lattice nodes,
+                              graphs, candidates, deadline hit
+shard.stalled           E     the events sink's watchdog — a shard
+                              silent past ``stall_after`` (once)
+scale.retry             L E   supervisor — a failed delivery: shard,
+                              attempt, error, retried, backoff
+scale.quarantine        L E   supervisor — an exhausted shard: attempts,
+                              error, recovered by the serial fallback
+mine.skips              L     mining round — rejections per funnel stage
+                              and the scored total
+prune                   L     mining round — never-convex, Fig. 9
+                              cyclic (0 on all 8 bundled programs, see
+                              DESIGN.md §5) and legality-prune cuts
+scale.shard             L     mining round — per-shard census
+scale.round             L     mining round — shard, cache, retry census
+scale.salvage           L     mining round — salvaged and lost shards
+extraction              L S   driver — one applied extraction:
+                              mechanism, size, occurrences, benefit,
+                              symbol, body, origins, DOT renderings
+rewrite                 L     extractor — a rewrite landed
+verify.round            L     validator — blocks checked / identical
+verify.lint             L     validator — a post-round lint regression
+verify.counterexample   L     validator — an equivalence failure
+verify.retry            L     driver — rollback + blocklisted
+                              fingerprints
+round.end               L E S driver, once per round (also one that
+                              applied nothing) — instructions, applied,
+                              saved, lattice nodes, candidates
+checkpoint              L     driver — a checkpoint written
+run.degraded            L     driver — causes, rounds, instructions
+run.end                 L E   driver — rounds, instructions, saved,
+                              extractions, elapsed, degraded (+ the
+                              ledger's dropped census)
+run.abort               L E   CLI boundary — error code, message
+sanitize.counterexample L     CLI — new sanitizer finding kinds
+variance.variant        L     variance harness — one variant
+variance.summary        L     variance harness — the sweep
+table1.row              S     ``table1`` — one cell
+bench.engine_run        S     benchmark harness — one run
+======================= ===== ==========================================
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+
+#: Kinds the decision ledger takes.
+LEDGER_KINDS = frozenset({
+    "run.begin", "round.begin", "round.end", "mine.pass", "mine.skips",
+    "prune", "legality", "legality.sp_fragile", "mis", "candidate",
+    "extraction", "rewrite", "verify.round", "verify.lint",
+    "verify.counterexample", "verify.retry", "checkpoint",
+    "scale.shard", "scale.retry", "scale.quarantine", "scale.round",
+    "scale.salvage", "run.degraded", "sanitize.counterexample",
+    "variance.variant", "variance.summary", "run.end", "run.abort",
+})
+
+#: Kinds the live events stream takes.
+EVENT_KINDS = frozenset({
+    "round.begin", "round.end", "round.shards", "shard.start",
+    "heartbeat", "shard.done", "shard.stalled", "scale.retry",
+    "scale.quarantine", "run.end", "run.abort",
+})
+
+#: Kinds the telemetry registry's event list (stats JSON) takes.
+STATS_KINDS = frozenset({
+    "round.end", "extraction", "shard.done", "table1.row",
+    "bench.engine_run",
+})
+
+
+class Sink:
+    """Something :func:`emit` fans out to.
+
+    ``kinds`` are the kinds it takes; a *live* sink receives as events
+    happen, in any process, while the others are *ordered*: inside a
+    :func:`capture` scope their kinds are buffered and replayed in a
+    fixed order.  ``caps`` bound a capture buffer per kind.
+    """
+
+    kinds: FrozenSet[str] = frozenset()
+    live = False
+    caps: Dict[str, int] = {}
+
+    def take(self, kind: str, record: Dict[str, Any]) -> None:
+        """Store one event; *record* is shared between sinks, so copy
+        before changing it."""
+        raise NotImplementedError
+
+    def take_dropped(self, kind: str, count: int) -> None:
+        """*count* events of *kind* were dropped upstream (by a capture
+        buffer's cap)."""
+
+
+_SINKS: List[Sink] = []
+_CONTEXT: Dict[str, Any] = {}
+
+
+def attach(sink: Sink) -> None:
+    """Attach *sink* to this process's emissions (idempotent)."""
+    if sink not in _SINKS:
+        _SINKS.append(sink)
+
+
+def detach(sink: Sink) -> None:
+    if sink in _SINKS:
+        _SINKS.remove(sink)
+
+
+def detach_all() -> None:
+    """Drop every sink and the context (a fresh worker process)."""
+    _SINKS.clear()
+    _CONTEXT.clear()
+
+
+def wants(kind: str) -> bool:
+    """Would an event of *kind* reach a sink?  The guard for call
+    sites whose fields are costly to build."""
+    if not _SINKS:
+        return False
+    return any(kind in sink.kinds for sink in _SINKS)
+
+
+def emit(kind: str, **fields) -> None:
+    """Record one event of *kind*: the context merged with *fields*."""
+    if not _SINKS:
+        return
+    sinks = [sink for sink in _SINKS if kind in sink.kinds]
+    if not sinks:
+        return
+    record = dict(_CONTEXT)
+    record.update(fields)
+    for sink in sinks:
+        sink.take(kind, record)
+
+
+@contextlib.contextmanager
+def context(**fields):
+    """Merge *fields* into every event emitted inside the block."""
+    saved = dict(_CONTEXT)
+    _CONTEXT.update(fields)
+    try:
+        yield
+    finally:
+        _CONTEXT.clear()
+        _CONTEXT.update(saved)
+
+
+# ----------------------------------------------------------------------
+# shard capture
+# ----------------------------------------------------------------------
+def capture_spec() -> Optional[Dict[str, Any]]:
+    """What a :func:`capture` scope must record for the ordered sinks
+    attached here (``None``: nothing).  A plain picklable dict, so it
+    crosses into worker processes."""
+    ordered = [sink for sink in _SINKS if not sink.live]
+    if not ordered:
+        return None
+    kinds = frozenset().union(*(sink.kinds for sink in ordered))
+    caps: Dict[str, int] = {}
+    for sink in ordered:
+        for kind, cap in sink.caps.items():
+            caps[kind] = min(cap, caps.get(kind, cap))
+    return {"kinds": kinds, "caps": caps}
+
+
+class _Buffer(Sink):
+    """A capture scope's stand-in for the ordered sinks; ``snapshot``
+    is set when the scope exits."""
+
+    def __init__(self, spec: Dict[str, Any]):
+        self.kinds = spec["kinds"]
+        self.caps = spec["caps"]
+        self.records: List[Tuple[str, Dict[str, Any]]] = []
+        self.dropped: Dict[str, int] = {}
+        self._counts: Dict[str, int] = {}
+        self.snapshot: Optional[Dict[str, Any]] = None
+
+    def take(self, kind: str, record: Dict[str, Any]) -> None:
+        count = self._counts.get(kind, 0)
+        cap = self.caps.get(kind)
+        if cap is not None and count >= cap:
+            self.dropped[kind] = self.dropped.get(kind, 0) + 1
+            return
+        self._counts[kind] = count + 1
+        self.records.append((kind, record))
+
+
+@contextlib.contextmanager
+def capture(spec: Optional[Dict[str, Any]]):
+    """Record the block's events for a later :func:`replay`.
+
+    The ordered sinks are detached for the block and, when *spec* (a
+    :func:`capture_spec`) is given, the yielded buffer takes their
+    kinds under their caps; live sinks stay attached.  The scope starts
+    with an empty context, so a snapshot is the same wherever it was
+    taken — in the parent or in a worker.  On exit the buffer's
+    ``snapshot`` (a plain picklable dict; None without *spec*) is set
+    and the previous sinks and context are restored.
+    """
+    saved_sinks = list(_SINKS)
+    saved_context = dict(_CONTEXT)
+    buffer = _Buffer(spec or {"kinds": frozenset(), "caps": {}})
+    _SINKS[:] = [sink for sink in saved_sinks if sink.live]
+    if spec is not None:
+        _SINKS.append(buffer)
+    _CONTEXT.clear()
+    try:
+        yield buffer
+    finally:
+        if spec is not None:
+            buffer.snapshot = {"records": buffer.records,
+                               "dropped": buffer.dropped}
+        _SINKS[:] = saved_sinks
+        _CONTEXT.clear()
+        _CONTEXT.update(saved_context)
+
+
+def replay(snapshot: Optional[Dict[str, Any]]) -> None:
+    """Re-emit a :func:`capture` snapshot to the ordered sinks.
+
+    Each record is merged under the *current* context (the round) and
+    meets the sinks' own caps; the drops the capture buffer counted are
+    passed on.  Replaying snapshots in a fixed order therefore keeps
+    and drops exactly what one uncaptured stream would have.
+    """
+    if snapshot is None:
+        return
+    ordered = [sink for sink in _SINKS if not sink.live]
+    for kind, captured in snapshot["records"]:
+        record = dict(_CONTEXT)
+        record.update(captured)
+        for sink in ordered:
+            if kind in sink.kinds:
+                sink.take(kind, record)
+    for kind, count in snapshot["dropped"].items():
+        for sink in ordered:
+            if kind in sink.kinds:
+                sink.take_dropped(kind, count)
+
+
+__all__ = [
+    "EVENT_KINDS",
+    "LEDGER_KINDS",
+    "STATS_KINDS",
+    "Sink",
+    "attach",
+    "capture",
+    "capture_spec",
+    "context",
+    "detach",
+    "detach_all",
+    "emit",
+    "replay",
+    "wants",
+]

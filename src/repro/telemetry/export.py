@@ -30,8 +30,12 @@ from repro.resilience.atomicio import atomic_write_text
 from repro.telemetry.core import SpanRecord, Telemetry
 
 #: Version tag of the stats JSON schema.  /2 added histogram
-#: percentiles (p50/p90/p99); consumers must ignore unknown fields.
-STATS_SCHEMA = "repro.telemetry.stats/2"
+#: percentiles (p50/p90/p99); /3 renamed the events ``pa.round`` ->
+#: ``round.end`` (now one per round, ``mine_seconds`` gone: read the
+#: ``pa.collect`` span), ``pa.extraction`` -> ``extraction`` and
+#: ``scale.shard.timing`` -> ``shard.done``.  Consumers must ignore
+#: unknown fields.
+STATS_SCHEMA = "repro.telemetry.stats/3"
 
 
 # ----------------------------------------------------------------------

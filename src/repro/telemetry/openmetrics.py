@@ -18,7 +18,7 @@ span aggregates    ``repro_span_seconds_total{span="..."}`` and
                    ``repro_span_calls_total{span="..."}``
 shard timings      ``repro_scale_shard_seconds_total{shard="N"}``,
                    ``..._lattice_nodes_total``, ``..._rounds_total``
-                   (aggregated from ``scale.shard.timing`` events)
+                   (aggregated from ``shard.done`` events)
 =================  ===================================================
 
 Metric names are sanitised to ``[a-zA-Z0-9_:]`` and prefixed
@@ -30,16 +30,16 @@ here this is read-only over the registry and written atomically.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.resilience.atomicio import atomic_write_text
 from repro.telemetry.core import Telemetry
 
 _NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
 
-#: Event name carrying per-shard mining wall-clock (emitted by the
-#: mining parent after each round's merge).
-SHARD_TIMING_EVENT = "scale.shard.timing"
+#: Event kind carrying per-shard mining wall-clock (emitted by the
+#: funnel, replayed by the mining parent in shard order).
+SHARD_TIMING_EVENT = "shard.done"
 
 
 def _family(name: str) -> str:
@@ -110,22 +110,7 @@ def openmetrics_text(telemetry: Telemetry) -> str:
             )
 
     # per-shard mining wall-clock, for load-imbalance dashboards
-    shard_seconds: Dict[int, float] = {}
-    shard_nodes: Dict[int, int] = {}
-    shard_rounds: Dict[int, int] = {}
-    for event in telemetry.events:
-        if event.get("name") != SHARD_TIMING_EVENT:
-            continue
-        shard = event.get("shard")
-        if shard is None:
-            continue
-        shard_seconds[shard] = (
-            shard_seconds.get(shard, 0.0) + float(event.get("seconds", 0))
-        )
-        shard_nodes[shard] = (
-            shard_nodes.get(shard, 0) + int(event.get("lattice_nodes", 0))
-        )
-        shard_rounds[shard] = shard_rounds.get(shard, 0) + 1
+    shard_seconds, shard_nodes, shard_rounds = shard_totals(telemetry)
     if shard_rounds:
         for family, table in (
             ("repro_scale_shard_seconds", shard_seconds),
@@ -143,6 +128,27 @@ def openmetrics_text(telemetry: Telemetry) -> str:
     return "\n".join(lines) + "\n"
 
 
+def shard_totals(telemetry: Telemetry) -> Tuple[Dict[Any, float],
+                                                Dict[Any, int],
+                                                Dict[Any, int]]:
+    """Per shard: mining seconds, lattice nodes and rounds, summed over
+    the ``shard.done`` events (all empty when every shard came from
+    the cache)."""
+    seconds: Dict[Any, float] = {}
+    nodes: Dict[Any, int] = {}
+    rounds: Dict[Any, int] = {}
+    for event in telemetry.events:
+        shard = event.get("shard")
+        if event.get("name") != SHARD_TIMING_EVENT or shard is None:
+            continue
+        seconds[shard] = seconds.get(shard, 0.0) + float(
+            event.get("seconds", 0))
+        nodes[shard] = nodes.get(shard, 0) + int(
+            event.get("lattice_nodes", 0))
+        rounds[shard] = rounds.get(shard, 0) + 1
+    return seconds, nodes, rounds
+
+
 def write_openmetrics(telemetry: Telemetry, path: str) -> None:
     atomic_write_text(path, openmetrics_text(telemetry))
 
@@ -150,5 +156,6 @@ def write_openmetrics(telemetry: Telemetry, path: str) -> None:
 __all__ = [
     "SHARD_TIMING_EVENT",
     "openmetrics_text",
+    "shard_totals",
     "write_openmetrics",
 ]

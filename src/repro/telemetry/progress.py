@@ -1,27 +1,25 @@
-"""Live progress: a cross-process heartbeat/event bus.
+"""Live progress: the events sink of the one event model.
 
-Three consumers hang off one event stream (schema
-``repro.telemetry.events/1``), all off by default and all purely
+The events sink (:mod:`repro.telemetry.events` lists the kinds it
+takes) feeds three consumers, all off by default and all purely
 observational:
 
 * a live TTY status line (``pa --progress``) — one ``\\r``-rewritten
   stderr line with round / shard / cache / node / savings state;
-* a JSONL event stream (``--events-out FILE``) — the machine-readable
-  live feed the ROADMAP's PA-as-a-service item needs; the first record
-  is a ``stream.begin`` carrying the schema tag;
+* a JSONL event stream (``--events-out FILE``, schema
+  ``repro.telemetry.events/2``); the first record is a
+  ``stream.begin`` carrying the schema tag;
 * a straggler watchdog — shards whose heartbeats go stale past
   ``stall_after`` seconds are flagged once as ``shard.stalled`` events
   and counted, feeding the governor's degradation notes and the
   ``profile`` imbalance table.
 
-Topology: the parent process owns a :class:`ProgressBus`; worker
-children publish onto a ``multiprocessing.Queue`` handed to them
-through the pool initializer (queues cannot cross ``apply_async``
-arguments), and the parent drains it in its poll loop.  The in-process
-(``workers=1``) path publishes straight onto the bus.  Module-level
-routing state keeps the publish hooks near-free when nothing is
-attached — the common case, and the reason a disabled run stays
-bit-identical.
+Topology: the parent process attaches a :class:`ProgressBus`
+(:func:`activate`); worker children attach a queue sink onto a
+``multiprocessing.Queue`` handed to them through the worker
+initializer (:func:`worker_attach`), and the parent drains it in its
+poll loop.  Either way the sink stamps ``ts`` and ``pid`` where the
+event happened.
 
 Failure containment: the ``scale.progress`` fault point fires inside
 :meth:`ProgressBus.dispatch` and queue creation; *any* exception there
@@ -33,13 +31,8 @@ counts it, and the next event that does get through carries the drop
 count in its ``dropped`` field — the parent accumulates it into
 ``bus.dropped``/``counts["bus.dropped"]``, so losses are visible in
 the stats and the events stream rather than silent.  A worker whose
-queue put fails for any other reason detaches itself and keeps
+queue put fails for any other reason detaches its sink and keeps
 mining.
-
-Event kinds: ``stream.begin``, ``round.start``, ``round.shards``,
-``shard.start``, ``heartbeat``, ``shard.done``, ``shard.stalled``,
-``shard.retry``, ``shard.quarantined``, ``round.done``, ``run.done``
-— consumers must ignore unknown kinds and fields.
 """
 
 from __future__ import annotations
@@ -53,14 +46,18 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.resilience.faultinject import fault
+from repro.telemetry import events as _events
 
 #: Version tag of the JSONL event stream.  Consumers must ignore
-#: unknown event kinds and unknown fields.
-EVENTS_SCHEMA = "repro.telemetry.events/1"
+#: unknown event kinds and unknown fields.  /2 renamed ``round.start``
+#: -> ``round.begin``, ``round.done`` -> ``round.end``, ``run.done``
+#: -> ``run.end``, ``shard.retry`` -> ``scale.retry`` and
+#: ``shard.quarantined`` -> ``scale.quarantine``, and added
+#: ``run.abort``.
+EVENTS_SCHEMA = "repro.telemetry.events/2"
 
 #: Heartbeats from a hot loop are rate-limited to one per this many
-#: seconds per process (publishes from distinct kinds are never
-#: limited).
+#: seconds per process (other kinds are never limited).
 HEARTBEAT_INTERVAL = 0.25
 
 #: Default seconds without a heartbeat before a shard counts as stalled.
@@ -74,98 +71,105 @@ QUEUE_MAX = 10000
 #: TTY status line refresh interval (seconds).
 _RENDER_INTERVAL = 0.05
 
-# ----------------------------------------------------------------------
-# module-level routing: parent bus OR worker queue, never both
-# ----------------------------------------------------------------------
 _BUS: Optional["ProgressBus"] = None
-_WORKER_QUEUE = None
 _NEXT_BEAT = 0.0
-#: events this worker dropped on a full queue since the last event
-#: that got through (rides on the next successful put as ``dropped``)
-_DROPPED = 0
 
 
-def active() -> Optional["ProgressBus"]:
-    """The bus the current process publishes to, if any."""
-    return _BUS
-
-
-@contextlib.contextmanager
-def activate(bus: Optional["ProgressBus"]):
-    """Route this process's :func:`publish` calls to *bus* for the
-    duration of the block (None deactivates; previous routing is
-    restored on exit)."""
-    global _BUS
-    previous = _BUS
-    _BUS = bus
-    try:
-        yield bus
-    finally:
-        _BUS = previous
-
-
-def worker_attach(q) -> None:
-    """Called in a pool child: route publishes to the parent's queue.
-
-    Also clears any bus inherited through ``fork`` — a child must never
-    write the parent's TTY or JSONL stream directly.
-    """
-    global _BUS, _WORKER_QUEUE, _NEXT_BEAT, _DROPPED
-    _BUS = None
-    _WORKER_QUEUE = q
-    _NEXT_BEAT = 0.0
-    _DROPPED = 0
-
-
-def publish(kind: str, **fields) -> None:
-    """Emit one progress event; near-free when nothing is attached."""
-    global _WORKER_QUEUE, _DROPPED
-    if _WORKER_QUEUE is None and _BUS is None:
-        return
+def _stamp(kind: str, record: Dict[str, Any]) -> Dict[str, Any]:
     event: Dict[str, Any] = {
         "kind": kind,
         "ts": round(time.time(), 6),
         "pid": os.getpid(),
     }
-    event.update(fields)
-    if _WORKER_QUEUE is not None:
-        if _DROPPED:
-            event["dropped"] = _DROPPED
+    event.update(record)
+    return event
+
+
+def active() -> Optional["ProgressBus"]:
+    """The bus attached in this process, if any."""
+    return _BUS
+
+
+@contextlib.contextmanager
+def activate(bus: Optional["ProgressBus"]):
+    """Attach *bus* as this process's events sink for the block (None
+    attaches nothing)."""
+    global _BUS
+    previous, _BUS = _BUS, bus
+    if bus is not None:
+        _events.attach(bus)
+    try:
+        yield bus
+    finally:
+        if bus is not None:
+            _events.detach(bus)
+        _BUS = previous
+
+
+class _QueueSink(_events.Sink):
+    """A worker's events sink: stamp, then put onto the parent's queue."""
+
+    kinds = _events.EVENT_KINDS
+    live = True
+
+    def __init__(self, q):
+        self.queue = q
+        #: events dropped on a full queue since the last one that got
+        #: through (rides on the next successful put as ``dropped``)
+        self.dropped = 0
+
+    def take(self, kind: str, record: Dict[str, Any]) -> None:
+        event = _stamp(kind, record)
+        if self.dropped:
+            event["dropped"] = self.dropped
         try:
-            _WORKER_QUEUE.put_nowait(event)
+            self.queue.put_nowait(event)
         except _queuelib.Full:
             # The queue is bounded so a stalled parent can never
             # back-pressure a worker: drop the event, count it, stay
             # attached — the next event that fits carries the count.
-            _DROPPED += 1
+            self.dropped += 1
         except Exception:
             # A broken pipe must never take mining down: detach and
             # mine on silently (the parent's watchdog will notice the
             # silence as a stall, which is the honest signal).
-            _WORKER_QUEUE = None
+            _events.detach(self)
         else:
-            _DROPPED = 0
-    else:
-        _BUS.dispatch(event)
+            self.dropped = 0
 
 
-def heartbeat(kind: str = "heartbeat", **fields) -> None:
-    """Rate-limited :func:`publish` for hot loops (shard mining)."""
+def worker_attach(q) -> None:
+    """Called in a worker child: drop every sink inherited through
+    ``fork`` (a child must never write the parent's ledger, TTY or
+    JSONL stream directly) and send events to the parent's queue."""
+    global _BUS, _NEXT_BEAT
+    _events.detach_all()
+    _BUS = None
+    _NEXT_BEAT = 0.0
+    if q is not None:
+        _events.attach(_QueueSink(q))
+
+
+def heartbeat(**fields) -> None:
+    """A rate-limited ``heartbeat`` event, for hot loops (shard mining)."""
     global _NEXT_BEAT
-    if _WORKER_QUEUE is None and _BUS is None:
+    if not _events.wants("heartbeat"):
         return
     now = time.monotonic()
     if now < _NEXT_BEAT:
         return
     _NEXT_BEAT = now + HEARTBEAT_INTERVAL
-    publish(kind, **fields)
+    _events.emit("heartbeat", **fields)
 
 
 # ----------------------------------------------------------------------
 # the parent-side bus
 # ----------------------------------------------------------------------
-class ProgressBus:
+class ProgressBus(_events.Sink):
     """Parent-side sink: JSONL stream, TTY line, straggler tracking."""
+
+    kinds = _events.EVENT_KINDS
+    live = True
 
     def __init__(self, tty=None, events_path: Optional[str] = None,
                  stall_after: float = STALL_AFTER):
@@ -194,12 +198,10 @@ class ProgressBus:
             except OSError as exc:
                 self._break(exc)
                 return
-        self.dispatch({
-            "kind": "stream.begin",
-            "schema": EVENTS_SCHEMA,
-            "ts": round(time.time(), 6),
-            "pid": os.getpid(),
-        })
+        self.take("stream.begin", {"schema": EVENTS_SCHEMA})
+
+    def take(self, kind: str, record: Dict[str, Any]) -> None:
+        self.dispatch(_stamp(kind, record))
 
     # ------------------------------------------------------------------
     def worker_queue(self):
@@ -259,8 +261,9 @@ class ProgressBus:
     def stragglers(self) -> List[int]:
         """Newly stale in-flight shards (flagged once each).
 
-        Emits one ``shard.stalled`` event per new straggler and
-        remembers it; a later heartbeat does not un-flag (the point is
+        Records one ``shard.stalled`` event per new straggler (the
+        watchdog is this sink's own, so are its records) and remembers
+        it; a later heartbeat does not un-flag (the point is
         "this shard went dark for stall_after seconds at least once").
         """
         now = time.monotonic()
@@ -271,10 +274,7 @@ class ProgressBus:
         ]
         for shard in fresh:
             self.stalled.add(shard)
-            self.dispatch({
-                "kind": "shard.stalled",
-                "ts": round(time.time(), 6),
-                "pid": os.getpid(),
+            self.take("shard.stalled", {
                 "shard": shard,
                 "stalled_seconds": round(now - self.inflight[shard], 3),
             })
@@ -325,7 +325,7 @@ class ProgressBus:
         status = self.status
         shard = event.get("shard")
         now = time.monotonic()
-        if kind == "round.start":
+        if kind == "round.begin":
             status["round"] = event.get("round")
             status["shards"] = 0
             status["done"] = 0
@@ -349,16 +349,17 @@ class ProgressBus:
             if nodes is not None:
                 self._nodes_by_shard[shard] = nodes
                 status["nodes"] = sum(self._nodes_by_shard.values())
-        elif kind == "shard.retry" and shard is not None:
-            # redelivery pending: the shard is not in flight while it
+        elif kind == "scale.retry" and shard is not None:
+            # the delivery failed: the shard is not in flight while it
             # backs off, so the watchdog must not call it stalled
             self.inflight.pop(shard, None)
-            status["retried"] += 1
-        elif kind == "shard.quarantined" and shard is not None:
+            if event.get("retried"):
+                status["retried"] += 1
+        elif kind == "scale.quarantine" and shard is not None:
             self.inflight.pop(shard, None)
             if not event.get("recovered"):
                 status["quarantined"] += 1
-        elif kind == "round.done":
+        elif kind == "round.end":
             status["saved"] += event.get("saved", 0)
             self._nodes_by_shard.clear()
             self.inflight.clear()
@@ -399,6 +400,5 @@ __all__ = [
     "activate",
     "active",
     "heartbeat",
-    "publish",
     "worker_attach",
 ]

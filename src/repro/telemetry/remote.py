@@ -1,5 +1,9 @@
 """Cross-process telemetry: capture in a worker, stitch in the parent.
 
+Metrics only — spans, counters, gauges, histograms.  Events cross the
+process boundary through the one event model's capture scope
+(:func:`repro.telemetry.events.capture`).
+
 The sharded mining pool (:mod:`repro.scale.pool`) runs each shard in a
 forked worker whose inherited global registry is disabled — before this
 module existed, the intra-shard hot path was an observability black
@@ -12,7 +16,7 @@ giving up any determinism guarantee:
    untouched) and snapshots it on exit.
 2. The :func:`snapshot` travels back to the parent inside the pickled
    shard result — a plain JSON-able dict, schema
-   ``repro.telemetry.remote/1``.
+   ``repro.telemetry.remote/2``.
 3. The parent calls :func:`merge_snapshot` for each shard **in
    deterministic shard order**: span idents are re-based into the
    parent's serial space, snapshot-root spans are attached under the
@@ -28,7 +32,7 @@ and the merge re-bases them onto the parent's epoch.  On Linux,
 so worker spans land at their true wall-clock position in the merged
 timeline.
 
-Determinism: merged *counter values* and span/event counts are a pure
+Determinism: merged *counter values* and span counts are a pure
 function of module + config (same shards, same work), so stats output
 stays identical across worker counts; only durations, pids and
 timestamps differ — exactly the fields a trace exists to show.
@@ -46,7 +50,7 @@ from repro.telemetry.metrics import Counter, Gauge, Histogram
 #: Version tag of the worker snapshot wire format.  Snapshots are
 #: transient (never cached, never persisted), so a bump only needs to
 #: keep :func:`merge_snapshot` in sync with :func:`snapshot`.
-SNAPSHOT_SCHEMA = "repro.telemetry.remote/1"
+SNAPSHOT_SCHEMA = "repro.telemetry.remote/2"
 
 #: Default process label for worker snapshots.
 WORKER_PROCESS = "shard-worker"
@@ -90,7 +94,6 @@ def snapshot(registry: Telemetry,
                 name: histogram.dump()
                 for name, histogram in registry.histograms.items()
             },
-            "events": [dict(event) for event in registry.events],
         }
 
 
@@ -108,7 +111,7 @@ class Capture:
 def capture(process_name: str = WORKER_PROCESS, enabled: bool = True):
     """Record into fresh registry state for the duration of the block.
 
-    Swaps empty span/metric/event storage (and a clean thread span
+    Swaps empty span/metric storage (and a clean thread span
     stack) into the process-global registry, so instrumentation already
     bound to it records into an isolated scope; on exit the scope is
     snapshotted onto the yielded :class:`Capture` and the previous
@@ -127,7 +130,6 @@ def capture(process_name: str = WORKER_PROCESS, enabled: bool = True):
         "counters": registry.counters,
         "gauges": registry.gauges,
         "histograms": registry.histograms,
-        "events": registry.events,
         "_serial": registry._serial,
         "remote_processes": registry.remote_processes,
     }
@@ -137,7 +139,6 @@ def capture(process_name: str = WORKER_PROCESS, enabled: bool = True):
         registry.counters = {}
         registry.gauges = {}
         registry.histograms = {}
-        registry.events = []
         registry._serial = 0
         registry.remote_processes = {}
     registry._local.stack = []
@@ -165,8 +166,8 @@ def merge_snapshot(registry: Telemetry,
     timestamps are re-based onto *registry*'s epoch, and the worker pid
     is recorded both per span and in ``registry.remote_processes`` for
     exporter labelling.  Call in deterministic shard order: counter and
-    histogram merges are commutative, but gauge last-write-wins and
-    event order are not.
+    histogram merges are commutative, but gauge last-write-wins is
+    not.
     """
     if snap is None or not registry.enabled:
         return
@@ -214,7 +215,6 @@ def merge_snapshot(registry: Telemetry,
             if histogram is None:
                 histogram = registry.histograms[name] = Histogram()
             histogram.merge(data)
-        registry.events.extend(dict(e) for e in snap.get("events", ()))
 
 
 __all__ = [

@@ -39,9 +39,9 @@ from repro.minicc.driver import compile_to_module
 from repro.pa.canonical import canonical_label
 from repro.pa.driver import PAConfig, run_pa
 from repro.pa.sfx import SFXConfig, run_sfx
-from repro.report import ledger
 from repro.sim.machine import Machine, RunResult
 from repro.sim.sanitize import Sanitizer, counterexample_kinds
+from repro.telemetry.events import emit
 
 from repro.variance.grid import Variant, variant_grid
 
@@ -215,7 +215,7 @@ def run_variance(source: str, config: VarianceConfig,
         with telemetry.span("variance.variant", variant=variant.name):
             outcome = _run_variant(source, variant, config)
         outcomes.append(outcome)
-        ledger.emit(
+        emit(
             "variance.variant",
             source=source_name,
             variant=variant.name,
@@ -293,7 +293,7 @@ def run_variance(source: str, config: VarianceConfig,
         # bug, not a PA bug.
         "cross_variant_behaviour_ok": len(behaviours) == 1,
     }
-    ledger.emit(
+    emit(
         "variance.summary",
         source=source_name,
         oracle_ok=report["oracle_ok"],

@@ -42,9 +42,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.binary.program import Function, Module
 from repro.isa.instructions import Instruction
 from repro.isa.registers import LR, PC, SP, reg_name
-from repro.report.ledger import GLOBAL as _LEDGER
 from repro.resilience.faultinject import fault
 from repro.telemetry import GLOBAL as _TELEMETRY
+from repro.telemetry.events import emit
 
 from repro.verify.absint import audit_module
 from repro.verify.cfg import build_module_cfg
@@ -358,13 +358,12 @@ def _verify_round(
     report = lint_module(module, cfg, audit_module(module, cfg, memo))
     stats.lint_findings = len(report.findings)
     if not report.ok:
-        if _LEDGER.enabled:
-            _LEDGER.emit(
-                "verify.lint",
-                round=round_index,
-                ok=False,
-                errors=[f.to_dict() for f in report.errors],
-            )
+        emit(
+            "verify.lint",
+            round=round_index,
+            ok=False,
+            errors=[f.to_dict() for f in report.errors],
+        )
         raise TranslationValidationError(
             f"round {round_index}: module fails lint with "
             f"{len(report.errors)} error(s): "
@@ -417,13 +416,12 @@ def _verify_round(
                     old_instructions=tuple(str(i) for i in old_insns),
                     new_instructions=tuple(str(i) for i in new_insns),
                 )
-                if _LEDGER.enabled:
-                    _LEDGER.emit(
-                        "verify.counterexample",
-                        round=round_index,
-                        injected=True,
-                        **counterexample.to_dict(),
-                    )
+                emit(
+                    "verify.counterexample",
+                    round=round_index,
+                    injected=True,
+                    **counterexample.to_dict(),
+                )
                 raise TranslationValidationError(
                     f"round {round_index}: injected counterexample for "
                     f"{name} block {old_index}",
@@ -465,12 +463,11 @@ def _verify_round(
                 old_instructions=tuple(str(i) for i in old_insns),
                 new_instructions=tuple(str(i) for i in new_insns),
             )
-            if _LEDGER.enabled:
-                _LEDGER.emit(
-                    "verify.counterexample",
-                    round=round_index,
-                    **counterexample.to_dict(),
-                )
+            emit(
+                "verify.counterexample",
+                round=round_index,
+                **counterexample.to_dict(),
+            )
             raise TranslationValidationError(
                 f"round {round_index}: {name} block {old_index} is not "
                 f"equivalent to its rewrite (resource {resource}: "
@@ -484,16 +481,15 @@ def _verify_round(
         _TELEMETRY.count(
             "verify.blocks.identical", stats.blocks_identical
         )
-    if _LEDGER.enabled:
-        _LEDGER.emit(
-            "verify.round",
-            round=round_index,
-            ok=True,
-            blocks_total=stats.blocks_total,
-            blocks_checked=stats.blocks_checked,
-            blocks_identical=stats.blocks_identical,
-            lint_findings=stats.lint_findings,
-            lr_exemptions=stats.lr_exemptions,
-            new_symbols=stats.new_symbols,
-        )
+    emit(
+        "verify.round",
+        round=round_index,
+        ok=True,
+        blocks_total=stats.blocks_total,
+        blocks_checked=stats.blocks_checked,
+        blocks_identical=stats.blocks_identical,
+        lint_findings=stats.lint_findings,
+        lr_exemptions=stats.lr_exemptions,
+        new_symbols=stats.new_symbols,
+    )
     return stats

@@ -9,6 +9,19 @@ from repro.binary.layout import layout
 from repro.binary.program import Module
 from repro.isa.assembler import parse_program
 from repro.sim.machine import run_image
+from repro.telemetry import events
+
+
+@pytest.fixture(autouse=True)
+def _detach_leaked_sinks():
+    """Every test ends with the event sinks it started with: a
+    registry or ledger a test enabled and left attached would record
+    every later test's events."""
+    before = list(events._SINKS)
+    yield
+    for sink in list(events._SINKS):
+        if sink not in before:
+            events.detach(sink)
 
 
 def module_from_source(asm_text: str, entry: str = "_start") -> Module:

@@ -63,6 +63,23 @@ def test_fault_abort_leaves_run_abort_ledger_record(tmp_path, capsys):
     assert aborts[0]["code"] == "REPRO-FAULT"
 
 
+def test_aborted_run_closes_both_streams_with_run_abort(tmp_path, capsys):
+    """``run.abort`` is emitted while every sink is still open: the
+    ledger and the events stream both end with the same record."""
+    ledger_out = tmp_path / "ledger.jsonl"
+    events_out = tmp_path / "events.jsonl"
+    code = main(["pa", WORKLOAD, "--fault", "extract.apply:raise",
+                 "--ledger-out", str(ledger_out),
+                 "--events-out", str(events_out)])
+    assert code == EXIT_FAULT
+    capsys.readouterr()
+    last_record = read_jsonl(str(ledger_out))[-1]
+    last_event = read_jsonl(str(events_out))[-1]
+    assert last_record["type"] == last_event["kind"] == "run.abort"
+    assert last_record["code"] == last_event["code"] == "REPRO-FAULT"
+    assert last_record["message"] == last_event["message"]
+
+
 def test_deadline_fault_degrades_to_exit_zero(capsys):
     code = main(["pa", *COMMON, "--fault", "mine.pass:deadline"])
     assert code == 0

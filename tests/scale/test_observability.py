@@ -131,8 +131,8 @@ class TestProgressIntegration:
         assert lines[0]["kind"] == "stream.begin"
         assert lines[0]["schema"] == EVENTS_SCHEMA
         kinds = {l["kind"] for l in lines}
-        assert {"round.start", "round.shards", "shard.start",
-                "shard.done", "round.done", "run.done"} <= kinds
+        assert {"round.begin", "round.shards", "shard.start",
+                "shard.done", "round.end", "run.end"} <= kinds
         worker_pids = {
             l["pid"] for l in lines if l["kind"] == "shard.done"
         }

@@ -6,13 +6,15 @@ import pytest
 
 from repro.telemetry import Telemetry
 from repro.telemetry.core import NULL_SPAN
+from repro.telemetry.events import emit
 
 
 @pytest.fixture
 def registry():
     t = Telemetry()
     t.enable()
-    return t
+    yield t
+    t.disable()
 
 
 class TestSpans:
@@ -132,8 +134,8 @@ class TestMetrics:
         assert Histogram().percentile(50) == 0.0
 
     def test_events_in_order(self, registry):
-        registry.event("step", round=0)
-        registry.event("step", round=1)
+        emit("round.end", round=0)
+        emit("round.end", round=1)
         assert [e["round"] for e in registry.events] == [0, 1]
 
     def test_thread_safety_of_counters(self, registry):
@@ -157,7 +159,7 @@ class TestDisabled:
             t.count("ignored")
             t.gauge("ignored", 1)
             t.observe("ignored", 1)
-            t.event("ignored")
+            emit("round.end")
         assert t.spans == []
         assert t.counters == {}
         assert t.gauges == {}
@@ -175,10 +177,12 @@ class TestDisabled:
         t.enable()
         with t.span("s"):
             t.count("c")
-        t.event("e")
+        emit("round.end")
+        assert t.events
         t.reset()
         assert t.spans == [] and t.counters == {} and t.events == []
         assert t.enabled  # reset preserves the flag
         with t.span("again"):
             pass
         assert len(t.spans) == 1
+        t.disable()

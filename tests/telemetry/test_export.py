@@ -27,8 +27,9 @@ def populated():
             t.count("mining.lattice_nodes", 7)
     t.observe("mis.component_size", 4)
     t.gauge("depth", 2)
-    t.event("pa.extraction", method="call", benefit=5)
-    return t
+    t.take("extraction", {"method": "call", "benefit": 5})
+    yield t
+    t.disable()
 
 
 class TestChromeTrace:
@@ -97,14 +98,14 @@ class TestStatsDump:
         path = tmp_path / "stats.json"
         write_stats(populated, str(path))
         stats = json.loads(path.read_text())
-        assert stats["schema"] == "repro.telemetry.stats/2"
+        assert stats["schema"] == "repro.telemetry.stats/3"
         assert stats["counters"]["mining.lattice_nodes"] == 17
         assert stats["gauges"]["depth"] == 2
         assert stats["histograms"]["mis.component_size"]["count"] == 1
         assert stats["histograms"]["mis.component_size"]["p50"] == 4
         assert stats["histograms"]["mis.component_size"]["p99"] == 4
         assert stats["events"] == [
-            {"name": "pa.extraction", "method": "call", "benefit": 5}
+            {"name": "extraction", "method": "call", "benefit": 5}
         ]
 
     def test_span_aggregates(self, populated):

@@ -78,8 +78,8 @@ class TestShardTimings:
         t.enable()
         for shard, seconds, nodes in ((0, 0.5, 10), (1, 1.5, 30),
                                       (0, 0.25, 5)):
-            t.event("scale.shard.timing", shard=shard,
-                    seconds=seconds, lattice_nodes=nodes)
+            t.take("shard.done", {"shard": shard, "seconds": seconds,
+                                  "lattice_nodes": nodes})
         text = openmetrics_text(t)
         assert "# TYPE repro_scale_shard_seconds counter" in text
         assert 'repro_scale_shard_seconds_total{shard="0"} 0.75' in text
@@ -91,7 +91,7 @@ class TestShardTimings:
     def test_other_events_ignored(self):
         t = Telemetry()
         t.enable()
-        t.event("pa.extraction", benefit=5)
+        t.take("extraction", {"benefit": 5})
         assert "repro_scale_shard" not in openmetrics_text(t)
 
 

@@ -69,16 +69,21 @@ class TestEnabledPipeline:
         assert {"pa.run", "pa.round", "pa.collect", "mining.mine",
                 "dfg.build"} <= span_names
         extraction_events = [
-            e for e in global_registry.events if e["name"] == "pa.extraction"
+            e for e in global_registry.events if e["name"] == "extraction"
         ]
         assert len(extraction_events) == len(result.records)
         round_events = [
-            e for e in global_registry.events if e["name"] == "pa.round"
+            e for e in global_registry.events if e["name"] == "round.end"
         ]
+        # one round end per round, the final one that applied nothing too
         assert [e["round"] for e in round_events] == list(
-            range(result.rounds)
+            range(result.rounds + 1)
         )
-        assert all("mine_seconds" in e for e in round_events)
+        assert round_events[-1]["applied"] == 0
+        # a round's mining time is its pa.collect span
+        collects = [r for r in global_registry.spans
+                    if r.name == "pa.collect"]
+        assert len(collects) == len(round_events)
 
     def test_round_spans_nest_under_run(self, global_registry):
         global_registry.enable()

@@ -10,7 +10,8 @@ import queue
 import pytest
 
 from repro.resilience import faultinject
-from repro.telemetry import progress
+from repro.telemetry import events, progress
+from repro.telemetry.events import emit
 from repro.telemetry.progress import EVENTS_SCHEMA, ProgressBus
 
 
@@ -31,22 +32,22 @@ def detached():
 
 class TestRouting:
     def test_publish_without_routing_is_inert(self):
-        progress.publish("round.start", round=0)     # must not raise
+        emit("round.begin", round=0)     # must not raise
 
     def test_activate_routes_and_restores(self):
         bus = ProgressBus()
         with progress.activate(bus):
             assert progress.active() is bus
-            progress.publish("round.start", round=3)
+            emit("round.begin", round=3)
         assert progress.active() is None
-        assert bus.counts == {"stream.begin": 1, "round.start": 1}
+        assert bus.counts == {"stream.begin": 1, "round.begin": 1}
 
     def test_publish_stamps_kind_ts_pid(self):
         bus = ProgressBus()
         seen = []
         bus.dispatch = seen.append
         with progress.activate(bus):
-            progress.publish("shard.start", shard=2)
+            emit("shard.start", shard=2)
         (event,) = seen
         assert event["kind"] == "shard.start"
         assert event["shard"] == 2
@@ -67,19 +68,19 @@ class TestEventsStream:
         path = tmp_path / "events.jsonl"
         bus = ProgressBus(events_path=str(path))
         with progress.activate(bus):
-            progress.publish("round.start", round=0)
-            progress.publish("round.done", round=0, saved=4)
+            emit("round.begin", round=0)
+            emit("round.end", round=0, saved=4)
         bus.close()
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert lines[0]["kind"] == "stream.begin"
         assert lines[0]["schema"] == EVENTS_SCHEMA
         assert [l["kind"] for l in lines[1:]] == \
-            ["round.start", "round.done"]
+            ["round.begin", "round.end"]
 
     def test_unwritable_path_degrades_not_raises(self, tmp_path, capsys):
         bus = ProgressBus(events_path=str(tmp_path / "no" / "dir.jsonl"))
         assert bus.broken
-        bus.dispatch({"kind": "round.start"})        # inert, no raise
+        bus.dispatch({"kind": "round.begin"})        # inert, no raise
         assert "progress stream disabled" in capsys.readouterr().err
 
 
@@ -88,7 +89,7 @@ class TestTTY:
         tty = io.StringIO()
         bus = ProgressBus(tty=tty)
         bus._last_render = -1000.0
-        bus.dispatch({"kind": "round.start", "round": 2})
+        bus.dispatch({"kind": "round.begin", "round": 2})
         bus._last_render = -1000.0
         bus.dispatch({"kind": "round.shards", "shards": 5, "cached": 1})
         line = tty.getvalue().split("\r")[-1]
@@ -143,12 +144,12 @@ class TestBoundedQueue:
 
         fq = FullQueue()
         progress.worker_attach(fq)
-        progress.publish("shard.done", shard=1)
-        progress.publish("shard.done", shard=2)
+        emit("shard.done", shard=1)
+        emit("shard.done", shard=2)
         assert fq.events == []                       # dropped, no raise
         fq.full = False
-        progress.publish("shard.done", shard=3)
-        progress.publish("shard.done", shard=4)
+        emit("shard.done", shard=3)
+        emit("shard.done", shard=4)
         assert fq.events[0]["dropped"] == 2
         assert "dropped" not in fq.events[1]         # counter reset
 
@@ -158,8 +159,8 @@ class TestBoundedQueue:
                 raise OSError("broken pipe")
 
         progress.worker_attach(BrokenQueue())
-        progress.publish("shard.done", shard=1)      # detaches, no raise
-        assert progress._WORKER_QUEUE is None
+        emit("shard.done", shard=1)                  # detaches, no raise
+        assert not events.wants("shard.done")
 
     def test_parent_accumulates_drop_counts(self):
         bus = ProgressBus()
@@ -173,15 +174,16 @@ class TestRetryTracking:
     def test_retrying_shard_is_not_stalled_during_backoff(self):
         bus = ProgressBus(stall_after=0.0)
         bus.dispatch({"kind": "shard.start", "shard": 7})
-        bus.dispatch({"kind": "shard.retry", "shard": 7, "attempt": 1})
+        bus.dispatch({"kind": "scale.retry", "shard": 7, "attempt": 1,
+                      "retried": True})
         assert bus.stragglers() == []        # backing off, not stuck
         assert bus.status["retried"] == 1
 
     def test_quarantine_counts_only_unrecovered_drops(self):
         bus = ProgressBus()
-        bus.dispatch({"kind": "shard.quarantined", "shard": 3,
+        bus.dispatch({"kind": "scale.quarantine", "shard": 3,
                       "recovered": True})
-        bus.dispatch({"kind": "shard.quarantined", "shard": 4,
+        bus.dispatch({"kind": "scale.quarantine", "shard": 4,
                       "recovered": False})
         assert bus.status["quarantined"] == 1
 
@@ -189,9 +191,10 @@ class TestRetryTracking:
         tty = io.StringIO()
         bus = ProgressBus(tty=tty)
         bus._last_render = -1000.0
-        bus.dispatch({"kind": "shard.retry", "shard": 1, "attempt": 1})
+        bus.dispatch({"kind": "scale.retry", "shard": 1, "attempt": 1,
+                      "retried": True})
         bus._last_render = -1000.0
-        bus.dispatch({"kind": "shard.quarantined", "shard": 2,
+        bus.dispatch({"kind": "scale.quarantine", "shard": 2,
                       "recovered": False})
         line = tty.getvalue().split("\r")[-1]
         assert "retried 1" in line
@@ -202,10 +205,10 @@ class TestFaultDegradation:
     def test_dispatch_fault_breaks_not_raises(self, capsys):
         bus = ProgressBus()
         faultinject.arm("scale.progress:raise")
-        bus.dispatch({"kind": "round.start"})        # absorbs the fault
+        bus.dispatch({"kind": "round.begin"})        # absorbs the fault
         assert bus.broken
         assert "progress stream disabled" in capsys.readouterr().err
-        bus.dispatch({"kind": "round.done"})         # broken bus: inert
+        bus.dispatch({"kind": "round.end"})          # broken bus: inert
 
     def test_queue_fault_returns_none(self, capsys):
         bus = ProgressBus()
@@ -217,4 +220,4 @@ class TestFaultDegradation:
         bus = ProgressBus()
         faultinject.arm("scale.progress:interrupt")
         with pytest.raises(KeyboardInterrupt):
-            bus.dispatch({"kind": "round.start"})
+            bus.dispatch({"kind": "round.begin"})

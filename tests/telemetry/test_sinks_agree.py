@@ -1,0 +1,95 @@
+"""The three sinks of the one event model agree.
+
+One ``repro pa crc`` run with the ledger, the events stream and the
+stats JSON all on: every fact two sinks share carries equal fields in
+both (after dropping what a sink stamps itself), and every round —
+the last one, which applies nothing, too — has exactly one round end
+in each sink that takes round ends.
+"""
+
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.report.ledger import read_jsonl
+
+#: fields a sink stamps on its own records
+STAMPS = {"type", "kind", "name", "ts", "pid"}
+
+
+def _run(tmp_path, workers, *extra):
+    paths = {name: tmp_path / f"w{workers}.{name}"
+             for name in ("ledger", "events", "stats")}
+    code = main(["pa", "crc", "--workers", str(workers), *extra,
+                 "--ledger-out", str(paths["ledger"]),
+                 "--events-out", str(paths["events"]),
+                 "--stats-out", str(paths["stats"])])
+    assert code == 0
+    ledger = read_jsonl(str(paths["ledger"]))
+    events = read_jsonl(str(paths["events"]))
+    stats = json.loads(paths["stats"].read_text())["events"]
+    return ledger, events, stats
+
+
+def _of(records, kind):
+    return [r for r in records
+            if kind in (r.get("type"), r.get("kind"), r.get("name"))]
+
+
+def _agree(left, right):
+    """Pairwise: the fields both records carry are equal."""
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        shared = (set(a) & set(b)) - STAMPS
+        assert shared
+        assert {k: a[k] for k in shared} == {k: b[k] for k in shared}
+
+
+def _rounds_of_shard_events(events):
+    """Each events-stream ``shard.done`` keyed by (round, shard): the
+    round is the open ``round.begin`` it arrived under."""
+    keyed = {}
+    current = None
+    for event in events:
+        if event["kind"] == "round.begin":
+            current = event["round"]
+        elif event["kind"] == "shard.done":
+            keyed[(current, event["shard"])] = event
+    return keyed
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_sinks_agree(tmp_path, capsys, workers):
+    ledger, events, stats = _run(tmp_path, workers)
+    capsys.readouterr()
+
+    ends = {name: _of(sink, "round.end") for name, sink in
+            (("ledger", ledger), ("events", events), ("stats", stats))}
+    rounds = [r["round"] for r in ends["ledger"]]
+    assert rounds == list(range(len(rounds)))   # one end per round
+    assert ends["ledger"][-1]["applied"] == 0   # the empty last round
+    for name in ("events", "stats"):
+        assert [r["round"] for r in ends[name]] == rounds
+        _agree(ends["ledger"], ends[name])
+    assert all({"round", "applied", "saved", "instructions"}
+               <= set(r) for r in ends["stats"])
+
+    _agree(_of(ledger, "round.begin"), _of(events, "round.begin"))
+    _agree(_of(ledger, "run.end"), _of(events, "run.end"))
+    _agree(_of(ledger, "extraction"), _of(stats, "extraction"))
+    assert _of(stats, "extraction")
+
+    streamed = _rounds_of_shard_events(events)
+    replayed = _of(stats, "shard.done")
+    assert replayed and len(streamed) == len(replayed)
+    _agree([streamed[(r["round"], r["shard"])] for r in replayed],
+           replayed)
+
+
+def test_retry_and_quarantine_agree(tmp_path, capsys):
+    ledger, events, __ = _run(tmp_path, 2, "--fault", "scale.shard.poison")
+    capsys.readouterr()
+    for kind in ("scale.retry", "scale.quarantine"):
+        assert _of(ledger, kind)
+        _agree(_of(ledger, kind), _of(events, kind))

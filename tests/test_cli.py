@@ -133,14 +133,16 @@ def test_pa_telemetry_exports(duplicated_asm, tmp_path, capsys):
     assert any(e.get("ph") == "X" and e["name"] == "pa.run"
                for e in events)
     stats = json.loads(stats_path.read_text())
-    assert stats["schema"] == "repro.telemetry.stats/2"
+    assert stats["schema"] == "repro.telemetry.stats/3"
     assert stats["counters"]["mining.lattice_nodes"] > 0
     assert stats["counters"]["mining.embeddings_enumerated"] > 0
     assert "mis.exact_components" in stats["counters"]
     assert "mis.greedy_components" in stats["counters"]
-    assert any(e["name"] == "pa.round" and "mine_seconds" in e
-               for e in stats["events"])
-    assert any(e["name"] == "pa.extraction" for e in stats["events"])
+    rounds = [e for e in stats["events"] if e["name"] == "round.end"]
+    assert rounds and rounds[-1]["applied"] == 0
+    # a round's mining time is its pa.collect span
+    assert stats["spans"]["pa.collect"]["count"] == len(rounds)
+    assert any(e["name"] == "extraction" for e in stats["events"])
 
 
 def test_pa_without_telemetry_flags_leaves_registry_empty(duplicated_asm):
@@ -167,7 +169,7 @@ def test_table1_json_export(tmp_path, capsys):
                  "--json", str(json_path)])
     assert code == 0
     stats = json.loads(json_path.read_text())
-    assert stats["schema"] == "repro.telemetry.stats/2"
+    assert stats["schema"] == "repro.telemetry.stats/3"
     rows = [e for e in stats["events"] if e["name"] == "table1.row"]
     assert {(r["program"], r["engine"]) for r in rows} == {
         ("crc", "sfx"), ("crc", "dgspan"), ("crc", "edgar")
