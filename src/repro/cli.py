@@ -163,8 +163,10 @@ def _load_source(source: str, assembly: bool) -> Module:
 # event sinks and telemetry plumbing shared by the commands
 # ----------------------------------------------------------------------
 #: args attributes that name output files (checked before the run)
-_OUTPUT_ATTRS = ("trace_out", "stats_out", "json", "report", "ledger_out",
-                 "events_out", "metrics_out", "output", "image_out")
+#: ``-`` names stdout for ``json_out`` and is never checked.
+_OUTPUT_ATTRS = ("trace_out", "stats_out", "json", "json_out", "report",
+                 "ledger_out", "events_out", "metrics_out", "output",
+                 "image_out")
 
 
 def _add_telemetry_args(parser) -> None:
@@ -261,7 +263,7 @@ def _check_output_paths(args) -> list:
     """
     paths = [
         path for name in _OUTPUT_ATTRS
-        if (path := getattr(args, name, None))
+        if (path := getattr(args, name, None)) and path != "-"
     ]
     for path in paths:
         directory = os.path.dirname(path) or "."
@@ -612,14 +614,6 @@ def cmd_audit(args) -> int:
     a non-zero or negative height — report but do not fail, since
     outlined helpers exhibit them legitimately.
     """
-    if args.json_out and args.json_out != "-":
-        directory = os.path.dirname(args.json_out) or "."
-        if not os.path.isdir(directory):
-            sys.exit("error: output directory does not exist: "
-                     f"{args.json_out}")
-        if os.path.exists(args.json_out) and not args.force:
-            sys.exit(f"error: refusing to overwrite {args.json_out} "
-                     "(use --force)")
     with _sinks(args):
         module = _load_source(args.source, args.assembly)
         result = audit_module(module)
@@ -844,14 +838,6 @@ def cmd_variance(args) -> int:
             f"({', '.join(sorted(PROGRAMS))}) nor a mini-C file"
         )
 
-    if args.json_out and args.json_out != "-":
-        directory = os.path.dirname(args.json_out) or "."
-        if not os.path.isdir(directory):
-            sys.exit("error: output directory does not exist: "
-                     f"{args.json_out}")
-        if os.path.exists(args.json_out) and not args.force:
-            sys.exit(f"error: refusing to overwrite {args.json_out} "
-                     "(use --force)")
     config = VarianceConfig(
         engine=args.engine,
         n_variants=args.variants,

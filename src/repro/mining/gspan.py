@@ -174,12 +174,10 @@ class DgSpan:
         #: Optional streaming sink; when set, frequent fragments are
         #: passed here instead of being accumulated in a list.
         self.on_fragment = None
-        #: Optional ``time.monotonic()`` deadline; the search unwinds
-        #: cleanly when it passes (partial results remain valid — every
-        #: reported fragment was genuinely frequent).  The active run
-        #: governor is consulted alongside it, so an interrupt or a
-        #: governor-level budget unwinds through the same clean path.
-        self.deadline = None
+        #: Set when the active run governor stopped the search (its
+        #: deadline passed or the run was interrupted); the search
+        #: unwinds cleanly and partial results remain valid — every
+        #: reported fragment was genuinely frequent.
         self.deadline_hit = False
         self._governor = _governor.current()
 
@@ -253,8 +251,8 @@ class DgSpan:
         # benefit floor early), then by embedding count.  Single-graph
         # seeds — e.g. the inside of one giant unrolled block, where
         # embeddings overlap heavily and extraction rarely pays — are
-        # visited last, under an already-high floor and, when a deadline
-        # is set, only with leftover budget.  Canonical-form
+        # visited last, under an already-high floor and, when the run
+        # has a deadline, only with leftover budget.  Canonical-form
         # deduplication makes the result set independent of sibling
         # order.  Seeds too rare to be frequent, or dead under the
         # legality prune, are dropped first (see
@@ -306,8 +304,6 @@ class DgSpan:
         """Expand one lattice node; *state* is its legality verdict
         state (None when no legality prune is bound)."""
         fault("mine.search")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _DeadlineReached
         if self._governor.should_stop():
             raise _DeadlineReached
         if len(embeddings) > self.max_embeddings:

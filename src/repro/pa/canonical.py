@@ -25,6 +25,8 @@ from repro.dfg.builder import build_dfgs
 from repro.dfg.graph import DFG
 from repro.mining.edgar import Edgar, non_overlapping_embeddings
 from repro.pa.fragments import call_benefit
+from repro.resilience import governor as _governor
+from repro.resilience.governor import RunGovernor
 
 
 def canonical_operand(op: object) -> str:
@@ -87,15 +89,14 @@ def fuzzy_potential(module: Module, min_support: int = 2,
                     max_nodes: int = 8,
                     time_budget: float = 60.0) -> FuzzyReport:
     """Compare the best abstraction candidate under exact vs canonical
-    matching (measurement only; no extraction)."""
-    import time
-
+    matching (measurement only; no extraction).  Each pass mines under
+    its own *time_budget*."""
     dfgs = build_dfgs(module, min_nodes=2)
     miner = Edgar(min_support=min_support, max_nodes=max_nodes)
 
     def best_benefit(database: Sequence[DFG]) -> tuple:
-        miner.deadline = time.monotonic() + time_budget
-        fragments = miner.mine(database)
+        with _governor.activate(RunGovernor(time_budget=time_budget)):
+            fragments = miner.mine(database)
         best = 0
         for frag in fragments:
             chosen = non_overlapping_embeddings(frag.embeddings)

@@ -422,15 +422,14 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
     )
     blocklist: Set[str] = set()
     memo = AnalysisMemo()
-    scale = (None, None)
+    cache = None
     if config.workers:
-        # one cache + delta planner per run: the cache carries shard
-        # results across rounds (and across runs when persistent), the
-        # planner only observes — see repro.scale.pool for invariants
+        # one cache per run: it carries shard results across rounds
+        # (and across runs when persistent), and its hits and misses
+        # are the measured reuse — see repro.scale.pool for invariants
         from repro.scale.cache import FragmentCache
-        from repro.scale.delta import DeltaPlanner
 
-        scale = (FragmentCache(config.fragment_cache), DeltaPlanner())
+        cache = FragmentCache(config.fragment_cache)
     result.workers = config.workers
     start_round = 0
     if resume is not None:
@@ -470,7 +469,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             outcome = _run_round(
                 module, config, governor, result, round_index,
-                blocklist, state, memo, scale,
+                blocklist, state, memo, cache,
             )
         except KeyboardInterrupt:
             # Anytime semantics: the interrupted round is rolled back
@@ -499,8 +498,8 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
             )
     result.instructions_after = module.num_instructions
     result.elapsed_seconds = time.perf_counter() - started
-    if scale[0] is not None:
-        census = scale[0].stats.as_dict()
+    if cache is not None:
+        census = cache.stats.as_dict()
         result.cache_census = census
         if _TELEMETRY.enabled:
             for key in sorted(census):
@@ -511,7 +510,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
 
 def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
                result: PAResult, round_index: int, blocklist: Set[str],
-               state: _ckpt.ModuleState, memo: AnalysisMemo, scale):
+               state: _ckpt.ModuleState, memo: AnalysisMemo, cache):
     """One mining + apply round, with verify-failure recovery.
 
     Returns ``None`` at fixpoint, else the round's extraction records.
@@ -527,7 +526,7 @@ def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             return _round_once(
                 module, config, governor, result, round_index,
-                blocklist, applied, memo, scale,
+                blocklist, applied, memo, cache,
             )
         except TranslationValidationError as error:
             _ckpt.restore_state(module, state)
@@ -573,16 +572,15 @@ def _verify_offenders(error: TranslationValidationError,
 
 def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                 result: PAResult, round_index: int, blocklist: Set[str],
-                applied: List[Candidate], memo: AnalysisMemo, scale):
+                applied: List[Candidate], memo: AnalysisMemo, cache):
     from repro.scale.pool import run_sharded_round
 
     with _TELEMETRY.span("pa.round", round=round_index), \
             _events.context(round=round_index):
         emit("round.begin", instructions=module.num_instructions)
-        cache, planner = scale
         with _TELEMETRY.span("pa.collect", round=round_index):
             candidates, scale_stats = run_sharded_round(
-                module, config, governor, cache, planner, memo,
+                module, config, governor, cache, memo,
                 sorted(blocklist),
             )
         result.lattice_nodes += scale_stats.lattice_nodes_mined

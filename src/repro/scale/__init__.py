@@ -33,17 +33,14 @@ state:
 :mod:`repro.scale.cache`
     The content-addressed fragment cache: shard results keyed by a
     canonical content digest, held in memory across rounds and
-    (optionally) on disk across runs.
-:mod:`repro.scale.delta`
-    The incremental re-mining planner: after an extraction touches a
-    few blocks, only the shards containing rewritten blocks are
-    predicted dirty; every other shard's lattice is reused verbatim
-    through the cache.
+    (optionally) on disk across runs.  After an extraction only the
+    shards holding rewritten blocks miss; every other shard's lattice
+    is reused verbatim, and the round's hits and misses are the
+    measured reuse.
 """
 
 from repro.scale.cache import CACHE_SCHEMA, CacheStats, FragmentCache
 from repro.scale.cluster import Shard, cluster_dfgs, edge_signatures
-from repro.scale.delta import DeltaPlan, DeltaPlanner
 from repro.scale.pool import ScaleStats, run_sharded_round
 from repro.scale.shard import (
     SHARD_SCHEMA,
@@ -64,8 +61,6 @@ __all__ = [
     "DEFAULT_SHARD_RETRIES",
     "CACHE_SCHEMA",
     "CacheStats",
-    "DeltaPlan",
-    "DeltaPlanner",
     "FragmentCache",
     "SHARD_SCHEMA",
     "ScaleStats",

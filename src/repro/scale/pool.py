@@ -22,15 +22,14 @@ relies on these):
   content digest of the work unit (instructions, legality facts,
   mining config, wire-format schema), so a hit returns exactly what
   mining would produce.
-* **Instrumentation parity.**  Shard mining records metrics into an
-  isolated capture scope (:mod:`repro.telemetry.remote`) and events
-  into the one event model's (:func:`repro.telemetry.events.capture`),
-  in *both* the in-process and the worker path, and the parent
-  stitches and replays every snapshot in deterministic shard order —
-  so counters, span counts, ledger records and stats events are
-  identical for any ``--workers`` value and any cache temperature
-  (only durations, pids and timestamps differ, which is what a trace
-  is for).  With a sink off, its capture runs suppressed, preserving
+* **Instrumentation parity.**  Shard mining records its metrics and
+  events into one capture scope (:func:`repro.telemetry.events.capture`),
+  in *both* the in-process and the worker path, and the parent replays
+  every shard's one snapshot in deterministic shard order — so
+  counters, span counts, ledger records and stats events are identical
+  for any ``--workers`` value and any cache temperature (only
+  durations, pids and timestamps differ, which is what a trace is
+  for).  With a sink off, the scope records nothing for it, preserving
   the bit-identity guarantee.  The parent then emits the round's
   ``mine.skips`` and ``prune`` census from the shard tallies and its
   per-shard ``scale.*`` records.  Live events reach the events sink
@@ -78,12 +77,10 @@ from repro.resilience.governor import RunGovernor
 from repro.telemetry import GLOBAL as _TELEMETRY
 from repro.telemetry import events as _events
 from repro.telemetry import progress as _progress
-from repro.telemetry import remote as _remote
 from repro.telemetry.events import emit
 
 from repro.scale.cache import FragmentCache
 from repro.scale.cluster import Shard, cluster_dfgs
-from repro.scale.delta import DeltaPlanner
 from repro.scale.shard import (
     PRUNE_KEYS,
     TALLY_KEYS,
@@ -128,8 +125,6 @@ class ScaleStats:
     lattice_nodes_mined: int = 0
     lattice_nodes_reused: int = 0
     deadline_hits: int = 0
-    delta_clean: int = 0
-    delta_dirty: int = 0
     #: shards whose heartbeats went stale past the watchdog threshold
     #: (they may still have completed — stalled flags imbalance, not
     #: loss)
@@ -150,7 +145,6 @@ def run_sharded_round(
     config,
     governor: RunGovernor,
     cache: Optional[FragmentCache] = None,
-    planner: Optional[DeltaPlanner] = None,
     memo: Optional[AnalysisMemo] = None,
     blocklist: Sequence[str] = (),
 ) -> Tuple[List[Candidate], ScaleStats]:
@@ -171,7 +165,6 @@ def run_sharded_round(
     workers = config.workers
     stats = ScaleStats(workers=workers)
     bus = _progress.active()
-    capture = (_TELEMETRY.enabled, _events.capture_spec())
     with _TELEMETRY.span("scale.round", workers=workers):
         dfgs = build_dfgs(module, min_nodes=0,
                           mined_kinds=config.mined_kinds)
@@ -196,10 +189,6 @@ def run_sharded_round(
         ]
         digests = [payload.digest() for payload in payloads]
         stats.shards = len(shards)
-        if planner is not None:
-            plan = planner.plan(digests)
-            stats.delta_clean = len(plan.clean)
-            stats.delta_dirty = len(plan.dirty)
         results: Dict[int, ShardResult] = {}
         to_mine: List[Tuple[Shard, ShardPayload, str]] = []
         if cache is None:
@@ -235,32 +224,26 @@ def run_sharded_round(
             fault("scale.pool")
             with _TELEMETRY.span("scale.mine", shards=len(to_mine)):
                 if workers <= 1:
-                    sup = mine_serial(to_mine, dfgs, governor, bus,
-                                      capture, retries=retry_budget)
+                    sup = mine_serial(to_mine, dfgs, governor, stats, bus,
+                                      retries=retry_budget)
                 else:
                     sup = supervise_mine(
-                        to_mine, dfgs, workers, governor, bus, capture,
+                        to_mine, dfgs, workers, governor, stats, bus,
                         retries=retry_budget,
                         timeout=getattr(config, "shard_timeout", None),
                     )
                 results.update(sup.completed)
                 lost = sup.lost
                 torn_down = sup.torn_down
-                stats.stragglers = sup.stragglers
-                stats.shard_retries = sup.retries
-                stats.shards_retried = sup.shards_retried
-                stats.shard_fallbacks = sup.fallbacks
-                stats.shards_quarantined = len(sup.dropped)
-                # stitch shard metrics and replay shard events in
-                # deterministic shard order, inside the scale.mine span
-                # so shard spans nest under it in the profile tree
+                # replay shard snapshots in deterministic shard order,
+                # inside the scale.mine span so shard spans nest under
+                # it in the profile tree
                 for shard in shards:
                     result = results.get(shard.index)
                     if result is None:
                         continue
-                    _remote.merge_snapshot(_TELEMETRY, result.telemetry)
-                    _events.replay(result.events)
-                    result.telemetry = result.events = None
+                    _events.replay(result.snapshot)
+                    result.snapshot = None
             for shard, payload, digest in to_mine:
                 result = results.get(shard.index)
                 if result is None:
@@ -346,8 +329,6 @@ def run_sharded_round(
             cache_invalid=stats.cache_invalid,
             lattice_nodes_mined=stats.lattice_nodes_mined,
             lattice_nodes_reused=stats.lattice_nodes_reused,
-            delta_clean=stats.delta_clean,
-            delta_dirty=stats.delta_dirty,
             stragglers=stats.stragglers,
             retries=stats.shard_retries,
             fallbacks=stats.shard_fallbacks,

@@ -220,12 +220,10 @@ class ShardResult:
     #: from :meth:`to_doc`, so a cached entry never replays a stale
     #: timing (cache hits report 0.0).
     mine_seconds: float = 0.0
-    #: worker metrics snapshot (:mod:`repro.telemetry.remote`), set
-    #: by the pool when capture is on.  Transient, never persisted.
-    telemetry: Optional[Dict[str, Any]] = None
-    #: the shard's captured events (:func:`repro.telemetry.events.capture`),
-    #: set when an ordered sink is on.  Transient, never persisted.
-    events: Optional[Dict[str, Any]] = None
+    #: the shard's captured metrics and events
+    #: (:func:`repro.telemetry.events.capture`), set when an ordered
+    #: sink is on.  Transient, never persisted.
+    snapshot: Optional[Dict[str, Any]] = None
 
     def to_doc(self) -> Dict[str, Any]:
         """The JSON body persisted by the fragment cache."""

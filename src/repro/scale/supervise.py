@@ -57,13 +57,16 @@ Mechanics:
 
 The in-process path (``workers <= 1``) runs the same poison/quarantine
 state machine via :func:`mine_serial` (minus crash/hang directives,
-which only make sense for a child process).  Both paths mine inside
-isolated metric and event capture scopes; the parent stitches and
+which only make sense for a child process).  Both paths mine each
+shard inside one capture scope (:func:`repro.telemetry.events.capture`)
+that records its metrics and events into one snapshot; the parent
 replays the snapshots in shard order.
 
 Every failed delivery emits a ``scale.retry`` event and every
 quarantine resolution a ``scale.quarantine`` event (ledger and events
-stream); the caller turns the outcome's counts into
+stream).  Both executors count stragglers, retries, fallbacks and
+quarantined shards straight into the round's
+:class:`~repro.scale.pool.ScaleStats`, which the caller turns into
 ``scale.shard.retries`` / ``scale.shards.quarantined`` counters
 (OpenMetrics: ``repro_scale_shard_retries_total`` /
 ``repro_scale_shards_quarantined_total``).
@@ -77,7 +80,8 @@ import signal
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mpconn
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.dfg.graph import DFG
 from repro.resilience import governor as _governor
@@ -87,11 +91,13 @@ from repro.resilience.governor import RunGovernor
 from repro.telemetry import GLOBAL as _TELEMETRY
 from repro.telemetry import events as _events
 from repro.telemetry import progress as _progress
-from repro.telemetry import remote as _remote
 from repro.telemetry.events import emit
 
 from repro.scale.cluster import Shard
 from repro.scale.shard import ShardPayload, ShardResult, mine_shard
+
+if TYPE_CHECKING:
+    from repro.scale.pool import ScaleStats
 
 #: Default redeliveries per shard before the serial fallback
 #: (``--shard-retries``).
@@ -128,19 +134,13 @@ _SERIAL_FAULT_DIRECTIVES = (
 
 @dataclass
 class SuperviseOutcome:
-    """Everything one supervised expansion produced and endured."""
+    """What one supervised expansion produced, beyond its counts (those
+    go straight into the round's ``ScaleStats``)."""
 
     completed: Dict[int, ShardResult] = field(default_factory=dict)
     #: shards torn down before completing (governor stop mid-round)
     lost: List[int] = field(default_factory=list)
     torn_down: bool = False
-    stragglers: int = 0
-    #: total redeliveries (a shard retried twice counts twice)
-    retries: int = 0
-    #: distinct shards that needed more than one delivery
-    shards_retried: int = 0
-    #: exhausted shards recovered by the in-parent serial fallback
-    fallbacks: int = 0
     #: quarantine resolutions: ``{"shard", "attempts", "error",
     #: "recovered"}`` — recovered means the serial fallback saved it
     quarantined: List[Dict[str, Any]] = field(default_factory=list)
@@ -173,36 +173,30 @@ def _worker_init(progress_queue=None) -> None:
 
 
 def _mine_captured(payload: ShardPayload, dfgs: Sequence[DFG],
-                   capture: Tuple[bool, Any]) -> ShardResult:
-    """Mine one shard inside isolated metric and event scopes.
-
-    *capture* is ``(metrics, event spec)``: the parent's telemetry flag
-    and :func:`repro.telemetry.events.capture_spec`.  The snapshots
-    ride back on the (transient) ``result.telemetry`` and
-    ``result.events`` fields for the parent to stitch in, so a shard
-    reports the same wherever it was mined.
+                   spec: Optional[Dict[str, Any]]) -> ShardResult:
+    """Mine one shard inside the capture scope of *spec* (the parent's
+    :func:`repro.telemetry.events.capture_spec`).  Its one snapshot
+    rides back on the (transient) ``result.snapshot`` for the parent to
+    replay, so a shard reports the same wherever it was mined.
     """
-    metrics_on, spec = capture
-    with _remote.capture(enabled=metrics_on) as metrics, \
-            _events.capture(spec) as recorded:
+    with _events.capture(spec) as recorded:
         result = mine_shard(payload, dfgs)
-    result.telemetry = metrics.snapshot
-    result.events = recorded.snapshot
+    result.snapshot = recorded.snapshot
     return result
 
 
 def _mine_shard_job(payload: ShardPayload, budget: Optional[float],
-                    capture: Tuple[bool, Any]) -> ShardResult:
+                    spec: Optional[Dict[str, Any]]) -> ShardResult:
     """Mine one shard in a worker, under a child-local governor.  The
-    DFGs are rebuilt from the payload outside the capture scopes: the
+    DFGs are rebuilt from the payload outside the capture scope: the
     parent mines its own, already-built DFGs, and both must report the
     same."""
     dfgs = payload.build_dfgs()
     with _governor.activate(RunGovernor(time_budget=budget)):
-        return _mine_captured(payload, dfgs, capture)
+        return _mine_captured(payload, dfgs, spec)
 
 
-def _supervised_worker(conn, progress_queue, capture) -> None:
+def _supervised_worker(conn, progress_queue, spec) -> None:
     """Child main loop: recv task, mine (or obey a chaos directive),
     send back ``(shard, result, error)``.  ``None`` means shut down."""
     _worker_init(progress_queue)
@@ -223,7 +217,7 @@ def _supervised_worker(conn, progress_queue, capture) -> None:
             if directive == "poison":
                 raise FaultInjected(
                     f"injected poison on shard {shard_index}")
-            result = _mine_shard_job(payload, budget, capture)
+            result = _mine_shard_job(payload, budget, spec)
         except BaseException as exc:  # noqa: B036 - must not die silently
             try:
                 conn.send((shard_index, None,
@@ -266,6 +260,15 @@ def _poison_error(shard_index: int) -> str:
     return f"FaultInjected: injected poison on shard {shard_index}"
 
 
+def _count_stragglers(bus, governor: RunGovernor,
+                      stats: "ScaleStats") -> None:
+    """Count the shards the events sink's watchdog flags as stale."""
+    for __ in bus.stragglers():
+        stats.stragglers += 1
+        governor.count("scale.stragglers")
+        _TELEMETRY.count("scale.shards.stalled")
+
+
 def _backoff(attempt: int, governor: RunGovernor) -> float:
     """Deterministic, governor-aware redelivery delay in seconds."""
     delay = min(BACKOFF_BASE * (2 ** (attempt - 1)), BACKOFF_CAP)
@@ -278,12 +281,12 @@ def _backoff(attempt: int, governor: RunGovernor) -> float:
 class _Worker:
     """One tracked child process with its duplex task pipe."""
 
-    def __init__(self, progress_queue, capture: Tuple[bool, Any]):
+    def __init__(self, progress_queue, spec: Optional[Dict[str, Any]]):
         parent_conn, child_conn = multiprocessing.Pipe()
         self.conn = parent_conn
         self.process = multiprocessing.Process(
             target=_supervised_worker,
-            args=(child_conn, progress_queue, capture),
+            args=(child_conn, progress_queue, spec),
             daemon=True,
         )
         self.process.start()
@@ -313,24 +316,25 @@ def supervise_mine(
     dfgs: Sequence[DFG],
     workers: int,
     governor: RunGovernor,
+    stats: "ScaleStats",
     bus=None,
-    capture: Tuple[bool, Any] = (False, None),
     retries: int = DEFAULT_SHARD_RETRIES,
     timeout: Optional[float] = None,
 ) -> SuperviseOutcome:
     """Expand the missing shards on a supervised worker fleet.
 
     *dfgs* is the round's global DFG database, which the serial
-    fallback mines in the parent; *capture* is ``(telemetry, ledger)``
-    (see :func:`_mine_captured`).  Dispatch order is largest-first (by
-    payload size) for load balance; redeliveries queue behind their
-    backoff.  Neither can affect results — only which shards finish
-    before a teardown.  When a progress *bus* is active its worker
-    queue rides into the children, the wait loop drains it, and stale
-    heartbeats are flagged as stragglers (counted on the governor so
-    degradation notes surface them).
+    fallback mines in the parent; the round's *stats* receive the
+    supervision counts.  Dispatch order is largest-first (by payload
+    size) for load balance; redeliveries queue behind their backoff.
+    Neither can affect results — only which shards finish before a
+    teardown.  When a progress *bus* is active its worker queue rides
+    into the children, the wait loop drains it, and stale heartbeats
+    are flagged as stragglers (counted on the governor so degradation
+    notes surface them).
     """
     outcome = SuperviseOutcome()
+    spec = _events.capture_spec()
     order = sorted(
         range(len(to_mine)),
         key=lambda i: (
@@ -363,7 +367,7 @@ def supervise_mine(
              error=error, retried=will_retry, backoff=round(delay, 3))
         if will_retry:
             pending.append((time.monotonic() + delay, shard_index))
-            outcome.retries += 1
+            stats.shard_retries += 1
             retried.add(shard_index)
         else:
             exhausted.append((shard_index, attempt, error))
@@ -381,10 +385,7 @@ def supervise_mine(
         while pending or any(w.shard is not None for w in fleet):
             if bus is not None:
                 bus.drain()
-                for __ in bus.stragglers():
-                    outcome.stragglers += 1
-                    governor.count("scale.stragglers")
-                    _TELEMETRY.count("scale.shards.stalled")
+                _count_stragglers(bus, governor, stats)
             if governor.should_stop():
                 outcome.torn_down = True
                 break
@@ -395,7 +396,7 @@ def supervise_mine(
             busy = sum(1 for w in fleet if w.shard is not None)
             target = min(workers, busy + len(pending))
             while len(fleet) < target:
-                fleet.append(_Worker(queue, capture))
+                fleet.append(_Worker(queue, spec))
             # dispatch every backoff-ready shard onto an idle worker
             for worker in fleet:
                 if worker.shard is not None:
@@ -512,15 +513,16 @@ def supervise_mine(
                   "error": error, "recovered": False}
         if shard_index in poisoned:
             record["error"] = _poison_error(shard_index)
+            stats.shards_quarantined += 1
         else:
             outcome.completed[shard_index] = _mine_captured(
                 payload_by_shard[shard_index],
-                [dfgs[g] for g in members[shard_index]], capture)
+                [dfgs[g] for g in members[shard_index]], spec)
             record["recovered"] = True
-            outcome.fallbacks += 1
+            stats.shard_fallbacks += 1
         outcome.quarantined.append(record)
         emit("scale.quarantine", **record)
-    outcome.shards_retried = len(retried)
+    stats.shards_retried += len(retried)
     return outcome
 
 
@@ -528,16 +530,18 @@ def mine_serial(
     to_mine: List[Tuple[Shard, ShardPayload, str]],
     dfgs: Sequence[DFG],
     governor: RunGovernor,
+    stats: "ScaleStats",
     bus=None,
-    capture: Tuple[bool, Any] = (False, None),
     retries: int = DEFAULT_SHARD_RETRIES,
 ) -> SuperviseOutcome:
     """The ``workers <= 1`` path: each shard is mined in-process on the
-    round's own DFGs.  A poisoned shard fails every one of its
-    ``1 + retries`` deliveries and is quarantined (there is no child
-    to kill and no fallback: the parent *is* the serial fallback);
-    any other error propagates."""
+    round's own DFGs, and the round's *stats* receive the supervision
+    counts.  A poisoned shard fails every one of its ``1 + retries``
+    deliveries and is quarantined (there is no child to kill and no
+    fallback: the parent *is* the serial fallback); any other error
+    propagates."""
     outcome = SuperviseOutcome()
+    spec = _events.capture_spec()
     poisoned: Set[int] = set()
     for shard, payload, __ in to_mine:
         if governor.should_stop():
@@ -547,7 +551,7 @@ def mine_serial(
         if _probe_directive(shard.index, poisoned,
                             _SERIAL_FAULT_DIRECTIVES) is None:
             outcome.completed[shard.index] = _mine_captured(
-                payload, [dfgs[g] for g in shard.graph_ids], capture)
+                payload, [dfgs[g] for g in shard.graph_ids], spec)
         else:
             error = _poison_error(shard.index)
             for attempt in range(1, retries + 2):
@@ -555,18 +559,16 @@ def mine_serial(
                 emit("scale.retry", shard=shard.index, attempt=attempt,
                      error=error, retried=will_retry, backoff=0.0)
                 if will_retry:
-                    outcome.retries += 1
+                    stats.shard_retries += 1
             if retries:
-                outcome.shards_retried += 1
+                stats.shards_retried += 1
             record = {"shard": shard.index, "attempts": retries + 1,
                       "error": error, "recovered": False}
             outcome.quarantined.append(record)
+            stats.shards_quarantined += 1
             emit("scale.quarantine", **record)
         if bus is not None:
-            for __beat in bus.stragglers():
-                outcome.stragglers += 1
-                governor.count("scale.stragglers")
-                _TELEMETRY.count("scale.shards.stalled")
+            _count_stragglers(bus, governor, stats)
     return outcome
 
 

@@ -41,7 +41,6 @@ from repro.telemetry.openmetrics import (
 from repro.telemetry.progress import EVENTS_SCHEMA, ProgressBus
 from repro.telemetry.remote import (
     SNAPSHOT_SCHEMA,
-    capture,
     merge_snapshot,
     snapshot,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "EVENTS_SCHEMA",
     "SNAPSHOT_SCHEMA",
     "ProgressBus",
-    "capture",
     "merge_snapshot",
     "snapshot",
     "chrome_trace",

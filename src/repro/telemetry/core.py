@@ -30,11 +30,13 @@ Usage::
 
 Events are not registry calls: the enabled registry is a sink of the
 one event model (:mod:`repro.telemetry.events`) and keeps the kinds it
-takes in ``events``, for the stats JSON.
+takes in ``events``, for the stats JSON.  It leaves an extraction's DOT
+renderings to the ledger.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import threading
 import time
@@ -114,6 +116,12 @@ class _LiveSpan:
         return False
 
 
+#: Event fields the stats JSON leaves to the ledger and the HTML
+#: report: an extraction's DOT renderings (tens of KB per run).
+LEDGER_ONLY_FIELDS = frozenset({"fragment_dot", "host_dot",
+                                "collision_dot"})
+
+
 class Telemetry(_events.Sink):
     """A registry of spans, counters, gauges, histograms and events."""
 
@@ -160,6 +168,40 @@ class Telemetry(_events.Sink):
         # per-thread stacks restart lazily; only this thread's can be
         # cleared here, which is enough for the sequential pipeline
         self._local.stack = []
+
+    @contextlib.contextmanager
+    def isolated(self, enabled: bool):
+        """Record spans and metrics into fresh state for the block.
+
+        Empty span/metric storage and a clean span stack are swapped
+        in, so instrumentation already bound to this registry records
+        into an isolated scope (or nowhere, with ``enabled=False``);
+        the previous state is restored on exit.  The epoch is kept, so
+        a :func:`repro.telemetry.remote.snapshot` of the scope stays
+        comparable with the surrounding state's timestamps.
+        """
+        attrs = ("enabled", "spans", "counters", "gauges", "histograms",
+                 "_serial", "remote_processes")
+        saved = {attr: getattr(self, attr) for attr in attrs}
+        saved_stack = getattr(self._local, "stack", None)
+        with self._lock:
+            self.spans = []
+            self.counters = {}
+            self.gauges = {}
+            self.histograms = {}
+            self._serial = 0
+            self.remote_processes = {}
+        self._local.stack = []
+        self.enabled = enabled
+        try:
+            yield
+        finally:
+            with self._lock:
+                for attr, value in saved.items():
+                    setattr(self, attr, value)
+            self._local.stack = (
+                saved_stack if saved_stack is not None else []
+            )
 
     # ------------------------------------------------------------------
     # spans
@@ -256,6 +298,9 @@ class Telemetry(_events.Sink):
         """Keep one event (an extraction, a round end) for the stats."""
         entry = {"name": kind}
         entry.update(record)
+        if kind == "extraction":
+            for key in LEDGER_ONLY_FIELDS:
+                entry.pop(key, None)
         with self._lock:
             self.events.append(entry)
 

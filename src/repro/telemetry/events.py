@@ -20,8 +20,9 @@ shapes its own records:
     :class:`repro.telemetry.core.Telemetry` — the registry's event
     list, which feeds the stats JSON (schema
     ``repro.telemetry.stats/3``), OpenMetrics and ``profile``'s shard
-    table.  Records are ``{"name": kind, ...}``.  Spans, counters and
-    histograms stay registry calls: they are metrics, not events.
+    table.  Records are ``{"name": kind, ...}``, without the
+    extraction's DOT renderings.  Spans, counters and histograms stay
+    registry calls: they are metrics, not events.
 
 Every record is the ambient :func:`context` (``round``, ``mine_pass``,
 ``source``) merged with the emitted fields, so the fields a fact shares
@@ -31,10 +32,12 @@ building (:func:`wants`) only where that is costly.
 
 Shards record through one :func:`capture` scope, in the parent and in
 worker processes alike: inside it the *ordered* sinks (ledger, stats)
-are replaced by one buffer that takes their kinds, while the *live*
-events sink keeps receiving.  The parent :func:`replay`\\ s each
-shard's buffer in shard order, so a cold-cache run records the same
-ledger and stats streams for every worker count >= 1.
+are replaced by one buffer that takes their kinds, the stats registry
+records its spans and metrics into isolated state, and the *live*
+events sink keeps receiving.  The scope yields one snapshot of both;
+the parent :func:`replay`\\ s each shard's snapshot in shard order, so
+a cold-cache run records the same ledger, stats and metrics for every
+worker count >= 1.
 
 Kinds (fields are additive; consumers must ignore unknown fields; L =
 ledger, E = events, S = stats; "(capped)" = capped per run in the
@@ -77,11 +80,15 @@ prune                   L     mining round — never-convex, Fig. 9
                               cyclic (0 on all 8 bundled programs, see
                               DESIGN.md §5) and legality-prune cuts
 scale.shard             L     mining round — per-shard census
-scale.round             L     mining round — shard, cache, retry census
+scale.round             L     mining round — shard, cache (hits and
+                              misses: the measured reuse), lattice
+                              nodes mined and reused, retry census
 scale.salvage           L     mining round — salvaged and lost shards
 extraction              L S   driver — one applied extraction:
                               mechanism, size, occurrences, benefit,
-                              symbol, body, origins, DOT renderings
+                              symbol, body, origins; the ledger also
+                              keeps the DOT renderings, the stats drop
+                              them
 rewrite                 L     extractor — a rewrite landed
 verify.round            L     validator — blocks checked / identical
 verify.lint             L     validator — a post-round lint regression
@@ -217,8 +224,12 @@ def context(**fields):
 # ----------------------------------------------------------------------
 def capture_spec() -> Optional[Dict[str, Any]]:
     """What a :func:`capture` scope must record for the ordered sinks
-    attached here (``None``: nothing).  A plain picklable dict, so it
+    attached here (``None``: nothing).  ``metrics`` says whether the
+    stats registry is among them, so the scope records its spans,
+    counters, gauges and histograms too.  A plain picklable dict, so it
     crosses into worker processes."""
+    from repro.telemetry.core import GLOBAL
+
     ordered = [sink for sink in _SINKS if not sink.live]
     if not ordered:
         return None
@@ -227,7 +238,7 @@ def capture_spec() -> Optional[Dict[str, Any]]:
     for sink in ordered:
         for kind, cap in sink.caps.items():
             caps[kind] = min(cap, caps.get(kind, cap))
-    return {"kinds": kinds, "caps": caps}
+    return {"kinds": kinds, "caps": caps, "metrics": GLOBAL in ordered}
 
 
 class _Buffer(Sink):
@@ -254,44 +265,61 @@ class _Buffer(Sink):
 
 @contextlib.contextmanager
 def capture(spec: Optional[Dict[str, Any]]):
-    """Record the block's events for a later :func:`replay`.
+    """Record the block's events and metrics for a later :func:`replay`.
 
     The ordered sinks are detached for the block and, when *spec* (a
     :func:`capture_spec`) is given, the yielded buffer takes their
-    kinds under their caps; live sinks stay attached.  The scope starts
-    with an empty context, so a snapshot is the same wherever it was
-    taken — in the parent or in a worker.  On exit the buffer's
-    ``snapshot`` (a plain picklable dict; None without *spec*) is set
-    and the previous sinks and context are restored.
+    kinds under their caps; live sinks stay attached.  The stats
+    registry records into isolated state when ``spec["metrics"]`` and
+    is silenced otherwise.  The scope starts with an empty context, so
+    a snapshot is the same wherever it was taken — in the parent or in
+    a worker.  When the block completes, the buffer's ``snapshot`` (a
+    plain picklable dict; None without *spec*) is set; on any exit the
+    previous sinks, context and registry state are restored.
     """
+    from repro.telemetry.core import GLOBAL
+    from repro.telemetry.remote import snapshot
+
     saved_sinks = list(_SINKS)
     saved_context = dict(_CONTEXT)
     buffer = _Buffer(spec or {"kinds": frozenset(), "caps": {}})
+    metrics = spec is not None and spec["metrics"]
     _SINKS[:] = [sink for sink in saved_sinks if sink.live]
     if spec is not None:
         _SINKS.append(buffer)
     _CONTEXT.clear()
     try:
-        yield buffer
+        with GLOBAL.isolated(metrics):
+            yield buffer
+            if spec is not None:
+                buffer.snapshot = {
+                    "records": buffer.records,
+                    "dropped": buffer.dropped,
+                    "metrics": snapshot(GLOBAL) if metrics else None,
+                }
     finally:
-        if spec is not None:
-            buffer.snapshot = {"records": buffer.records,
-                               "dropped": buffer.dropped}
         _SINKS[:] = saved_sinks
         _CONTEXT.clear()
         _CONTEXT.update(saved_context)
 
 
 def replay(snapshot: Optional[Dict[str, Any]]) -> None:
-    """Re-emit a :func:`capture` snapshot to the ordered sinks.
+    """Stitch a :func:`capture` snapshot into this process.
 
-    Each record is merged under the *current* context (the round) and
-    meets the sinks' own caps; the drops the capture buffer counted are
-    passed on.  Replaying snapshots in a fixed order therefore keeps
-    and drops exactly what one uncaptured stream would have.
+    The metrics merge into the stats registry
+    (:func:`repro.telemetry.remote.merge_snapshot`), then each event is
+    re-emitted to the ordered sinks, merged under the *current* context
+    (the round) and meeting the sinks' own caps; the drops the capture
+    buffer counted are passed on.  Replaying snapshots in a fixed order
+    therefore keeps and drops exactly what one uncaptured stream would
+    have.
     """
     if snapshot is None:
         return
+    from repro.telemetry.core import GLOBAL
+    from repro.telemetry.remote import merge_snapshot
+
+    merge_snapshot(GLOBAL, snapshot["metrics"])
     ordered = [sink for sink in _SINKS if not sink.live]
     for kind, captured in snapshot["records"]:
         record = dict(_CONTEXT)

@@ -1,29 +1,24 @@
-"""Cross-process telemetry: capture in a worker, stitch in the parent.
+"""Cross-process metrics: the wire format of a shard's spans and metrics.
 
-Metrics only — spans, counters, gauges, histograms.  Events cross the
-process boundary through the one event model's capture scope
-(:func:`repro.telemetry.events.capture`).
+Spans, counters, gauges and histograms only.  A shard mines inside the
+one capture scope of the event model
+(:func:`repro.telemetry.events.capture`), in a worker or in the parent;
+the scope isolates the process-global registry (the miners'
+module-level ``_TELEMETRY`` references keep working untouched) and
+uses this module to move what it recorded:
 
-The sharded mining pool (:mod:`repro.scale.pool`) runs each shard in a
-forked worker whose inherited global registry is disabled — before this
-module existed, the intra-shard hot path was an observability black
-hole.  The protocol here keeps workers fully instrumented without
-giving up any determinism guarantee:
-
-1. The worker wraps its shard mine in :func:`capture`, which swaps
-   *fresh* recording state into the process-global registry (the
-   miners' module-level ``_TELEMETRY`` references keep working
-   untouched) and snapshots it on exit.
-2. The :func:`snapshot` travels back to the parent inside the pickled
-   shard result — a plain JSON-able dict, schema
-   ``repro.telemetry.remote/2``.
-3. The parent calls :func:`merge_snapshot` for each shard **in
-   deterministic shard order**: span idents are re-based into the
-   parent's serial space, snapshot-root spans are attached under the
-   parent's currently open span (so the profile tree nests worker work
-   under ``scale.mine``), counters add, histograms merge reservoirs,
-   and the worker's real pid is kept on every record so the Chrome
-   trace exporter can lay out one named track per process.
+1. On exit the scope takes a :func:`snapshot` of the isolated registry
+   — a plain JSON-able dict, schema ``repro.telemetry.remote/2`` —
+   which travels back to the parent inside the pickled shard result
+   next to the shard's events.
+2. :func:`repro.telemetry.events.replay` calls :func:`merge_snapshot`
+   for each shard **in deterministic shard order**: span idents are
+   re-based into the parent's serial space, snapshot-root spans are
+   attached under the parent's currently open span (so the profile
+   tree nests worker work under ``scale.mine``), counters add,
+   histograms merge reservoirs, and the worker's real pid is kept on
+   every record so the Chrome trace exporter can lay out one named
+   track per process.
 
 Timestamps: span ``start`` values are registry-epoch-relative; the
 snapshot converts them to *absolute* ``time.perf_counter()`` readings
@@ -40,11 +35,10 @@ timestamps differ — exactly the fields a trace exists to show.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from typing import Any, Dict, Optional
 
-from repro.telemetry.core import GLOBAL, SpanRecord, Telemetry
+from repro.telemetry.core import SpanRecord, Telemetry
 from repro.telemetry.metrics import Counter, Gauge, Histogram
 
 #: Version tag of the worker snapshot wire format.  Snapshots are
@@ -95,66 +89,6 @@ def snapshot(registry: Telemetry,
                 for name, histogram in registry.histograms.items()
             },
         }
-
-
-class Capture:
-    """Handle yielded by :func:`capture`; ``snapshot`` is set on exit."""
-
-    __slots__ = ("process_name", "snapshot")
-
-    def __init__(self, process_name: str):
-        self.process_name = process_name
-        self.snapshot: Optional[Dict[str, Any]] = None
-
-
-@contextlib.contextmanager
-def capture(process_name: str = WORKER_PROCESS, enabled: bool = True):
-    """Record into fresh registry state for the duration of the block.
-
-    Swaps empty span/metric storage (and a clean thread span
-    stack) into the process-global registry, so instrumentation already
-    bound to it records into an isolated scope; on exit the scope is
-    snapshotted onto the yielded :class:`Capture` and the previous
-    state restored untouched.  With ``enabled=False`` the block runs
-    fully suppressed and no snapshot is taken — the two modes share one
-    code path so the ``workers=1`` in-process shard mine and the worker
-    pool behave identically.
-
-    The registry epoch is deliberately *kept*: snapshot timestamps stay
-    comparable with the surrounding state's.
-    """
-    registry = GLOBAL
-    saved = {
-        "enabled": registry.enabled,
-        "spans": registry.spans,
-        "counters": registry.counters,
-        "gauges": registry.gauges,
-        "histograms": registry.histograms,
-        "_serial": registry._serial,
-        "remote_processes": registry.remote_processes,
-    }
-    saved_stack = getattr(registry._local, "stack", None)
-    with registry._lock:
-        registry.spans = []
-        registry.counters = {}
-        registry.gauges = {}
-        registry.histograms = {}
-        registry._serial = 0
-        registry.remote_processes = {}
-    registry._local.stack = []
-    registry.enabled = enabled
-    holder = Capture(process_name)
-    try:
-        yield holder
-    finally:
-        if enabled:
-            holder.snapshot = snapshot(registry, process_name)
-        with registry._lock:
-            for attr, value in saved.items():
-                setattr(registry, attr, value)
-        registry._local.stack = (
-            saved_stack if saved_stack is not None else []
-        )
 
 
 def merge_snapshot(registry: Telemetry,
@@ -220,8 +154,6 @@ def merge_snapshot(registry: Telemetry,
 __all__ = [
     "SNAPSHOT_SCHEMA",
     "WORKER_PROCESS",
-    "Capture",
-    "capture",
     "merge_snapshot",
     "snapshot",
 ]

@@ -1,10 +1,10 @@
 """Miner resource limits: deadlines, truncation, streaming hooks."""
 
-import time
-
 from repro.dfg.graph import DFG
 from repro.mining.edgar import Edgar
 from repro.mining.gspan import DgSpan
+from repro.resilience import governor
+from repro.resilience.governor import RunGovernor
 
 
 def chain(labels):
@@ -24,8 +24,10 @@ def dense(n):
 def test_deadline_unwinds_cleanly():
     db = [dense(12) for __ in range(4)]
     miner = Edgar(min_support=2, max_nodes=8)
-    miner.deadline = time.monotonic()  # already expired
-    fragments = miner.mine(db)
+    expired = RunGovernor(time_budget=1.0)
+    expired.force_expire()
+    with governor.activate(expired):
+        fragments = miner.mine(db)
     assert miner.deadline_hit
     assert fragments == [] or all(f.support >= 2 for f in fragments)
 
@@ -41,10 +43,9 @@ def test_partial_results_are_valid():
     db = [dense(10) for __ in range(2)]
     miner = Edgar(min_support=2, max_nodes=6)
     seen = []
-    started = time.monotonic()
-    miner.deadline = started + 0.3
     miner.on_fragment = seen.append
-    miner.mine(db)
+    with governor.activate(RunGovernor(time_budget=0.3)):
+        miner.mine(db)
     for fragment in seen:
         assert fragment.num_nodes >= 2
         assert len(fragment.embeddings) >= 1

@@ -11,7 +11,6 @@ with it must produce the same module.
 """
 
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +47,7 @@ class _ReferenceLoop:
     def _search(self, db, code, embeddings, results, state=None):
         if self._legality is not None and state is None:
             return  # dead under the legality prune
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self._governor.should_stop():
             raise _DeadlineReached
         if len(embeddings) > self.max_embeddings:
             self.truncated_branches += 1

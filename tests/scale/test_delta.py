@@ -1,16 +1,21 @@
-"""Incremental re-mining planner: only shards whose payload digest
-changed are predicted dirty, and the prediction matches what actually
-happens across the rounds of a real run (an extraction dirties the
-shards holding rewritten blocks; renumbering alone dirties nothing)."""
+"""Incremental re-mining across rounds: the fragment cache's hits and
+misses are the round-over-round delta.  A shard is re-mined if and only
+if its payload digest is new, whatever its position in the shard list,
+and a real extraction leaves most shards' digests (and cache entries)
+intact."""
 
 from repro.dfg.builder import build_dfgs
 from repro.pa.driver import PAConfig, run_pa
 from repro.pa.legality import sp_fragile_functions
 from repro.pa.liveness import lr_live_out_blocks
+from repro.resilience.governor import RunGovernor
+from repro.scale.cache import FragmentCache
 from repro.scale.cluster import cluster_dfgs
-from repro.scale.delta import DeltaPlanner
+from repro.scale.pool import run_sharded_round
 from repro.scale.shard import build_payload
 from repro.workloads import compile_workload
+
+_BODY = {"candidates": [], "lattice_nodes": 0, "tallies": {}}
 
 
 def _digests(module, config):
@@ -23,57 +28,63 @@ def _digests(module, config):
     ]
 
 
+def _round(cache, digests):
+    """Look every digest up the way a sharded round does; store the
+    misses.  Returns the (hit, missed) shard indices."""
+    hit, missed = [], []
+    for index, digest in enumerate(digests):
+        if cache.get(digest) is not None:
+            hit.append(index)
+        else:
+            missed.append(index)
+            cache.put(digest, dict(_BODY))
+    return hit, missed
+
+
 def test_first_plan_is_initial_and_all_dirty():
-    planner = DeltaPlanner()
-    plan = planner.plan(["d1", "d2", "d3"])
-    assert plan.initial
-    assert plan.clean == []
-    assert plan.dirty == [0, 1, 2]
-    assert plan.reuse_fraction == 0.0
+    cache = FragmentCache()
+    hit, missed = _round(cache, ["d1", "d2", "d3"])
+    assert hit == []
+    assert missed == [0, 1, 2]
+    assert (cache.stats.hits, cache.stats.misses) == (0, 3)
 
 
 def test_unchanged_digests_are_clean():
-    planner = DeltaPlanner()
-    planner.plan(["d1", "d2", "d3"])
-    plan = planner.plan(["d1", "d2", "d3"])
-    assert not plan.initial
-    assert plan.clean == [0, 1, 2]
-    assert plan.dirty == []
-    assert plan.reuse_fraction == 1.0
+    cache = FragmentCache()
+    _round(cache, ["d1", "d2", "d3"])
+    hit, missed = _round(cache, ["d1", "d2", "d3"])
+    assert hit == [0, 1, 2]
+    assert missed == []
+    assert (cache.stats.hits, cache.stats.misses) == (3, 3)
 
 
 def test_changed_subset_is_dirty_regardless_of_position():
-    planner = DeltaPlanner()
-    planner.plan(["d1", "d2", "d3"])
+    cache = FragmentCache()
+    _round(cache, ["d1", "d2", "d3"])
     # d2 rewritten to d9, d3 moved to index 1: position is not identity
-    plan = planner.plan(["d1", "d3", "d9"])
-    assert plan.clean == [0, 1]
-    assert plan.dirty == [2]
-    assert 0.0 < plan.reuse_fraction < 1.0
-
-
-def test_empty_round():
-    planner = DeltaPlanner()
-    plan = planner.plan([])
-    assert plan.initial
-    assert plan.reuse_fraction == 0.0
+    hit, missed = _round(cache, ["d1", "d3", "d9"])
+    assert hit == [0, 1]
+    assert missed == [2]
 
 
 def test_extraction_invalidates_only_touched_shards():
-    """After one real abstraction round most shard digests survive —
-    the incremental rule would have re-mined only the rewritten few."""
-    config = PAConfig(max_nodes=4)
+    """After one extraction on crc most shards hit the cache and some
+    miss: only the shards holding rewritten blocks are re-mined.  The
+    extraction also renumbers blocks, so a hit does not depend on a
+    shard's position."""
+    config = PAConfig(max_nodes=4, workers=1)
     module = compile_workload("crc")
     before = _digests(module, config)
+    cache = FragmentCache()
+    run_sharded_round(module, config, RunGovernor(), cache)
     result = run_pa(module, PAConfig(max_nodes=4, max_rounds=1))
-    assert result.rounds == 1
+    assert result.rounds == 1 and result.records
     after = _digests(module, config)
-    surviving = set(before) & set(after)
-    assert surviving, "an extraction must not rewrite every block"
+    assert set(before) & set(after), \
+        "an extraction must not rewrite every block"
     # and something did change (the new pa_* function, rewritten sites)
     assert set(after) != set(before)
-    planner = DeltaPlanner()
-    planner.plan(before)
-    plan = planner.plan(after)
-    assert plan.clean and plan.dirty
-    assert len(plan.clean) >= len(plan.dirty)
+    __, stats = run_sharded_round(module, config, RunGovernor(), cache)
+    assert stats.cache_hits + stats.cache_misses == stats.shards
+    assert stats.cache_misses, "the rewritten blocks must be re-mined"
+    assert stats.cache_hits > stats.cache_misses

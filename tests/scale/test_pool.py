@@ -12,7 +12,6 @@ from repro.resilience.checkpoint import load_checkpoint
 from repro.resilience.faultinject import FaultInjected
 from repro.resilience.governor import RunGovernor
 from repro.scale.cache import FragmentCache
-from repro.scale.delta import DeltaPlanner
 from repro.scale.pool import run_sharded_round
 from repro.workloads import compile_workload
 
@@ -52,18 +51,17 @@ def test_cache_serves_second_round_identically():
 
 
 def test_delta_planner_sees_second_round_clean():
+    """The round-over-round delta is read off the shared cache: a cold
+    first round misses every shard, an unchanged second round hits
+    every shard."""
     config = PAConfig(max_nodes=4, workers=1)
     module = compile_workload("crc")
-    cache, planner = FragmentCache(), DeltaPlanner()
-    _, first = run_sharded_round(
-        module, config, RunGovernor(), cache, planner
-    )
-    _, second = run_sharded_round(
-        module, config, RunGovernor(), cache, planner
-    )
-    assert first.delta_dirty == first.shards
-    assert second.delta_clean == second.shards
-    assert second.delta_dirty == 0
+    cache = FragmentCache()
+    _, first = run_sharded_round(module, config, RunGovernor(), cache)
+    _, second = run_sharded_round(module, config, RunGovernor(), cache)
+    assert first.cache_misses == first.shards
+    assert second.cache_hits == second.shards
+    assert second.cache_misses == 0
 
 
 def test_expired_governor_salvages_cached_shards():

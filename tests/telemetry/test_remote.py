@@ -1,17 +1,17 @@
-"""Cross-process capture/stitch: isolation of the capture scope,
-snapshot structure, and merge semantics (attachment under the open
-span, ident re-basing, counter/histogram accumulation)."""
+"""Cross-process capture/stitch: isolation of the one shard capture
+scope, snapshot structure, and merge semantics (attachment under the
+open span, ident re-basing, counter/histogram accumulation)."""
 
 import os
 
 import pytest
 
 from repro import telemetry
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, events
 from repro.telemetry.core import GLOBAL
+from repro.telemetry.events import capture, capture_spec, emit, replay
 from repro.telemetry.remote import (
     SNAPSHOT_SCHEMA,
-    capture,
     merge_snapshot,
     snapshot,
 )
@@ -39,30 +39,54 @@ class TestCapture:
     def test_capture_isolates_and_restores(self, global_registry):
         registry = global_registry
         registry.count("outer", 7)
+        spec = capture_spec()
+        assert spec["metrics"]
         with registry.span("outer.span"):
-            with capture() as captured:
+            with capture(spec) as captured:
                 populate(registry)
+                emit("shard.done", shard=1)
             # the capture scope swallowed everything recorded inside it
             assert "mining.lattice_nodes" not in registry.counters
             assert registry.counter_value("outer") == 7
+            assert registry.events == []
             # and the surrounding span stack survived the swap
             assert registry._stack()
+        # one snapshot carries both the metrics and the events
         snap = captured.snapshot
-        assert snap["schema"] == SNAPSHOT_SCHEMA
-        assert snap["pid"] == os.getpid()
-        assert snap["counters"]["mining.lattice_nodes"] == 5
-        assert len(snap["spans"]) == 2
-        # events cross processes through the event model's own capture
-        assert "events" not in snap
+        metrics = snap["metrics"]
+        assert metrics["schema"] == SNAPSHOT_SCHEMA
+        assert metrics["pid"] == os.getpid()
+        assert metrics["counters"]["mining.lattice_nodes"] == 5
+        assert len(metrics["spans"]) == 2
+        assert snap["records"] == [("shard.done", {"shard": 1})]
+        # and one replay stitches both back in
+        with events.context(round=3):
+            replay(snap)
+        assert registry.counter_value("mining.lattice_nodes") == 5
+        assert registry.counter_value("outer") == 7
+        assert registry.events == [
+            {"name": "shard.done", "round": 3, "shard": 1}]
 
     def test_disabled_capture_suppresses(self, global_registry):
         registry = global_registry
-        with capture(enabled=False) as captured:
+        with capture(None) as captured:
             populate(registry)
+            emit("shard.done", shard=1)
         assert captured.snapshot is None
         assert not registry.counters
         assert not registry.spans
+        assert not registry.events
         assert registry.enabled
+        # an ordered sink without the registry: events, no metrics
+        spec = {"kinds": frozenset({"shard.done"}), "caps": {},
+                "metrics": False}
+        with capture(spec) as captured:
+            populate(registry)
+            emit("shard.done", shard=1)
+        assert captured.snapshot["metrics"] is None
+        assert captured.snapshot["records"] == [
+            ("shard.done", {"shard": 1})]
+        assert not registry.counters and registry.enabled
 
     def test_snapshot_carries_absolute_starts(self):
         registry = Telemetry()

@@ -79,6 +79,11 @@ def test_sinks_agree(tmp_path, capsys, workers):
     _agree(_of(ledger, "run.end"), _of(events, "run.end"))
     _agree(_of(ledger, "extraction"), _of(stats, "extraction"))
     assert _of(stats, "extraction")
+    # the DOT renderings stay in the ledger; the stats drop them
+    assert all({"fragment_dot", "host_dot", "collision_dot"} <= set(r)
+               for r in _of(ledger, "extraction"))
+    assert not [key for r in _of(stats, "extraction") for key in r
+                if key.endswith("_dot")]
 
     streamed = _rounds_of_shard_events(events)
     replayed = _of(stats, "shard.done")

@@ -77,6 +77,16 @@ def test_audit_json_to_stdout(clean_asm, capsys):
     assert "f" in payload["functions"]
 
 
+def test_audit_json_dash_is_stdout_not_a_path(clean_asm, tmp_path,
+                                              monkeypatch, capsys):
+    """``--json -`` writes stdout: a file named ``-`` is no clobber."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-").write_text("keep")
+    assert main(["audit", clean_asm, "--assembly", "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["schema"] == AUDIT_SCHEMA
+    assert (tmp_path / "-").read_text() == "keep"
+
+
 def test_audit_exit_1_on_proven_clobber(clobber_asm, capsys):
     assert main(["audit", clobber_asm, "--assembly"]) == 1
     out = capsys.readouterr().out

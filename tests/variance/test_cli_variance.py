@@ -101,11 +101,20 @@ def test_variance_rejects_unknown_workload(capsys):
 def test_variance_refuses_to_overwrite_json(mini_c, tmp_path):
     out = tmp_path / "variance.json"
     out.write_text("{}")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main([
             "variance", "--workload", mini_c, "--variants", "2",
             "--engine", "sfx", "--json", str(out),
         ])
+    assert "refusing to overwrite" in str(exc.value)
+    assert out.read_text() == "{}"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "variance", "--workload", mini_c, "--variants", "2",
+            "--engine", "sfx", "--json",
+            str(tmp_path / "nope" / "variance.json"),
+        ])
+    assert "does not exist" in str(exc.value)
 
 
 # ----------------------------------------------------------------------
