@@ -298,18 +298,27 @@ def apply_batch(module: Module, config: PAConfig,
 
 def _emit_extraction(candidate: Candidate, dfgs, method: str,
                      symbol: str) -> None:
-    """One ``extraction`` event, with inline DOT artifacts."""
+    """One ``extraction`` event, with inline DOT artifacts when a sink
+    keeps them (the stats sink drops them)."""
     prov = candidate.provenance or {}
     fragment = candidate.fragment
-    witness = candidate.embeddings[0]
-    host = dfgs[witness.graph]
-    adjacency = prov.get("collision_adjacency")
-    collision_dot = None
-    if adjacency is not None:
-        collision_dot = collision_to_dot(
-            adjacency, prov.get("chosen_indices"),
-            title=f"{symbol}: collision graph",
+    dots: Dict[str, Optional[str]] = {}
+    if _events.keeps("extraction", "fragment_dot"):
+        witness = candidate.embeddings[0]
+        host = dfgs[witness.graph]
+        adjacency = prov.get("collision_adjacency")
+        dots["fragment_dot"] = fragment_to_dot(
+            fragment.node_labels, fragment.edges,
+            title=f"{symbol}: fragment",
         )
+        dots["host_dot"] = dfg_to_dot(
+            host, highlight=witness.nodes,
+            title=f"{symbol}: host block "
+                  f"{host.origin[0]}#{host.origin[1]}",
+        )
+        dots["collision_dot"] = None if adjacency is None else (
+            collision_to_dot(adjacency, prov.get("chosen_indices"),
+                             title=f"{symbol}: collision graph"))
     emit(
         "extraction",
         method=method,
@@ -327,16 +336,7 @@ def _emit_extraction(candidate: Candidate, dfgs, method: str,
         collision_edges=prov.get("collision_edges"),
         mis_mode=prov.get("mis_mode"),
         order_kept=prov.get("order_kept", candidate.occurrences),
-        fragment_dot=fragment_to_dot(
-            fragment.node_labels, fragment.edges,
-            title=f"{symbol}: fragment",
-        ),
-        host_dot=dfg_to_dot(
-            host, highlight=witness.nodes,
-            title=f"{symbol}: host block "
-                  f"{host.origin[0]}#{host.origin[1]}",
-        ),
-        collision_dot=collision_dot,
+        **dots,
     )
 
 

@@ -116,16 +116,13 @@ class _LiveSpan:
         return False
 
 
-#: Event fields the stats JSON leaves to the ledger and the HTML
-#: report: an extraction's DOT renderings (tens of KB per run).
-LEDGER_ONLY_FIELDS = frozenset({"fragment_dot", "host_dot",
-                                "collision_dot"})
-
-
 class Telemetry(_events.Sink):
     """A registry of spans, counters, gauges, histograms and events."""
 
     kinds = _events.STATS_KINDS
+    #: left to the ledger and the HTML report: an extraction's DOT
+    #: renderings (tens of KB per run)
+    omits = frozenset({"fragment_dot", "host_dot", "collision_dot"})
 
     def __init__(self) -> None:
         self.enabled = False
@@ -298,9 +295,8 @@ class Telemetry(_events.Sink):
         """Keep one event (an extraction, a round end) for the stats."""
         entry = {"name": kind}
         entry.update(record)
-        if kind == "extraction":
-            for key in LEDGER_ONLY_FIELDS:
-                entry.pop(key, None)
+        for key in self.omits:
+            entry.pop(key, None)
         with self._lock:
             self.events.append(entry)
 

@@ -148,12 +148,16 @@ class Sink:
     ``kinds`` are the kinds it takes; a *live* sink receives as events
     happen, in any process, while the others are *ordered*: inside a
     :func:`capture` scope their kinds are buffered and replayed in a
-    fixed order.  ``caps`` bound a capture buffer per kind.
+    fixed order.  ``caps`` bound a capture buffer per kind; ``omits``
+    names the fields it drops, which :func:`keeps` lets an emitter
+    skip building.
     """
 
     kinds: FrozenSet[str] = frozenset()
     live = False
     caps: Dict[str, int] = {}
+    #: fields it drops from every record it takes
+    omits: FrozenSet[str] = frozenset()
 
     def take(self, kind: str, record: Dict[str, Any]) -> None:
         """Store one event; *record* is shared between sinks, so copy
@@ -192,6 +196,15 @@ def wants(kind: str) -> bool:
     if not _SINKS:
         return False
     return any(kind in sink.kinds for sink in _SINKS)
+
+
+def keeps(kind: str, field: str) -> bool:
+    """Would *field* of a *kind* event reach a sink that stores it?
+    The guard for fields costly to build that some sinks drop.  A
+    :func:`capture` buffer drops nothing, so inside one the answer
+    errs towards building."""
+    return any(kind in sink.kinds and field not in sink.omits
+               for sink in _SINKS)
 
 
 def emit(kind: str, **fields) -> None:
@@ -345,6 +358,7 @@ __all__ = [
     "detach",
     "detach_all",
     "emit",
+    "keeps",
     "replay",
     "wants",
 ]

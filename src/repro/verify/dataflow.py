@@ -5,9 +5,16 @@ and the boundary facts; the solver iterates transfers to a fixpoint.
 All the concrete passes in :mod:`repro.verify.passes` — and through
 them, the legality analysis in :mod:`repro.pa.liveness` — share this
 single solver, so there is exactly one fixpoint loop in the system to
-get right (the previous single-purpose lr solver iterated over *all*
-blocks per round; this one is worklist-driven and touches only blocks
-whose inputs changed).
+get right.  It touches only blocks whose inputs changed.
+
+The worklist is ordered by reverse post-order (:func:`visit_order`):
+a block is visited once the blocks feeding it along forward edges have
+been, so the code after a loop is stepped when the loop has settled,
+not on every trip around it.  The order changes the cost, never the
+result: every bundled analysis joins by a least upper bound over a
+finite-height lattice (intervals widen at their caps) and transfers
+monotonically, so the least fixpoint is unique and any fair visit
+order reaches it.
 
 Facts must be immutable values with ``==`` (frozensets, tuples, small
 dataclasses).  Termination is the analysis author's obligation: joins
@@ -21,9 +28,10 @@ diagnosable failure.
 
 from __future__ import annotations
 
-from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generic, Hashable, TypeVar
+from typing import (Any, Callable, Dict, Generic, Hashable, List, Set,
+                    TypeVar)
 
 from repro.binary.program import BasicBlock
 from repro.telemetry import GLOBAL as _TELEMETRY
@@ -137,7 +145,14 @@ class AnalysisMemo:
 def solve(cfg: ModuleCFG, analysis: Analysis,
           max_visits_per_block: int = MAX_VISITS_PER_BLOCK
           ) -> DataflowResult:
-    """Run *analysis* over *cfg* to a fixpoint with a FIFO worklist.
+    """Run *analysis* over *cfg* to its least fixpoint.
+
+    The worklist pops the queued block that comes first in
+    :func:`visit_order`, so a block normally waits until its forward
+    (non-back-edge) sources are done.  A popped block whose joined
+    input equals its stored input is not transferred again: its stored
+    output is already the transfer of that input.  Every pop counts as
+    one visit (``DataflowResult.iterations``).
 
     Raises :class:`ConvergenceError` when the total number of block
     visits exceeds ``max_visits_per_block * len(cfg.keys)``.
@@ -147,10 +162,7 @@ def solve(cfg: ModuleCFG, analysis: Analysis,
     edges_out = cfg.succ if forward else cfg.pred
 
     # boundary nodes: where facts enter the CFG for this direction
-    if forward:
-        boundary_keys = set(cfg.entries)
-    else:
-        boundary_keys = set(cfg.exits())
+    boundary_keys = set(cfg.entries if forward else cfg.exits())
 
     inputs: Dict[BlockKey, Any] = {}
     outputs: Dict[BlockKey, Any] = {}
@@ -162,13 +174,16 @@ def solve(cfg: ModuleCFG, analysis: Analysis,
             )
         outputs[key] = analysis.transfer(key, cfg.blocks[key], inputs[key])
 
-    worklist = deque(cfg.keys if forward else reversed(cfg.keys))
-    queued = set(worklist)
+    order = visit_order(cfg, forward)
+    rank = {key: index for index, key in enumerate(order)}
+    worklist = list(range(len(order)))  # ascending, so already a heap
+    queued = [True] * len(order)
     iterations = 0
     bound = max_visits_per_block * max(1, len(cfg.keys))
     while worklist:
-        key = worklist.popleft()
-        queued.discard(key)
+        index = heappop(worklist)
+        queued[index] = False
+        key = order[index]
         iterations += 1
         if iterations > bound:
             raise ConvergenceError(
@@ -182,14 +197,17 @@ def solve(cfg: ModuleCFG, analysis: Analysis,
             fact = analysis.join(fact, analysis.boundary(cfg, key))
         for source in edges_in[key]:
             fact = analysis.join(fact, outputs[source])
+        if fact == inputs[key]:
+            continue
         inputs[key] = fact
         new_out = analysis.transfer(key, cfg.blocks[key], fact)
         if new_out != outputs[key]:
             outputs[key] = new_out
             for dependent in edges_out[key]:
-                if dependent not in queued:
-                    queued.add(dependent)
-                    worklist.append(dependent)
+                position = rank[dependent]
+                if not queued[position]:
+                    queued[position] = True
+                    heappush(worklist, position)
 
     if _TELEMETRY.enabled:
         _TELEMETRY.count("verify.solver.runs")
@@ -200,3 +218,37 @@ def solve(cfg: ModuleCFG, analysis: Analysis,
                               iterations=iterations)
     return DataflowResult(in_facts=outputs, out_facts=inputs,
                           iterations=iterations)
+
+
+def visit_order(cfg: ModuleCFG, forward: bool = True) -> List[BlockKey]:
+    """*cfg*'s keys in reverse post-order for one direction.
+
+    The depth-first search starts at ``cfg.entries`` along ``succ``
+    (forward) or at ``cfg.exits()`` along ``pred`` (backward), roots
+    and edges in their stored order; keys it never reaches follow in
+    module order.  The search only ever follows edges, so the order
+    restricted to one weakly-connected component is that component's
+    own order: solving the components one by one visits each of them
+    exactly as the whole-module solve does.
+    """
+    edges = cfg.succ if forward else cfg.pred
+    seen: Set[BlockKey] = set()
+    postorder: List[BlockKey] = []
+    for root in (cfg.entries if forward else cfg.exits()):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            key, pending = stack[-1]
+            for nxt in pending:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(edges[nxt])))
+                    break
+            else:
+                stack.pop()
+                postorder.append(key)
+    postorder.reverse()
+    postorder.extend(key for key in cfg.keys if key not in seen)
+    return postorder

@@ -24,9 +24,12 @@ from repro.mining.dfs_code import code_num_nodes, edge_sort_key
 from repro.mining.edgar import Edgar
 from repro.mining.embeddings import Embedding, dedupe_by_node_set
 from repro.mining.gspan import DgSpan, MiningDB, _DeadlineReached
+from repro.pa import liveness
 from repro.pa.driver import PAConfig, run_pa
+from repro.pa.sfx import run_sfx
 from repro.scale import shard
-from repro.workloads import compile_workload
+from repro.verify import absint, dataflow
+from repro.workloads import PROGRAMS, compile_workload
 
 
 class _ReferenceLoop:
@@ -275,6 +278,24 @@ class TestWorkCounters:
             telemetry.reset()
         assert result.lattice_nodes == nodes == 5618
         assert checks == 16297
+
+    def test_sfx_solver_visits_pinned(self, monkeypatch):
+        """Exact dataflow-solver visits of SFX over the eight programs,
+        by analysis: the reverse-post-order worklist's cost."""
+        visits = {}
+
+        def counting(cfg, analysis, *args):
+            result = dataflow.solve(cfg, analysis, *args)
+            name = type(analysis).__name__
+            visits[name] = visits.get(name, 0) + result.iterations
+            return result
+
+        monkeypatch.setattr(absint, "solve", counting)
+        monkeypatch.setattr(liveness, "solve", counting)
+        for name in PROGRAMS:
+            run_sfx(compile_workload(name))
+        assert visits == {"AbsIntAnalysis": 41418,
+                          "LivenessAnalysis": 2948}
 
 
 @st.composite

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.pa import driver
 from repro.report.ledger import read_jsonl
 
 #: fields a sink stamps on its own records
@@ -98,3 +99,34 @@ def test_retry_and_quarantine_agree(tmp_path, capsys):
     for kind in ("scale.retry", "scale.quarantine"):
         assert _of(ledger, kind)
         _agree(_of(ledger, kind), _of(events, kind))
+
+
+DOT_RENDERERS = ("fragment_to_dot", "dfg_to_dot", "collision_to_dot")
+
+
+def test_dot_renderings_are_built_only_for_the_ledger(tmp_path, capsys,
+                                                      monkeypatch):
+    """The stats sink drops an extraction's DOT renderings, so a run
+    with only ``--stats-out`` never renders them; a ledger run still
+    records all three keys."""
+    rendered = []
+    for name in DOT_RENDERERS:
+        def counting(*args, _name=name, _real=getattr(driver, name),
+                     **kwargs):
+            rendered.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(driver, name, counting)
+
+    stats = tmp_path / "stats.json"
+    assert main(["pa", "crc", "--stats-out", str(stats)]) == 0
+    assert _of(json.loads(stats.read_text())["events"], "extraction")
+    assert rendered == []
+
+    ledger_path = tmp_path / "ledger.jsonl"
+    assert main(["pa", "crc", "--ledger-out", str(ledger_path)]) == 0
+    capsys.readouterr()
+    extractions = _of(read_jsonl(str(ledger_path)), "extraction")
+    assert extractions
+    assert all({f"{kind}_dot" for kind in ("fragment", "host", "collision")}
+               <= set(record) for record in extractions)
+    assert {"fragment_to_dot", "dfg_to_dot"} <= set(rendered)
