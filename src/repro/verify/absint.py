@@ -2,7 +2,7 @@
 
 One worklist fixpoint (the generic solver of
 :mod:`repro.verify.dataflow`) interprets every instruction over the
-three domains of :mod:`repro.verify.domains`: constant/interval register
+three domains of :mod:`repro.verify.domains`: constant register
 values, symbolic stack height with frame-slot tracking, and
 initialized-ness of registers and stack slots.  Interprocedural
 precision comes from per-function :class:`FuncSummary` records iterated
@@ -66,7 +66,7 @@ from repro.verify.domains import (
     UNINIT,
     AbsState,
     AbsVal,
-    Interval,
+    Const,
     StackAddr,
     add_values,
     const,
@@ -187,12 +187,9 @@ def _flex_value(regs: List[AbsVal], op: object) -> AbsVal:
         value = regs[op.num]
         if value is UNINIT or value is BOT:
             return value
-        if isinstance(value, Interval) and op.shift_op == "lsl":
-            # widening is applied by the abstract add
-            return add_values(
-                const(0),
-                Interval(value.lo << op.amount, value.hi << op.amount),
-            )
+        if isinstance(value, Const) and op.shift_op == "lsl":
+            # the abstract add applies the magnitude cap
+            return add_values(const(0), const(value.value << op.amount))
         return TOP
     return TOP
 

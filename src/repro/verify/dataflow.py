@@ -12,7 +12,7 @@ a block is visited once the blocks feeding it along forward edges have
 been, so the code after a loop is stepped when the loop has settled,
 not on every trip around it.  The order changes the cost, never the
 result: every bundled analysis joins by a least upper bound over a
-finite-height lattice (intervals widen at their caps) and transfers
+finite-height lattice (absint's values are flat constants) and transfers
 monotonically, so the least fixpoint is unique and any fair visit
 order reaches it.
 

@@ -2,14 +2,15 @@
 
 Three cooperating lattices, shared by :mod:`repro.verify.absint`:
 
-* **Values** — a constant/interval domain for register contents, with
-  two symbolic refinements that the stack discipline needs:
-  :class:`StackAddr` (an address a fixed number of bytes below the
-  *function-entry* stack pointer) and :data:`RETADDR` (the value the
-  link register held at function entry — the return address).  The
-  interval part widens aggressively: PA only needs enough arithmetic to
-  follow ``sp`` adjustments and small pointer offsets, not a full
-  value-range analysis.
+* **Values** — a flat constant lattice for register contents (BOT < one
+  known constant < TOP), with two symbolic refinements that the stack
+  discipline needs: :class:`StackAddr` (an address a fixed number of
+  bytes below the *function-entry* stack pointer) and :data:`RETADDR`
+  (the value the link register held at function entry — the return
+  address).  PA only needs enough arithmetic to follow ``sp``
+  adjustments by known amounts: a stack address moves only by a
+  constant, so two distinct constants join straight to TOP, and a
+  computed constant beyond :data:`MAGNITUDE_CAP` goes to TOP too.
 * **Stack height** — derived, not stored: the height of the stack is
   whatever depth ``sp``'s abstract value carries, so there is exactly
   one source of truth for where the stack pointer is.
@@ -22,9 +23,9 @@ Three cooperating lattices, shared by :mod:`repro.verify.absint`:
 
 All values are immutable and compare structurally, as the worklist
 solver requires.  Joins are monotone over finite-height lattices:
-intervals are capped in width and magnitude, frame maps only ever hold
-finitely many slots (allocation is explicit), so every chain
-stabilises.
+every value chain is at most BOT < constant/address < TOP < UNINIT,
+and frame maps only ever hold finitely many slots (allocation is
+explicit), so every chain stabilises.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-#: Interval endpoints beyond this magnitude widen to TOP.
+#: Computed constants beyond this magnitude go to TOP, so adding one to
+#: a stack address cannot mint unbounded depths.
 MAGNITUDE_CAP = 1 << 24
-#: Intervals wider than this widen to TOP (bounds the join chain).
-WIDTH_CAP = 64
 
 
 class _Singleton:
@@ -64,24 +64,13 @@ RETADDR = _Singleton("RETADDR")
 
 
 @dataclass(frozen=True)
-class Interval:
-    """A closed integer interval ``[lo, hi]`` (a constant when equal)."""
+class Const:
+    """One known machine word."""
 
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @property
-    def is_const(self) -> bool:
-        return self.lo == self.hi
+    value: int
 
     def __repr__(self) -> str:
-        if self.is_const:
-            return f"={self.lo}"
-        return f"[{self.lo}, {self.hi}]"
+        return f"={self.value}"
 
 
 @dataclass(frozen=True)
@@ -100,21 +89,21 @@ class StackAddr:
             f"sp0+{-self.depth}"
 
 
-#: The value lattice: BOT < {Interval, StackAddr, RETADDR} < TOP, with
+#: The value lattice: BOT < {Const, StackAddr, RETADDR} < TOP, with
 #: UNINIT absorbing everything it meets.
 AbsVal = object
 
 
-def const(value: int) -> Interval:
-    """The singleton interval for one known machine word."""
-    return Interval(value, value)
+def const(value: int) -> Const:
+    """The abstract value of one known machine word."""
+    return Const(value)
 
 
-def _widen(lo: int, hi: int) -> AbsVal:
-    if hi - lo > WIDTH_CAP or abs(lo) > MAGNITUDE_CAP \
-            or abs(hi) > MAGNITUDE_CAP:
+def _capped(value: int) -> AbsVal:
+    """A computed constant, or TOP beyond :data:`MAGNITUDE_CAP`."""
+    if abs(value) > MAGNITUDE_CAP:
         return TOP
-    return Interval(lo, hi)
+    return Const(value)
 
 
 def join_values(a: AbsVal, b: AbsVal) -> AbsVal:
@@ -127,8 +116,6 @@ def join_values(a: AbsVal, b: AbsVal) -> AbsVal:
         return UNINIT
     if a == b:
         return a
-    if isinstance(a, Interval) and isinstance(b, Interval):
-        return _widen(min(a.lo, b.lo), max(a.hi, b.hi))
     return TOP
 
 
@@ -138,21 +125,19 @@ def add_values(a: AbsVal, b: AbsVal) -> AbsVal:
         return BOT
     if a is UNINIT or b is UNINIT:
         return UNINIT
-    if isinstance(a, Interval) and isinstance(b, Interval):
-        return _widen(a.lo + b.lo, a.hi + b.hi)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return _capped(a.value + b.value)
     # stack addresses shift by known offsets and nothing else
-    if isinstance(a, StackAddr) and isinstance(b, Interval) \
-            and b.is_const:
-        return StackAddr(a.depth - b.lo)
-    if isinstance(b, StackAddr) and isinstance(a, Interval) \
-            and a.is_const:
-        return StackAddr(b.depth - a.lo)
+    if isinstance(a, StackAddr) and isinstance(b, Const):
+        return StackAddr(a.depth - b.value)
+    if isinstance(b, StackAddr) and isinstance(a, Const):
+        return StackAddr(b.depth - a.value)
     return TOP
 
 
 def negate_value(a: AbsVal) -> AbsVal:
-    if isinstance(a, Interval):
-        return _widen(-a.hi, -a.lo)
+    if isinstance(a, Const):
+        return _capped(-a.value)
     if a in (BOT, UNINIT):
         return a
     return TOP

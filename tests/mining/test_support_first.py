@@ -294,8 +294,33 @@ class TestWorkCounters:
         monkeypatch.setattr(liveness, "solve", counting)
         for name in PROGRAMS:
             run_sfx(compile_workload(name))
-        assert visits == {"AbsIntAnalysis": 41418,
+        assert visits == {"AbsIntAnalysis": 3594,
                           "LivenessAnalysis": 2948}
+
+    def test_sfx_absint_transfers_per_block_bounded(self, monkeypatch):
+        """Over SFX on the eight programs, absint transfers no block
+        more than 4 times in one solve: the constant lattice gives a
+        loop-carried register no chain to climb one trip at a time."""
+        transfers = {}
+        solves = [0]
+        real_transfer = absint.AbsIntAnalysis.transfer
+
+        def counting_solve(cfg, analysis, *args):
+            solves[0] += 1
+            return dataflow.solve(cfg, analysis, *args)
+
+        def counting_transfer(self, key, block, state):
+            pair = (solves[0], key)
+            transfers[pair] = transfers.get(pair, 0) + 1
+            return real_transfer(self, key, block, state)
+
+        monkeypatch.setattr(absint, "solve", counting_solve)
+        monkeypatch.setattr(absint.AbsIntAnalysis, "transfer",
+                            counting_transfer)
+        for name in PROGRAMS:
+            run_sfx(compile_workload(name))
+        assert transfers
+        assert max(transfers.values()) <= 4
 
 
 @st.composite
