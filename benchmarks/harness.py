@@ -52,8 +52,7 @@ ENGINES = ("sfx", "dgspan", "edgar")
 
 #: Version tag of the ``--bench-out`` JSON schema.  /2 is an additive
 #: minor over /1: graph-engine cells gain the scale observability
-#: fields (workers, shards, cache_hits, lattice_nodes_reused), zero
-#: when the cell was mined by the legacy serial engine.
+#: fields (workers, shards, cache_hits, lattice_nodes_reused).
 BENCH_SCHEMA = "repro.bench/2"
 
 #: Default grid for the committed regression baseline (BENCH_all.json):
@@ -72,9 +71,8 @@ BASELINE_ENGINES = ("sfx", "edgar")
 #: {("bitcnts", "edgar"), ("rijndael", "edgar")} — the sharded scale
 #: engine made both converge well under the 180 s budget, so the set
 #: is empty and the committed baseline covers the full grid.  The
-#: baseline is generated with ``--workers 4``; regenerate it the same
-#: way (the scale engine's results are worker-count-independent, but
-#: the two heavy cells do not converge serially).
+#: baseline was generated with ``--workers 4``; the results are
+#: worker-count-independent, so any ``--workers`` regenerates it.
 BASELINE_SKIP = frozenset()
 
 
@@ -247,13 +245,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--time-budget", type=float, default=180.0)
     parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="mine graph-engine cells with the sharded "
-                             "scale engine on N worker processes "
-                             "(bit-identical savings for any N >= 1; "
-                             "default 0 = legacy serial)")
+                        help="mine graph-engine cells on N worker "
+                             "processes (0 and 1 = in-process; "
+                             "bit-identical savings for any N)")
     parser.add_argument("--fragment-cache", metavar="DIR",
                         help="persistent content-addressed fragment "
-                             "cache directory for the scale engine")
+                             "cache directory")
     parser.add_argument("--force", action="store_true",
                         help="overwrite an existing output file")
     args = parser.parse_args(argv)
@@ -261,12 +258,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(
             f"refusing to overwrite {args.bench_out} (use --force)"
         )
-    if args.fragment_cache and not args.workers:
-        args.workers = 1     # a persistent cache implies the scale engine
-    overrides = {"time_budget": args.time_budget}
-    if args.workers:
-        overrides["workers"] = args.workers
-        overrides["fragment_cache"] = args.fragment_cache
+    overrides = {"time_budget": args.time_budget,
+                 "workers": args.workers,
+                 "fragment_cache": args.fragment_cache}
     doc = bench_results(tuple(args.workloads), tuple(args.engines),
                         **overrides)
     atomic_write_text(

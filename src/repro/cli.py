@@ -52,13 +52,12 @@ event model (:mod:`repro.telemetry.events` tabulates which kinds each
 takes).
 
 Scale (see ``src/repro/scale/``): ``pa``, ``table1`` and ``profile``
-accept ``--workers N`` (how the one mining funnel partitions the block
-DFGs: the default ``0`` mines one in-process shard holding every DFG;
-``N >= 1`` shards them into independent clusters mined on N worker
-processes, ``N=1`` in-process) and ``--fragment-cache DIR`` (persist the
-content-addressed shard cache across runs; implies ``--workers 1``).
-For ``N >= 1`` the output is bit-identical for every worker count and
-every cache state — only wall-clock changes.
+accept ``--workers N`` (where the one mining funnel mines the
+independent clusters of the block DFGs: the default ``0`` and ``1``
+in-process, ``N >= 2`` on N worker processes) and ``--fragment-cache
+DIR`` (persist the content-addressed shard cache across runs; without
+it the cache lives in memory for the run).  The output is bit-identical
+for every worker count and every cache state — only wall-clock changes.
 
 Observability (see :mod:`repro.telemetry`): the same three commands
 accept ``--progress`` (a live one-line status on stderr),
@@ -205,17 +204,16 @@ def _add_telemetry_args(parser) -> None:
 def _add_scale_args(parser) -> None:
     parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="shard the block DFGs into independent clusters and mine "
-             "them on N worker processes (1 = in-process); the result "
-             "is bit-identical for every N >= 1 and every cache state.  "
-             "Default 0 mines one in-process shard that holds every DFG "
-             "(one global benefit floor, no fragment cache)",
+        help="mine the independent clusters of the block DFGs on N "
+             "worker processes (0 and 1 = in-process, the default 0); "
+             "the result is bit-identical for every N and every cache "
+             "state",
     )
     parser.add_argument(
         "--fragment-cache", metavar="DIR",
         help="persist the content-addressed fragment cache under DIR so "
-             "later runs skip re-mining unchanged shards (implies "
-             "--workers 1 when --workers is not given)",
+             "later runs skip re-mining unchanged shards (default: the "
+             "cache lives in memory for the run)",
     )
     parser.add_argument(
         "--shard-retries", type=int, default=None, metavar="N",
@@ -457,8 +455,6 @@ def cmd_pa(args) -> int:
     if args.engine == "sfx" and (args.workers or args.fragment_cache):
         sys.exit("error: --workers/--fragment-cache need a graph "
                  "engine; the sfx baseline does not mine shards")
-    if args.fragment_cache and not args.workers:
-        args.workers = 1     # a persistent cache implies clustered shards
     for spec in args.fault or ():
         try:
             faultinject.arm(spec)
@@ -489,14 +485,9 @@ def _pa(args) -> int:
         config = config_from_dict(resume.config)
         config.checkpoint_path = args.checkpoint
         # Worker count and cache directory are machine-local execution
-        # knobs — for workers >= 1 the output is worker-count- and
-        # cache-state-independent, so overriding them cannot change the
-        # resumed result.  Leaving workers 0 would: one all-DFG shard
-        # and the clustered shards are different partitions.
-        if args.workers and not config.workers:
-            sys.exit("error: the checkpointed run used --workers 0 (one "
-                     "shard); --workers on resume would change its "
-                     "decisions (re-run from scratch instead)")
+        # knobs — the output is worker-count- and cache-state-
+        # independent, so overriding them cannot change the resumed
+        # result.
         if args.workers:
             config.workers = args.workers
         if args.fragment_cache:
@@ -567,7 +558,7 @@ def _pa(args) -> int:
     print(f"{args.engine}: {before} -> {module.num_instructions} "
           f"instructions (saved {result.saved}) in {result.rounds} rounds "
           f"[{status}]")
-    if getattr(result, "workers", 0):
+    if args.engine != "sfx":
         print(f"scale: workers={result.workers} shards={result.shards} "
               f"cache {result.cache_hits} hits / "
               f"{result.cache_misses} misses, "
@@ -672,8 +663,6 @@ def cmd_lint(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    if args.fragment_cache and not args.workers:
-        args.workers = 1     # a persistent cache implies clustered shards
     rows = []
     with _sinks(args):
         for name in args.programs or sorted(PROGRAMS):
@@ -731,8 +720,6 @@ def cmd_profile(args) -> int:
     if args.verify and args.engine == "sfx":
         sys.exit("error: --verify needs a graph engine; the sfx baseline "
                  "does not go through the round loop the validator hooks")
-    if args.fragment_cache and not args.workers:
-        args.workers = 1     # a persistent cache implies clustered shards
     with _sinks(args, force_telemetry=True):
         module = _load_source(args.source, args.assembly)
         before = module.num_instructions

@@ -8,9 +8,9 @@ the highest code-size benefit, and restarts — "after extraction, phase
 overall number of instructions in the program".
 
 The mining step of a round is :func:`repro.scale.pool.run_sharded_round`
-for every worker count: ``workers == 0`` mines one in-process shard
-that holds every DFG, ``workers >= 1`` the independent clusters of the
-database (see :mod:`repro.scale`).
+for every worker count: it mines the independent clusters of the
+database, reusing unchanged ones from the run's fragment cache (see
+:mod:`repro.scale`).
 """
 
 from __future__ import annotations
@@ -93,16 +93,15 @@ class PAConfig:
     #: completed round (schema ``repro.resilience.ckpt/1``); resuming
     #: from it reproduces the uninterrupted run bit-identically.
     checkpoint_path: Optional[str] = None
-    #: How a round's DFG database is partitioned into shards for the
-    #: one mining funnel (:mod:`repro.scale`).  0 = one in-process
-    #: shard that holds every DFG, so the benefit floor is global.
-    #: N >= 1 = the independent clusters of the database, mined with
-    #: shard-local benefit floors (N worker processes; 1 = in-process),
-    #: cached by content and merged deterministically — the result is
-    #: bit-identical for every N >= 1 and every cache state.
+    #: Where the one mining funnel (:mod:`repro.scale`) mines a
+    #: round's shards — the independent clusters of the DFG database,
+    #: each with its own benefit floor, cached by content and merged
+    #: deterministically.  0 and 1 = in-process, N >= 2 = N worker
+    #: processes; the result is bit-identical for every N and every
+    #: cache state.
     workers: int = 0
-    #: Directory for the persistent fragment cache (``workers >= 1``);
-    #: None keeps the cache in-memory for the run.
+    #: Directory for the persistent fragment cache; None keeps the
+    #: cache in-memory for the run.
     fragment_cache: Optional[str] = None
     #: Redeliveries per shard before it falls back to an in-parent
     #: serial re-mine and then quarantine (see
@@ -159,8 +158,7 @@ class PAResult:
     #: Round index this run resumed from, if it was resumed.
     resumed_from_round: Optional[int] = None
     #: Shard census: ``config.workers``, and the largest per-round
-    #: shard count (1 at ``workers == 0``).  The cache figures stay
-    #: zero at ``workers == 0``, which has no cache.
+    #: shard count.
     workers: int = 0
     shards: int = 0                   #: largest per-round shard count
     #: shards torn down before completing (governor stop mid-round)
@@ -176,8 +174,7 @@ class PAResult:
     shards_retried: int = 0
     #: shards dropped after retries and the serial fallback all failed
     shards_quarantined: int = 0
-    #: end-of-run fragment-cache census (hits/misses/stores/...);
-    #: empty at ``workers == 0``
+    #: end-of-run fragment-cache census (hits/misses/stores/...)
     cache_census: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -198,9 +195,11 @@ def collect_candidates(module: Module,
                        config: PAConfig) -> List[Candidate]:
     """Mine one round of *module*; return extractable candidates, best
     first (the mining step of :func:`run_pa`, outside a run)."""
+    from repro.scale.cache import FragmentCache
     from repro.scale.pool import run_sharded_round
 
-    candidates, __ = run_sharded_round(module, config, RunGovernor())
+    candidates, __ = run_sharded_round(module, config, RunGovernor(),
+                                       FragmentCache())
     return candidates
 
 
@@ -422,14 +421,12 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
     )
     blocklist: Set[str] = set()
     memo = AnalysisMemo()
-    cache = None
-    if config.workers:
-        # one cache per run: it carries shard results across rounds
-        # (and across runs when persistent), and its hits and misses
-        # are the measured reuse — see repro.scale.pool for invariants
-        from repro.scale.cache import FragmentCache
+    # one cache per run: it carries shard results across rounds (and
+    # across runs when persistent), and its hits and misses are the
+    # measured reuse — see repro.scale.pool for invariants
+    from repro.scale.cache import FragmentCache
 
-        cache = FragmentCache(config.fragment_cache)
+    cache = FragmentCache(config.fragment_cache)
     result.workers = config.workers
     start_round = 0
     if resume is not None:
@@ -498,13 +495,11 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
             )
     result.instructions_after = module.num_instructions
     result.elapsed_seconds = time.perf_counter() - started
-    if cache is not None:
-        census = cache.stats.as_dict()
-        result.cache_census = census
-        if _TELEMETRY.enabled:
-            for key in sorted(census):
-                _TELEMETRY.count(f"scale.cache.census.{key}",
-                                 census[key])
+    census = cache.stats.as_dict()
+    result.cache_census = census
+    if _TELEMETRY.enabled:
+        for key in sorted(census):
+            _TELEMETRY.count(f"scale.cache.census.{key}", census[key])
     return result
 
 

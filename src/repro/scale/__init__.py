@@ -1,13 +1,12 @@
 """The mining engine: one candidate funnel over shards of DFGs.
 
 Every round of the abstraction loop mines its block-DFG database
-through this package, for every worker count.  ``--workers 0`` mines
-one in-process shard that holds every DFG, so the benefit floor is
-global.  ``--workers N >= 1`` makes mining *sharded*, *parallel*,
+through this package, for every worker count.  Mining is *sharded*,
 *incremental* and *cached* — an extraction only rewrites a handful of
 blocks, and identical blocks recur both across rounds and across runs
-— while keeping the output bit-identical for any N >= 1 and any cache
-state:
+— and ``--workers N >= 2`` makes it *parallel*; ``--workers`` only
+decides where shards run (0 and 1 in-process), so the output is
+bit-identical for any N and any cache state:
 
 :mod:`repro.scale.cluster`
     Pre-clustering: blocks partition into shards (connected components

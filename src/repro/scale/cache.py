@@ -3,7 +3,7 @@
 Maps a shard payload digest (:meth:`~repro.scale.shard.ShardPayload.digest`)
 to the mined :class:`~repro.scale.shard.ShardResult` body.  Two layers:
 
-* an **in-memory** table, always on for ``--workers >= 1`` — this is
+* an **in-memory** table, always on — this is
   what makes re-mining incremental *within* a run (round N+1 re-uses
   every shard round N left untouched);
 * an optional **persistent directory** (``--fragment-cache DIR``),

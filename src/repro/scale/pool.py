@@ -3,14 +3,11 @@
 :func:`run_sharded_round` is the mining step of every round, for every
 worker count: partition the DFG database into shards, consult the
 fragment cache per shard, mine the missing shards (in-process for
-``workers <= 1``, in a worker pool otherwise), and merge.  With
-``workers == 0`` the partition is one shard that holds every DFG, so
-the benefit floor is global, and there is no cache (a whole-module
-digest changes every round); with ``workers >= 1`` it is
-:func:`~repro.scale.cluster.cluster_dfgs`.
+``workers <= 1``, in a worker pool otherwise), and merge.  The
+partition is always :func:`~repro.scale.cluster.cluster_dfgs`, so
+``workers`` decides only where shards run.
 
-Determinism invariants for ``workers >= 1`` (the bit-identity gate
-relies on these):
+Determinism invariants (the bit-identity gate relies on these):
 
 * **Worker count never changes the result.**  Each shard is mined by
   the same pure function (:func:`~repro.scale.shard.mine_shard`) with a
@@ -144,20 +141,19 @@ def run_sharded_round(
     module,
     config,
     governor: RunGovernor,
-    cache: Optional[FragmentCache] = None,
+    cache: FragmentCache,
     memo: Optional[AnalysisMemo] = None,
     blocklist: Sequence[str] = (),
 ) -> Tuple[List[Candidate], ScaleStats]:
     """Mine one round of *module*; return the merged candidates.
 
     The returned list is sorted best-first by the candidate sort key.
-    For ``config.workers >= 1`` it is a pure function of (module
-    content, config, *blocklist*) — independent of the worker count,
-    cache temperature, scheduling and teardown history of previous
-    runs.  A run passes one *memo* to every round, so liveness and
-    absint re-solve only the CFG components the last round's rewrites
-    changed; *blocklist* holds the fingerprints a verify-failure
-    recovery step rejected.
+    It is a pure function of (module content, config, *blocklist*) —
+    independent of the worker count, cache temperature, scheduling and
+    teardown history of previous runs.  A run passes one *memo* to
+    every round, so liveness and absint re-solve only the CFG
+    components the last round's rewrites changed; *blocklist* holds the
+    fingerprints a verify-failure recovery step rejected.
     """
     # a bad miner name fails here, in the parent, before it can become
     # a shard failure that retry and quarantine would absorb
@@ -178,11 +174,8 @@ def run_sharded_round(
         # through sp; fragments calling one must not gain a sp-shifting
         # bracket
         fragile = sp_fragile_functions(module, memo, cfg)
-        if workers:
-            with _TELEMETRY.span("scale.cluster"):
-                shards = cluster_dfgs(dfgs)
-        else:
-            shards = [Shard(index=0, graph_ids=tuple(range(len(dfgs))))]
+        with _TELEMETRY.span("scale.cluster"):
+            shards = cluster_dfgs(dfgs)
         payloads = [
             build_payload(shard, dfgs, lr_live, fragile, config, blocklist)
             for shard in shards
@@ -191,23 +184,19 @@ def run_sharded_round(
         stats.shards = len(shards)
         results: Dict[int, ShardResult] = {}
         to_mine: List[Tuple[Shard, ShardPayload, str]] = []
-        if cache is None:
-            to_mine = list(zip(shards, payloads, digests))
-        else:
-            invalid_before = cache.stats.invalid
-            with _TELEMETRY.span("scale.cache.lookup"):
-                for shard, payload, digest in zip(shards, payloads,
-                                                  digests):
-                    body = cache.get(digest)
-                    if body is not None:
-                        result = ShardResult.from_doc(shard.index, body)
-                        results[shard.index] = result
-                        stats.lattice_nodes_reused += result.lattice_nodes
-                    else:
-                        to_mine.append((shard, payload, digest))
-            stats.cache_hits = len(results)
-            stats.cache_misses = len(to_mine)
-            stats.cache_invalid = cache.stats.invalid - invalid_before
+        invalid_before = cache.stats.invalid
+        with _TELEMETRY.span("scale.cache.lookup"):
+            for shard, payload, digest in zip(shards, payloads, digests):
+                body = cache.get(digest)
+                if body is not None:
+                    result = ShardResult.from_doc(shard.index, body)
+                    results[shard.index] = result
+                    stats.lattice_nodes_reused += result.lattice_nodes
+                else:
+                    to_mine.append((shard, payload, digest))
+        stats.cache_hits = len(results)
+        stats.cache_misses = len(to_mine)
+        stats.cache_invalid = cache.stats.invalid - invalid_before
         emit(
             "round.shards",
             shards=stats.shards,
@@ -257,7 +246,7 @@ def run_sharded_round(
                     # partial (the mine unwound at the deadline);
                     # usable this round, but never cached
                     stats.deadline_hits += 1
-                elif cache is not None:
+                else:
                     cache.put(digest, result.to_doc())
         stats.shards_lost = len(lost)
         # merge: shard order, then one stable best-first sort — the

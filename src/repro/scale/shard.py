@@ -1,9 +1,8 @@
 """The candidate funnel (paper §2.1 step 8) over one shard of DFGs.
 
-This is the one mining engine.  Every round mines shards of the block
-DFG database: ``--workers 0`` mines one shard that holds every DFG,
-``--workers N >= 1`` the independent clusters of
-:func:`~repro.scale.cluster.cluster_dfgs`.
+This is the one mining engine.  Every round mines the shards of the
+block DFG database, the independent clusters of
+:func:`~repro.scale.cluster.cluster_dfgs`, for every worker count.
 
 A :class:`ShardPayload` is a *self-contained*, content-addressed unit
 of mining work: the shard's instruction lists, the per-block legality

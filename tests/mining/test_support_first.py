@@ -265,7 +265,8 @@ class TestWorkCounters:
 
     def test_sha_deep_work_counters_pinned(self):
         """Exact, machine-independent work of sha at ``max_nodes`` 5
-        under Edgar: the lattice and the canonical checks behind it."""
+        under Edgar: the lattice mined and served from the fragment
+        cache, and the canonical checks behind the mined part."""
         telemetry.reset()
         telemetry.enable()
         try:
@@ -276,8 +277,9 @@ class TestWorkCounters:
         finally:
             telemetry.disable()
             telemetry.reset()
-        assert result.lattice_nodes == nodes == 5618
-        assert checks == 16297
+        assert result.lattice_nodes == nodes == 2393
+        assert result.lattice_nodes_reused == 689
+        assert checks == 8171
 
     def test_sfx_solver_visits_pinned(self, monkeypatch):
         """Exact dataflow-solver visits of SFX over the eight programs,

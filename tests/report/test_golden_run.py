@@ -116,12 +116,17 @@ class TestGoldenRun:
     def test_mine_passes_recorded_per_round(self, golden):
         __, ___, records = golden
         passes = _of(records, "mine.pass")
-        for round_number in (0, 1, 2):
+        scale_rounds = _of(records, "scale.round")
+        assert [r["round"] for r in scale_rounds] == [0, 1, 2]
+        for scale_round in scale_rounds:
+            # one shallow/full pair per shard mined (not served from
+            # the cache) in the round
             labels = [
                 p["mine_pass"] for p in passes
-                if p["round"] == round_number
+                if p["round"] == scale_round["round"]
             ]
-            assert labels == ["shallow", "full"]
+            assert scale_round["mined"] > 0
+            assert labels == ["shallow", "full"] * scale_round["mined"]
         assert all(p["engine"] == "edgar" for p in passes)
 
     def test_funnel_and_prune_records(self, golden):

@@ -8,9 +8,10 @@ and manufactures an equivalence failure for the first genuinely
 rewritten block), so the recovery path is exercised against a real
 candidate's origin coordinates.
 
-Every check runs at ``--workers 0`` (one shard) and ``--workers 1``
-(the clustered shards): the blocklist acts inside the funnel, before a
-blocklisted winner can set its shard's benefit floor.
+Every check runs at ``--workers 0`` (the default) and ``--workers 1``;
+both mine the clustered shards in-process.  The blocklist acts inside
+the funnel, before a blocklisted winner can set its shard's benefit
+floor.
 """
 
 import pytest

@@ -1,5 +1,5 @@
-"""The scale engine's determinism gate, on all eight workloads: one
-worker vs four workers, and cold cache vs warm persistent cache, must
+"""The scale engine's determinism gate, on all eight workloads: zero,
+one and four workers, and cold cache vs warm persistent cache, must
 produce byte-identical modules and identical extraction records.
 
 This is the invariant that makes ``--workers``/``--fragment-cache``
@@ -24,6 +24,9 @@ def test_workers_and_cache_state_do_not_change_the_result(
 ):
     cachedir = str(tmp_path / "cache")
 
+    w0 = compile_workload(name)
+    r0 = run_pa(w0, _config(workers=0))
+
     w1 = compile_workload(name)
     r1 = run_pa(w1, _config(workers=1, fragment_cache=cachedir))
 
@@ -33,6 +36,9 @@ def test_workers_and_cache_state_do_not_change_the_result(
     warm = compile_workload(name)
     rw = run_pa(warm, _config(workers=1, fragment_cache=cachedir))
 
+    assert w0.render() == w1.render(), (
+        f"{name}: 0-worker and 1-worker modules differ"
+    )
     assert w1.render() == w4.render(), (
         f"{name}: 1-worker and 4-worker modules differ"
     )
@@ -41,8 +47,8 @@ def test_workers_and_cache_state_do_not_change_the_result(
     )
     key = lambda r: [(x.round, x.method, x.size, x.occurrences,
                       x.new_symbol) for x in r.records]
-    assert key(r1) == key(r4) == key(rw)
-    assert r1.saved == r4.saved == rw.saved
+    assert key(r0) == key(r1) == key(r4) == key(rw)
+    assert r0.saved == r1.saved == r4.saved == rw.saved
     if r1.rounds:
         # the warm run actually exercised the persistent cache
         assert rw.cache_hits > 0

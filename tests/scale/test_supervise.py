@@ -106,7 +106,7 @@ def test_serial_path_runs_the_same_quarantine_state_machine():
 def test_funnel_error_in_the_parent_propagates():
     """Only worker deaths and poison are retried and quarantined: an
     error the funnel raises in the parent rolls the round back and
-    surfaces, as it does for one all-DFG shard."""
+    surfaces."""
     faultinject.arm("mine.pass:raise")
     module = compile_workload("crc")
     before = module.render()
