@@ -172,7 +172,13 @@ class DgSpan:
         self.prune_illegal = None
         self._legality = None
         #: Optional streaming sink; when set, frequent fragments are
-        #: passed here instead of being accumulated in a list.
+        #: passed here instead of being accumulated in a list, as
+        #: ``on_fragment(size, occurrence_bound, embeddings, build)``:
+        #: the fragment's node count, its :meth:`_occurrence_bound`
+        #: (None without a :attr:`prune_subtree` hook), its embeddings
+        #: (deduplicated by node set), and a no-argument callable that
+        #: builds the :class:`Fragment`.  A sink that decides on the
+        #: first three never pays for building the fragment.
         self.on_fragment = None
         #: Set when the active run governor stopped the search (its
         #: deadline passed or the run was interrupted); the search
@@ -327,6 +333,7 @@ class DgSpan:
         if not frequent:
             _TELEMETRY.count("mining.infrequent_prunes")
             return
+        occurrence_bound = None
         if self.prune_subtree is not None:
             occurrence_bound = self._occurrence_bound(db, code, unique)
             if self.prune_subtree(self.max_nodes, occurrence_bound):
@@ -345,11 +352,11 @@ class DgSpan:
         num_nodes = code_num_nodes(code)
         if num_nodes >= self.min_nodes:
             _TELEMETRY.count("mining.fragments_reported")
-            fragment = self._fragment(db, code, unique)
             if self.on_fragment is not None:
-                self.on_fragment(fragment)
+                self.on_fragment(num_nodes, occurrence_bound, unique,
+                                 lambda: self._fragment(db, code, unique))
             else:
-                results.append(fragment)
+                results.append(self._fragment(db, code, unique))
         if num_nodes >= self.max_nodes:
             return
 

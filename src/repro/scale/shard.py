@@ -18,10 +18,11 @@ outside the shard (unless a verify-retry blocklist is active, see
   in which round, or in which run) their blocks live.
 
 :func:`mine_shard` runs the funnel (floor prune -> legality -> MIS ->
-order consistency -> score) with a shard-local benefit floor and
-returns a :class:`ShardResult` whose candidates use *local* graph ids;
-:func:`revive_candidates` maps them back onto the round's global DFG
-database, re-deriving instruction objects and origins.
+order consistency -> score) with a shard-local benefit floor, once per
+distinct occurrence list, and returns a :class:`ShardResult` whose
+candidates use *local* graph ids; :func:`revive_candidates` maps them
+back onto the round's global DFG database, re-deriving instruction
+objects and origins.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import time
 #: change to the funnel, the payload fields or the candidate wire
 #: format — it is folded into every cache key, so a bump invalidates
 #: all persisted entries instead of silently reviving stale results.
-SHARD_SCHEMA = "repro.scale.shard/3"
+SHARD_SCHEMA = "repro.scale.shard/4"
 
 #: Funnel tallies a shard reports: the ``mine.skips`` census, also
 #: replayed into telemetry counters by the parent.
@@ -337,6 +338,12 @@ def mine_shard(payload: ShardPayload,
     miner grows only subtrees that can still hold a legal candidate
     (:class:`~repro.pa.legality.LatticeLegality`).
 
+    The lattice holds one node per edge subset of the same node tuples,
+    and past the floor a node's verdict depends only on its occurrence
+    list.  The funnel decides each occurrence list once per shard and
+    replays the decision (its tally and the events it emitted) for
+    every later node with that list; a scored candidate is kept once.
+
     *dfgs* are the shard's DFGs in payload order; the parent passes
     the round's own DFGs, a worker rebuilds them from the payload.
     Deterministic for fixed payload content: no randomness, no global
@@ -360,8 +367,13 @@ def mine_shard(payload: ShardPayload,
     blocklist = frozenset(payload.blocklist)
     miner = _make_miner(conf)
     best: List[Optional[Candidate]] = [None]
-    collected: List[Candidate] = []
+    #: scored candidates by (method, embeddings): two occurrence lists
+    #: whose legal, disjoint, order-consistent parts agree score one
+    #: candidate, kept once
+    collected: Dict[tuple, Candidate] = {}
     tallies = {key: 0 for key in TALLY_KEYS}
+    #: occurrence list -> (tally key, the events its decision emitted)
+    verdicts: Dict[Tuple[Embedding, ...], Tuple[str, list]] = {}
     ledger_on = _events.wants("candidate")
 
     def floor() -> int:
@@ -370,7 +382,8 @@ def mine_shard(payload: ShardPayload,
     def prune_subtree(size_cap: int, occurrence_bound: int) -> bool:
         return best_possible_benefit(size_cap, occurrence_bound) <= floor()
 
-    def consider(frag) -> None:
+    def consider(size: int, occurrence_bound: int,
+                 embeddings: List[Embedding], build) -> None:
         tallies["considered"] += 1
         _progress.heartbeat(
             shard=payload.shard_index,
@@ -379,25 +392,35 @@ def mine_shard(payload: ShardPayload,
             lattice_nodes=miner.visited_nodes,
             best_benefit=floor(),
         )
-        per_graph: Dict[int, int] = {}
-        for emb in frag.embeddings:
-            per_graph[emb.graph] = per_graph.get(emb.graph, 0) + 1
-        occ_bound = sum(
-            min(count, dfgs[gid].num_nodes // max(1, frag.num_nodes))
-            for gid, count in per_graph.items()
-        )
-        if best_possible_benefit(frag.num_nodes, occ_bound) <= floor():
+        if prune_subtree(size, occurrence_bound):
             tallies["floor"] += 1
             return
-        if len(frag.embeddings) > 1000:
-            # per-embedding legality below costs a reachability sweep
-            # each; a deterministic prefix keeps scoring bounded (a
-            # sound benefit undercount)
-            frag.embeddings = frag.embeddings[:1000]
+        # Per-embedding legality below costs a reachability sweep
+        # each; a deterministic prefix keeps scoring bounded (a sound
+        # benefit undercount).  Past the floor, the verdict depends only
+        # on that occurrence list: another edge subset of the same node
+        # tuples repeats it.
+        key = tuple(embeddings[:1000])
+        known = verdicts.get(key)
+        if known is None:
+            _TELEMETRY.count("pa.funnel.solves")
+            frag = build()
+            frag.embeddings = list(key)
+            with _events.recording() as emitted:
+                verdict = decide(frag)
+            verdicts[key] = verdict, emitted
+        else:
+            verdict, emitted = known
+            for kind, fields in emitted:
+                emit(kind, **fields)
+        tallies[verdict] += 1
+
+    def decide(frag) -> str:
+        """The funnel's verdict on *frag* (a tally key); a ``scored``
+        candidate is collected and may raise the floor."""
         method, legal = legal_embeddings(dfgs, frag, fragile)
         if method is None or len(legal) < 2:
-            tallies["illegal"] += 1
-            return
+            return "illegal"
         if ledger_on:
             # the candidate record's funnel census, stage by stage
             funnel = {"labels": list(frag.node_labels),
@@ -414,11 +437,10 @@ def mine_shard(payload: ShardPayload,
                 and call_site_feasible(dfgs[e.graph], e.nodes)
             ]
             if len(legal) < 2:
-                tallies["lr_infeasible"] += 1
                 if ledger_on:
                     emit("candidate", verdict="lr_infeasible", **funnel,
                          lr_feasible=len(legal))
-                return
+                return "lr_infeasible"
         mis_stats = {} if ledger_on else None
         disjoint = non_overlapping_embeddings(
             legal, exact_limit=conf.mis_exact_limit, stats=mis_stats
@@ -433,16 +455,14 @@ def mine_shard(payload: ShardPayload,
                 order_kept=len(kept),
             )
         if len(kept) < 2:
-            tallies["order_inconsistent"] += 1
             if ledger_on:
                 emit("candidate", verdict="order_inconsistent", **funnel)
-            return
+            return "order_inconsistent"
         witness = kept[0]
         insns = [dfgs[witness.graph].insns[n] for n in witness.nodes]
         origins = tuple(sorted({dfgs[e.graph].origin for e in kept}))
         candidate = score(frag, method, insns, kept, union, origins)
         if candidate is None:
-            tallies["unprofitable"] += 1
             if ledger_on:
                 if method is ExtractionMethod.CALL:
                     benefit = call_benefit(
@@ -452,16 +472,14 @@ def mine_shard(payload: ShardPayload,
                     benefit = crossjump_benefit(frag.num_nodes, len(kept))
                 emit("candidate", verdict="unprofitable", **funnel,
                      benefit=benefit)
-            return
+            return "unprofitable"
         if blocklist and candidate.fingerprint() in blocklist:
             # Blocklisted by a verify-failure recovery step: the
             # fingerprint is canonical (method + instruction text +
             # origins), so the re-mined round skips exactly the
             # candidate whose extraction failed validation — before
             # it can raise the floor over its runners-up.
-            tallies["blocklist"] += 1
-            return
-        tallies["scored"] += 1
+            return "blocklist"
         if ledger_on:
             candidate.provenance = {
                 "embeddings": funnel["embeddings"],
@@ -478,9 +496,12 @@ def mine_shard(payload: ShardPayload,
             }
             emit("candidate", verdict="scored", **funnel,
                  benefit=candidate.benefit)
-        collected.append(candidate)
+        collected.setdefault(
+            (candidate.method, tuple(candidate.embeddings)), candidate
+        )
         if best[0] is None or candidate.sort_key() < best[0].sort_key():
             best[0] = candidate
+        return "scored"
 
     def mine_pass(name: str, graphs: Sequence[DFG]) -> None:
         with _TELEMETRY.span(f"pa.mine.{name}"), \
@@ -513,12 +534,12 @@ def mine_shard(payload: ShardPayload,
         miner.prune_subtree = None
         miner.prune_illegal = None
         miner.on_fragment = None
-    collected.sort(key=lambda c: c.sort_key())
+    candidates = sorted(collected.values(), key=lambda c: c.sort_key())
     for attribute in PRUNE_KEYS.values():
         tallies[attribute] = getattr(miner, attribute)
     result = ShardResult(
         shard_index=payload.shard_index,
-        candidates=collected,
+        candidates=candidates,
         lattice_nodes=miner.visited_nodes,
         tallies=tallies,
         deadline_hit=miner.deadline_hit,

@@ -37,7 +37,9 @@ records its spans and metrics into isolated state, and the *live*
 events sink keeps receiving.  The scope yields one snapshot of both;
 the parent :func:`replay`\\ s each shard's snapshot in shard order, so
 a cold-cache run records the same ledger, stats and metrics for every
-worker count >= 1.
+worker count >= 1.  A :func:`recording` scope keeps what is emitted
+inside it, so that the caller can emit it again: the shard funnel
+replays a repeated decision's records this way.
 
 Kinds (fields are additive; consumers must ignore unknown fields; L =
 ledger, E = events, S = stats; "(capped)" = capped per run in the
@@ -67,7 +69,7 @@ candidate               L     funnel — a candidate in the cost/benefit
                               race: labels, embeddings per stage, MIS,
                               benefit, verdict (capped)
 shard.done              E S   funnel — shard, seconds, lattice nodes,
-                              graphs, candidates, deadline hit
+                              graphs, distinct candidates, deadline hit
 shard.stalled           E     the events sink's watchdog — a shard
                               silent past ``stall_after`` (once)
 scale.retry             L E   supervisor — a failed delivery: shard,
@@ -79,10 +81,12 @@ mine.skips              L     mining round — rejections per funnel stage
 prune                   L     mining round — never-convex, Fig. 9
                               cyclic (0 on all 8 bundled programs, see
                               DESIGN.md §5) and legality-prune cuts
-scale.shard             L     mining round — per-shard census
+scale.shard             L     mining round — per-shard census (its
+                              distinct candidates among them)
 scale.round             L     mining round — shard, cache (hits and
                               misses: the measured reuse), lattice
-                              nodes mined and reused, retry census
+                              nodes mined and reused, retry census,
+                              the round's distinct candidates
 scale.salvage           L     mining round — salvaged and lost shards
 extraction              L S   driver — one applied extraction:
                               mechanism, size, occurrences, benefit,
@@ -97,7 +101,7 @@ verify.retry            L     driver — rollback + blocklisted
                               fingerprints
 round.end               L E S driver, once per round (also one that
                               applied nothing) — instructions, applied,
-                              saved, lattice nodes, candidates
+                              saved, lattice nodes, distinct candidates
 checkpoint              L     driver — a checkpoint written
 run.degraded            L     driver — causes, rounds, instructions
 run.end                 L E   driver — rounds, instructions, saved,
@@ -171,6 +175,8 @@ class Sink:
 
 _SINKS: List[Sink] = []
 _CONTEXT: Dict[str, Any] = {}
+#: the event lists of the open :func:`recording` scopes
+_RECORDINGS: List[List[Tuple[str, Dict[str, Any]]]] = []
 
 
 def attach(sink: Sink) -> None:
@@ -214,6 +220,8 @@ def emit(kind: str, **fields) -> None:
     sinks = [sink for sink in _SINKS if kind in sink.kinds]
     if not sinks:
         return
+    for recorded in _RECORDINGS:
+        recorded.append((kind, fields))
     record = dict(_CONTEXT)
     record.update(fields)
     for sink in sinks:
@@ -230,6 +238,20 @@ def context(**fields):
     finally:
         _CONTEXT.clear()
         _CONTEXT.update(saved)
+
+
+@contextlib.contextmanager
+def recording():
+    """Keep the events the block emits to a sink, each as its kind and
+    its own fields (without the context), in the yielded list.
+    Emitting them again replays the block's events under the context
+    of the replay."""
+    recorded: List[Tuple[str, Dict[str, Any]]] = []
+    _RECORDINGS.append(recorded)
+    try:
+        yield recorded
+    finally:
+        _RECORDINGS.pop()  # scopes nest
 
 
 # ----------------------------------------------------------------------
@@ -359,6 +381,7 @@ __all__ = [
     "detach_all",
     "emit",
     "keeps",
+    "recording",
     "replay",
     "wants",
 ]

@@ -43,7 +43,9 @@ def test_partial_results_are_valid():
     db = [dense(10) for __ in range(2)]
     miner = Edgar(min_support=2, max_nodes=6)
     seen = []
-    miner.on_fragment = seen.append
+    miner.on_fragment = (
+        lambda size, bound, embeddings, build: seen.append(build())
+    )
     with governor.activate(RunGovernor(time_budget=0.3)):
         miner.mine(db)
     for fragment in seen:
@@ -62,7 +64,9 @@ def test_streaming_sink_replaces_list():
     db = [chain("ABC"), chain("ABC")]
     miner = DgSpan(min_support=2)
     collected = []
-    miner.on_fragment = collected.append
+    miner.on_fragment = (
+        lambda size, bound, embeddings, build: collected.append(build())
+    )
     returned = miner.mine(db)
     assert returned == []
     assert collected

@@ -59,6 +59,7 @@ class _ReferenceLoop:
         unique = dedupe_by_node_set(embeddings)
         if not self._is_frequent(db, unique):
             return
+        bound = None
         if self.prune_subtree is not None:
             bound = self._occurrence_bound(db, code, unique)
             if self.prune_subtree(self.max_nodes, bound):
@@ -70,7 +71,7 @@ class _ReferenceLoop:
         if num_nodes >= self.min_nodes:
             fragment = self._fragment(db, code, unique)
             if self.on_fragment is not None:
-                self.on_fragment(fragment)
+                self.on_fragment(num_nodes, bound, unique, lambda: fragment)
             else:
                 results.append(fragment)
         if num_nodes >= self.max_nodes:
@@ -266,7 +267,9 @@ class TestWorkCounters:
     def test_sha_deep_work_counters_pinned(self):
         """Exact, machine-independent work of sha at ``max_nodes`` 5
         under Edgar: the lattice mined and served from the fragment
-        cache, and the canonical checks behind the mined part."""
+        cache, the canonical checks behind the mined part, the funnel's
+        solves (one per occurrence list a mined shard decides) and the
+        distinct candidates the mined shards store."""
         telemetry.reset()
         telemetry.enable()
         try:
@@ -274,12 +277,17 @@ class TestWorkCounters:
             registry = telemetry.get()
             checks = registry.counter_value("mining.canonical_checks")
             nodes = registry.counter_value("mining.lattice_nodes")
+            solves = registry.counter_value("pa.funnel.solves")
+            stored = sum(event["candidates"] for event in registry.events
+                         if event["name"] == "shard.done")
         finally:
             telemetry.disable()
             telemetry.reset()
         assert result.lattice_nodes == nodes == 2393
         assert result.lattice_nodes_reused == 689
         assert checks == 8171
+        assert solves == 243
+        assert stored == 89
 
     def test_sfx_solver_visits_pinned(self, monkeypatch):
         """Exact dataflow-solver visits of SFX over the eight programs,

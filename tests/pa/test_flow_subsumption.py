@@ -28,15 +28,6 @@ from repro.workloads import PROGRAMS, compile_workload
 from tests.pa.test_serial_reference import reference_run
 
 
-def _distinct(rounds):
-    """Each round's ``(fingerprint, benefit, embeddings)`` list without
-    exact repeats, first occurrences in order."""
-    return [
-        list(dict.fromkeys((f, b, tuple(e)) for f, b, e in candidates))
-        for candidates in rounds
-    ]
-
-
 def _compile(program):
     if program.startswith("genprog-"):
         __, seed, size = program.split("-")
@@ -67,7 +58,7 @@ def _check_subsumed(program, miner, max_nodes, monkeypatch):
     assert result.saved > 0
     assert module.render() == reference.render()
     assert result.records == records
-    assert _distinct(rounds) == _distinct(ref_rounds)
+    assert rounds == ref_rounds
     assert result.lattice_nodes + result.lattice_nodes_reused <= lattice_nodes
 
 

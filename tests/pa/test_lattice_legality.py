@@ -153,7 +153,24 @@ def hook_cut(bound, code, unique) -> bool:
     return bound.cut(state, unique)
 
 
-class _Reference:
+class _EveryNode:
+    """A miner that builds every reported fragment before its sink
+    sees it, so ``_fragment`` runs once per visited node, also for the
+    ones the funnel's floor turns down unbuilt."""
+
+    @property
+    def on_fragment(self):
+        return self._sink
+
+    @on_fragment.setter
+    def on_fragment(self, sink):
+        def built(size, bound, embeddings, build):
+            fragment = build()
+            sink(size, bound, embeddings, lambda: fragment)
+        self._sink = None if sink is None else built
+
+
+class _Reference(_EveryNode):
     """A miner that ignores an installed legality prune and records
     every visited node with the prune the funnel installed."""
 
@@ -184,7 +201,7 @@ class ReferenceDgSpan(_Reference, DgSpan):
     pass
 
 
-class _Recording:
+class _Recording(_EveryNode):
     """A miner that records the code and folded state of every node."""
 
     def __init__(self, *args, **kwargs):

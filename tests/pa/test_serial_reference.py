@@ -8,10 +8,12 @@ blocks changed.  The reference below mines every cluster from scratch
 in every round, with a fresh miner and a floor of its own, and merges
 the clusters in order before one stable best-first sort (ledger and
 telemetry emission left out).  A run must match it round by round:
-the same candidates in the same order, the same extraction records and
-the same module text.  Its mined plus cache-served lattice nodes must
-equal the reference's mined ones, since a cache hit stands for exactly
-the mine it skips.
+the same candidates in the same order once the reference's exact
+repeats are dropped (the engine decides each occurrence list once per
+shard), the same extraction records and the same module text.  The
+reference applies its candidates with the repeats kept.  Its mined
+plus cache-served lattice nodes must equal the reference's mined ones,
+since a cache hit stands for exactly the mine it skips.
 
 With ``flow_pass=True`` the reference also runs the engine's former
 second pass over the data-flow projection of each cluster's DFGs;
@@ -60,7 +62,9 @@ def reference_cluster(config: PAConfig, dfgs, graph_ids: Sequence[int],
     def prune_subtree(size_cap: int, occurrence_bound: int) -> bool:
         return best_possible_benefit(size_cap, occurrence_bound) <= floor()
 
-    def consider(frag) -> None:
+    def consider(size, occurrence_bound, embeddings, build) -> None:
+        # the reference derives its floor bound from the fragment itself
+        frag = build()
         per_graph = {}
         for emb in frag.embeddings:
             per_graph[emb.graph] = per_graph.get(emb.graph, 0) + 1
@@ -145,7 +149,7 @@ def reference_collect(module, config: PAConfig, memo: AnalysisMemo,
 
 def reference_run(module, config: PAConfig, flow_pass: bool = False):
     """The round loop without a cache: ``(records, lattice nodes,
-    per-round candidates)``."""
+    per-round distinct candidates)``."""
     memo = AnalysisMemo()
     records = []
     lattice_nodes = 0
@@ -154,7 +158,7 @@ def reference_run(module, config: PAConfig, flow_pass: bool = False):
         candidates, nodes = reference_collect(module, config, memo,
                                               flow_pass)
         lattice_nodes += nodes
-        rounds.append(_summary(candidates))
+        rounds.append(_summary(distinct(candidates)))
         if not candidates:
             break
         applied, __, ___ = apply_batch(module, config, candidates)
@@ -164,6 +168,21 @@ def reference_run(module, config: PAConfig, flow_pass: bool = False):
             record.round = round_index
         records.extend(applied)
     return records, lattice_nodes, rounds
+
+
+def distinct(candidates):
+    """*candidates* without their later exact repeats: the same method
+    and embeddings as an earlier candidate.  Lattice nodes over the
+    same occurrence list score the same candidate, which the engine
+    collects once per shard; the reference scores and keeps each one."""
+    seen = set()
+    kept = []
+    for candidate in candidates:
+        key = (candidate.method, tuple(candidate.embeddings))
+        if key not in seen:
+            seen.add(key)
+            kept.append(candidate)
+    return kept
 
 
 def _summary(candidates):
