@@ -21,7 +21,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.binary.program import Module
 from repro.dfg.builder import build_dfgs
-from repro.dfg.graph import MINED_KINDS
+from repro.dfg.graph import DFG, MINED_KINDS
 from repro.report.dot import collision_to_dot, dfg_to_dot, fragment_to_dot
 from repro.report.ledger import LEDGER_SCHEMA
 from repro.resilience import checkpoint as _ckpt
@@ -228,7 +228,8 @@ def apply_candidate(module: Module, config: PAConfig,
 
 def apply_batch(module: Module, config: PAConfig,
                 candidates: List[Candidate],
-                applied: Optional[List[Candidate]] = None):
+                applied: Optional[List[Candidate]] = None,
+                dfgs: Optional[List[DFG]] = None):
     """Apply candidates best-first, skipping conflicting ones.
 
     A candidate conflicts when any of its occurrence blocks was already
@@ -240,8 +241,12 @@ def apply_batch(module: Module, config: PAConfig,
     caller passes an *applied* list, the candidates actually extracted
     are appended to it in application order (the verify-failure
     recovery uses this to map a counterexample back to its candidate).
+    *dfgs* is the DFG database the candidates were mined from (a run
+    passes its round's); without it, the database is built afresh.
     """
-    dfgs = build_dfgs(module, min_nodes=0, mined_kinds=config.mined_kinds)
+    if dfgs is None:
+        dfgs = build_dfgs(module, min_nodes=0,
+                          mined_kinds=config.mined_kinds)
     touched_blocks = set()
     touched_functions = set()
     records: List[ExtractionRecord] = []
@@ -610,7 +615,8 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
             fault("extract.apply")
             with _TELEMETRY.span("pa.apply", round=round_index):
                 records, __, ___ = apply_batch(
-                    module, config, candidates, applied=applied
+                    module, config, candidates, applied=applied,
+                    dfgs=scale_stats.dfgs,
                 )
             if config.verify and records:
                 verify_round(

@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dfg.builder import build_dfgs
+from repro.dfg.graph import DFG
 from repro.pa.fragments import Candidate
 from repro.pa.legality import sp_fragile_functions
 from repro.pa.liveness import lr_live_out_blocks
@@ -135,6 +136,9 @@ class ScaleStats:
     #: shards dropped after retries and the serial fallback all failed
     shards_quarantined: int = 0
     tallies: Dict[str, int] = field(default_factory=dict)
+    #: the round's DFG database, built from the module before any
+    #: rewrite; the candidates' graph ids index it
+    dfgs: Optional[List[DFG]] = field(default=None, repr=False)
 
 
 def run_sharded_round(
@@ -162,8 +166,8 @@ def run_sharded_round(
     stats = ScaleStats(workers=workers)
     bus = _progress.active()
     with _TELEMETRY.span("scale.round", workers=workers):
-        dfgs = build_dfgs(module, min_nodes=0,
-                          mined_kinds=config.mined_kinds)
+        dfgs = stats.dfgs = build_dfgs(module, min_nodes=0,
+                                       mined_kinds=config.mined_kinds)
         if not dfgs:
             return [], stats
         cfg = build_module_cfg(module)

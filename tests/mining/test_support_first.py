@@ -307,6 +307,25 @@ class TestWorkCounters:
         assert visits == {"AbsIntAnalysis": 3594,
                           "LivenessAnalysis": 2948}
 
+    def test_sfx_index_work_pinned(self):
+        """Exact n-gram index work of SFX over the eight programs: the
+        occurrences (re-)indexed and the grams scored, summed over every
+        round.  A per-round rebuild indexes 131,675 occurrences and
+        scores 6,473 grams."""
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            for name in PROGRAMS:
+                run_sfx(compile_workload(name))
+            registry = telemetry.get()
+            indexed = registry.counter_value("pa.sfx.indexed")
+            scored = registry.counter_value("pa.sfx.scored")
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert indexed == 31866
+        assert scored == 1967
+
     def test_sfx_absint_transfers_per_block_bounded(self, monkeypatch):
         """Over SFX on the eight programs, absint transfers no block
         more than 4 times in one solve: the constant lattice gives a

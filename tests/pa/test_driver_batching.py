@@ -109,3 +109,26 @@ def test_time_budget_zero_still_terminates():
     # but the module stays consistent and runnable
     run_image(layout(module))
     assert result.saved >= 0
+
+
+def test_a_round_builds_its_dfgs_once(monkeypatch):
+    """The batch is applied against the DFGs the round mined, not a
+    second build of the same module."""
+    import repro.pa.driver as driver_mod
+    import repro.scale.pool as pool_mod
+
+    builds = {"pool": 0, "apply": 0}
+
+    def counted(site, real):
+        def build(*args, **kwargs):
+            builds[site] += 1
+            return real(*args, **kwargs)
+        return build
+
+    monkeypatch.setattr(pool_mod, "build_dfgs",
+                        counted("pool", pool_mod.build_dfgs))
+    monkeypatch.setattr(driver_mod, "build_dfgs",
+                        counted("apply", driver_mod.build_dfgs))
+    result = run_pa(module_from_source(TWO_INDEPENDENT), PAConfig())
+    assert result.saved > 0
+    assert builds == {"pool": result.rounds + 1, "apply": 0}

@@ -53,8 +53,8 @@ def _check_retry_skips_the_blocklisted_candidate(workers):
     batches = []
     real_apply = driver.apply_batch
 
-    def recording(module, config, candidates, applied=None):
-        outcome = real_apply(module, config, candidates, applied)
+    def recording(module, config, candidates, applied=None, dfgs=None):
+        outcome = real_apply(module, config, candidates, applied, dfgs)
         batches.append({c.fingerprint() for c in applied})
         return outcome
 
