@@ -248,9 +248,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="mine graph-engine cells on N worker "
                              "processes (0 and 1 = in-process; "
                              "bit-identical savings for any N)")
-    parser.add_argument("--fragment-cache", metavar="DIR",
-                        help="persistent content-addressed fragment "
-                             "cache directory")
     parser.add_argument("--force", action="store_true",
                         help="overwrite an existing output file")
     args = parser.parse_args(argv)
@@ -259,8 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"refusing to overwrite {args.bench_out} (use --force)"
         )
     overrides = {"time_budget": args.time_budget,
-                 "workers": args.workers,
-                 "fragment_cache": args.fragment_cache}
+                 "workers": args.workers}
     doc = bench_results(tuple(args.workloads), tuple(args.engines),
                         **overrides)
     atomic_write_text(

@@ -54,17 +54,15 @@ takes).
 Scale (see ``src/repro/scale/``): ``pa``, ``table1`` and ``profile``
 accept ``--workers N`` (where the one mining funnel mines the
 independent clusters of the block DFGs: the default ``0`` and ``1``
-in-process, ``N >= 2`` on N worker processes) and ``--fragment-cache
-DIR`` (persist the content-addressed shard cache across runs; without
-it the cache lives in memory for the run).  The output is bit-identical
-for every worker count and every cache state — only wall-clock changes.
+in-process, ``N >= 2`` on N worker processes).  Every run keeps a
+content-addressed shard cache in memory, so a round re-mines only the
+shards the last round's extractions changed.  The output is
+bit-identical for every worker count — only wall-clock changes.
 
 Observability (see :mod:`repro.telemetry`): the same three commands
-accept ``--progress`` (a live one-line status on stderr),
+accept ``--progress`` (a live one-line status on stderr) and
 ``--events-out FILE`` (a JSONL stream of progress events, schema
-``repro.telemetry.events/2``) and ``--metrics-out FILE`` (an
-OpenMetrics/Prometheus-textfile snapshot of the run's counters,
-histograms and per-shard mining timings).  With ``--workers`` the
+``repro.telemetry.events/2``).  With ``--workers`` the
 ``--trace-out`` Chrome trace stitches every worker process's spans in
 under named process rows.  All of it is off by default and none of it
 changes results: the observability flags are load-bearing-free by
@@ -89,12 +87,11 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro import telemetry
 from repro.telemetry import progress as telemetry_progress
 from repro.telemetry.events import context, emit
-from repro.telemetry.openmetrics import shard_totals
 from repro.analysis.tables import Table1Row, format_table1, format_table2
 from repro.report import ledger
 from repro.report.explain import explain_round, explain_run
@@ -164,8 +161,7 @@ def _load_source(source: str, assembly: bool) -> Module:
 #: args attributes that name output files (checked before the run)
 #: ``-`` names stdout for ``json_out`` and is never checked.
 _OUTPUT_ATTRS = ("trace_out", "stats_out", "json", "json_out", "report",
-                 "ledger_out", "events_out", "metrics_out", "output",
-                 "image_out")
+                 "ledger_out", "events_out", "output", "image_out")
 
 
 def _add_telemetry_args(parser) -> None:
@@ -178,12 +174,6 @@ def _add_telemetry_args(parser) -> None:
     parser.add_argument(
         "--stats-out", metavar="FILE",
         help="write counters/histograms/span summaries as JSON",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="FILE",
-        help="write the run's counters/histograms/per-shard timings in "
-             "the OpenMetrics text format (Prometheus textfile "
-             "collector)",
     )
     parser.add_argument(
         "--events-out", metavar="FILE",
@@ -206,14 +196,7 @@ def _add_scale_args(parser) -> None:
         "--workers", type=int, default=0, metavar="N",
         help="mine the independent clusters of the block DFGs on N "
              "worker processes (0 and 1 = in-process, the default 0); "
-             "the result is bit-identical for every N and every cache "
-             "state",
-    )
-    parser.add_argument(
-        "--fragment-cache", metavar="DIR",
-        help="persist the content-addressed fragment cache under DIR so "
-             "later runs skip re-mining unchanged shards (default: the "
-             "cache lives in memory for the run)",
+             "the result is bit-identical for every N",
     )
     parser.add_argument(
         "--shard-retries", type=int, default=None, metavar="N",
@@ -251,6 +234,17 @@ def _apply_shard_policy(config, args) -> None:
         config.shard_timeout = args.shard_timeout
     if args.strict_shards:
         config.strict_shards = True
+
+
+def _refuse_scale_flags_for_sfx(args) -> None:
+    """Exit when a scale flag comes with ``--engine sfx``, which never
+    reaches the shard engine those flags configure."""
+    if args.engine == "sfx" and (
+        args.workers or args.shard_retries is not None
+        or args.shard_timeout is not None or args.strict_shards
+    ):
+        sys.exit("error: --workers/--shard-* need a graph engine; the "
+                 "sfx baseline does not mine shards")
 
 
 def _check_output_paths(args) -> list:
@@ -296,8 +290,7 @@ def _sinks(args, title: str = "", force_telemetry: bool = False):
     _check_output_paths(args)
     traced = force_telemetry or any(
         getattr(args, name, None)
-        for name in ("trace_out", "stats_out", "json", "report",
-                     "metrics_out")
+        for name in ("trace_out", "stats_out", "json", "report")
     )
     ledgered = bool(getattr(args, "report", None)
                     or getattr(args, "ledger_out", None))
@@ -363,24 +356,32 @@ def _write_telemetry(args) -> None:
                  getattr(args, "json", None)} - {None}:
         telemetry.write_stats(registry, path)
         print(f"wrote {path}", file=sys.stderr)
-    if getattr(args, "metrics_out", None):
-        # a failed metrics export must never cost the primary outputs
-        # that were already written above — warn and move on
-        try:
-            faultinject.fault("scale.metrics")
-            telemetry.write_openmetrics(registry, args.metrics_out)
-            print(f"wrote {args.metrics_out}", file=sys.stderr)
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:
-            print(f"warning: metrics export failed ({exc})",
-                  file=sys.stderr)
+
+
+def _shard_totals(registry) -> Tuple[Dict[Any, float], Dict[Any, int],
+                                     Dict[Any, int]]:
+    """Per shard: mining seconds, lattice nodes and rounds, summed over
+    the ``shard.done`` events (all empty when every shard came from
+    the cache)."""
+    seconds: Dict[Any, float] = {}
+    nodes: Dict[Any, int] = {}
+    rounds: Dict[Any, int] = {}
+    for event in registry.events:
+        shard = event.get("shard")
+        if event.get("name") != "shard.done" or shard is None:
+            continue
+        seconds[shard] = seconds.get(shard, 0.0) + float(
+            event.get("seconds", 0))
+        nodes[shard] = nodes.get(shard, 0) + int(
+            event.get("lattice_nodes", 0))
+        rounds[shard] = rounds.get(shard, 0) + 1
+    return seconds, nodes, rounds
 
 
 def _shard_imbalance_table(registry) -> str:
     """Per-shard mining wall-clock table (``profile``); empty string
     when no shard was mined (every shard came from the cache)."""
-    seconds, nodes, rounds = shard_totals(registry)
+    seconds, nodes, rounds = _shard_totals(registry)
     if not seconds:
         return ""
     total = sum(seconds.values())
@@ -452,9 +453,7 @@ def cmd_pa(args) -> int:
         sys.exit("error: --verify/--checkpoint/--resume need a graph "
                  "engine; the sfx baseline does not go through the "
                  "round loop they hook")
-    if args.engine == "sfx" and (args.workers or args.fragment_cache):
-        sys.exit("error: --workers/--fragment-cache need a graph "
-                 "engine; the sfx baseline does not mine shards")
+    _refuse_scale_flags_for_sfx(args)
     for spec in args.fault or ():
         try:
             faultinject.arm(spec)
@@ -484,14 +483,11 @@ def _pa(args) -> int:
         module = module_from_checkpoint(resume)
         config = config_from_dict(resume.config)
         config.checkpoint_path = args.checkpoint
-        # Worker count and cache directory are machine-local execution
-        # knobs — the output is worker-count- and cache-state-
-        # independent, so overriding them cannot change the resumed
-        # result.
+        # The worker count is a machine-local execution knob — the
+        # output is worker-count-independent, so overriding it cannot
+        # change the resumed result.
         if args.workers:
             config.workers = args.workers
-        if args.fragment_cache:
-            config.fragment_cache = args.fragment_cache
         _apply_shard_policy(config, args)
         print(f"resumed from round {resume.round} ({args.resume})",
               file=sys.stderr)
@@ -505,7 +501,6 @@ def _pa(args) -> int:
             verify_max_retries=args.verify_max_retries,
             checkpoint_path=args.checkpoint,
             workers=args.workers,
-            fragment_cache=args.fragment_cache,
         )
         _apply_shard_policy(config, args)
     # The sanitizer is a passive observer: sanitized runs remain
@@ -678,8 +673,7 @@ def cmd_table1(args) -> int:
                     else:
                         config = PAConfig(
                             miner=engine, time_budget=args.time_budget,
-                            workers=args.workers,
-                            fragment_cache=args.fragment_cache)
+                            workers=args.workers)
                         _apply_shard_policy(config, args)
                         result = run_pa(module, config)
                 verify_workload(name, module)
@@ -720,6 +714,7 @@ def cmd_profile(args) -> int:
     if args.verify and args.engine == "sfx":
         sys.exit("error: --verify needs a graph engine; the sfx baseline "
                  "does not go through the round loop the validator hooks")
+    _refuse_scale_flags_for_sfx(args)
     with _sinks(args, force_telemetry=True):
         module = _load_source(args.source, args.assembly)
         before = module.num_instructions
@@ -732,7 +727,6 @@ def cmd_profile(args) -> int:
                 time_budget=args.time_budget,
                 verify=args.verify,
                 workers=args.workers,
-                fragment_cache=args.fragment_cache,
             )
             _apply_shard_policy(config, args)
             result = run_pa(module, config)

@@ -100,9 +100,6 @@ class PAConfig:
     #: processes; the result is bit-identical for every N and every
     #: cache state.
     workers: int = 0
-    #: Directory for the persistent fragment cache; None keeps the
-    #: cache in-memory for the run.
-    fragment_cache: Optional[str] = None
     #: Redeliveries per shard before it falls back to an in-parent
     #: serial re-mine and then quarantine (see
     #: :mod:`repro.scale.supervise`).  Retries re-run the same pure
@@ -174,8 +171,6 @@ class PAResult:
     shards_retried: int = 0
     #: shards dropped after retries and the serial fallback all failed
     shards_quarantined: int = 0
-    #: end-of-run fragment-cache census (hits/misses/stores/...)
-    cache_census: Dict[str, int] = field(default_factory=dict)
 
     @property
     def saved(self) -> int:
@@ -426,12 +421,12 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
     )
     blocklist: Set[str] = set()
     memo = AnalysisMemo()
-    # one cache per run: it carries shard results across rounds (and
-    # across runs when persistent), and its hits and misses are the
-    # measured reuse — see repro.scale.pool for invariants
+    # one cache per run: it carries shard results across rounds, and
+    # its hits and misses are the measured reuse — see repro.scale.pool
+    # for invariants
     from repro.scale.cache import FragmentCache
 
-    cache = FragmentCache(config.fragment_cache)
+    cache = FragmentCache()
     result.workers = config.workers
     start_round = 0
     if resume is not None:
@@ -500,11 +495,6 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
             )
     result.instructions_after = module.num_instructions
     result.elapsed_seconds = time.perf_counter() - started
-    census = cache.stats.as_dict()
-    result.cache_census = census
-    if _TELEMETRY.enabled:
-        for key in sorted(census):
-            _TELEMETRY.count(f"scale.cache.census.{key}", census[key])
     return result
 
 
@@ -657,7 +647,7 @@ def config_to_dict(config: PAConfig) -> Dict[str, Any]:
 
 def config_from_dict(data: Dict[str, Any]) -> PAConfig:
     """Revive a :func:`config_to_dict` snapshot; unknown keys (from
-    newer schema minors) are dropped."""
+    newer schema minors, or fields since removed) are dropped."""
     known = set(PAConfig.__dataclass_fields__)
     fields = {k: v for k, v in data.items() if k in known}
     if "mined_kinds" in fields:

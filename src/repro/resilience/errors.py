@@ -20,9 +20,6 @@ exit  code              meaning
 3     REPRO-CKPT        checkpoint file missing, corrupt, or from an
                         incompatible schema
 4     REPRO-FAULT       an armed fault-injection point fired
-6     REPRO-CACHE       fragment-cache entry corrupt/truncated/
-                        mismatched (normally recovered internally by a
-                        rebuild; exits only when surfaced directly)
 5     REPRO-IMAGE       input image malformed (undecodable, truncated,
                         dangling references) — the loader rejected it
 5     REPRO-COMPILE     mini-C source rejected by the compiler
@@ -45,7 +42,6 @@ EXIT_VERIFY = 2
 EXIT_CHECKPOINT = 3
 EXIT_FAULT = 4
 EXIT_INPUT = 5
-EXIT_CACHE = 6
 EXIT_SHARD = 7
 EXIT_INTERNAL = 70
 EXIT_INTERRUPT = 130
@@ -72,16 +68,6 @@ class FaultInjected(ReproError):
     exit_code = EXIT_FAULT
 
 
-class CacheError(ReproError):
-    """A fragment-cache entry could not be loaded (corrupt, truncated,
-    version-mismatched).  The cache layer recovers by deleting the
-    entry and re-mining the shard; the type exists so the failure is
-    classified — and visible in counters — rather than swallowed."""
-
-    code = "REPRO-CACHE"
-    exit_code = EXIT_CACHE
-
-
 class ShardError(ReproError):
     """A shard exhausted its retry budget *and* the in-parent serial
     fallback, and the user asked for strictness (``--strict-shards``).
@@ -102,9 +88,6 @@ ERROR_CODES: Dict[str, tuple] = {
     "REPRO-FAULT": (EXIT_FAULT, "armed fault-injection point fired"),
     "REPRO-IMAGE": (EXIT_INPUT, "input image malformed; the loader "
                                 "rejected it"),
-    "REPRO-CACHE": (EXIT_CACHE, "fragment-cache entry corrupt/"
-                                "truncated/mismatched (recovered by "
-                                "rebuild)"),
     "REPRO-COMPILE": (EXIT_INPUT, "mini-C source rejected by the "
                                   "compiler"),
     "REPRO-SHARD": (EXIT_SHARD, "shard quarantined (retries + serial "

@@ -48,15 +48,9 @@ checkpoint.load     checkpoint loader
 scale.pool          sharded engine, entry of one round's pool
                     expansion (fires in the parent; worker children
                     run disarmed)
-scale.cache         fragment cache, entry of one persistent-entry
-                    load (``corrupt`` simulates a garbled entry — the
-                    cache must rebuild, not crash)
 scale.progress      progress bus, queue creation and event dispatch
                     (the bus must degrade to broken — mining never
                     hangs or dies because its progress feed did)
-scale.metrics       OpenMetrics exporter, entry of the
-                    ``--metrics-out`` write (the CLI must warn and
-                    keep its primary outputs)
 scale.worker.crash  supervised executor, probed in the parent per
                     shard dispatch; the dispatched worker self-kills
                     via ``os.kill(getpid(), SIGKILL)`` — the shard
@@ -93,9 +87,7 @@ FAULT_POINTS = frozenset({
     "checkpoint.write",
     "checkpoint.load",
     "scale.pool",
-    "scale.cache",
     "scale.progress",
-    "scale.metrics",
     "scale.worker.crash",
     "scale.worker.hang",
     "scale.shard.poison",

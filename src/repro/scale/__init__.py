@@ -3,10 +3,10 @@
 Every round of the abstraction loop mines its block-DFG database
 through this package, for every worker count.  Mining is *sharded*,
 *incremental* and *cached* — an extraction only rewrites a handful of
-blocks, and identical blocks recur both across rounds and across runs
-— and ``--workers N >= 2`` makes it *parallel*; ``--workers`` only
-decides where shards run (0 and 1 in-process), so the output is
-bit-identical for any N and any cache state:
+blocks, so most blocks recur unchanged in the next round — and
+``--workers N >= 2`` makes it *parallel*; ``--workers`` only decides
+where shards run (0 and 1 in-process), so the output is bit-identical
+for any N and any cache state:
 
 :mod:`repro.scale.cluster`
     Pre-clustering: blocks partition into shards (connected components
@@ -31,14 +31,13 @@ bit-identical for any N and any cache state:
     policy for shards that keep failing.
 :mod:`repro.scale.cache`
     The content-addressed fragment cache: shard results keyed by a
-    canonical content digest, held in memory across rounds and
-    (optionally) on disk across runs.  After an extraction only the
-    shards holding rewritten blocks miss; every other shard's lattice
-    is reused verbatim, and the round's hits and misses are the
-    measured reuse.
+    canonical content digest, held in memory for the run.  After an
+    extraction only the shards holding rewritten blocks miss; every
+    other shard's lattice is reused verbatim, and the round's hits and
+    misses are the measured reuse.
 """
 
-from repro.scale.cache import CACHE_SCHEMA, CacheStats, FragmentCache
+from repro.scale.cache import FragmentCache
 from repro.scale.cluster import Shard, cluster_dfgs, edge_signatures
 from repro.scale.pool import ScaleStats, run_sharded_round
 from repro.scale.shard import (
@@ -58,8 +57,6 @@ from repro.scale.supervise import (
 
 __all__ = [
     "DEFAULT_SHARD_RETRIES",
-    "CACHE_SCHEMA",
-    "CacheStats",
     "FragmentCache",
     "SHARD_SCHEMA",
     "ScaleStats",

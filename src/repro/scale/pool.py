@@ -24,12 +24,15 @@ Determinism invariants (the bit-identity gate relies on these):
   in *both* the in-process and the worker path, and the parent replays
   every shard's one snapshot in deterministic shard order — so
   counters, span counts, ledger records and stats events are identical
-  for any ``--workers`` value and any cache temperature (only
-  durations, pids and timestamps differ, which is what a trace is
-  for).  With a sink off, the scope records nothing for it, preserving
-  the bit-identity guarantee.  The parent then emits the round's
-  ``mine.skips`` and ``prune`` census from the shard tallies and its
-  per-shard ``scale.*`` records.  Live events reach the events sink
+  for any ``--workers`` value (only durations, pids and timestamps
+  differ, which is what a trace is for).  With a sink off, the scope
+  records nothing for it, preserving the bit-identity guarantee.  The
+  parent then emits the round's ``mine.skips`` and ``prune`` census
+  from the shard tallies and its per-shard ``scale.*`` records.  Only
+  mined shards have a snapshot, so a round's ``candidate`` records
+  come only from the shards mined in that round, while its
+  ``mine.skips`` record and the ``pa.candidates.*`` counters also sum
+  the tallies of cache-served shards.  Live events reach the events sink
   as they happen: from workers over a queue handed through the worker
   initializer, drained in the parent's poll loop, which doubles as the
   straggler watchdog.
@@ -119,7 +122,6 @@ class ScaleStats:
     shards_lost: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_invalid: int = 0
     lattice_nodes_mined: int = 0
     lattice_nodes_reused: int = 0
     deadline_hits: int = 0
@@ -188,7 +190,6 @@ def run_sharded_round(
         stats.shards = len(shards)
         results: Dict[int, ShardResult] = {}
         to_mine: List[Tuple[Shard, ShardPayload, str]] = []
-        invalid_before = cache.stats.invalid
         with _TELEMETRY.span("scale.cache.lookup"):
             for shard, payload, digest in zip(shards, payloads, digests):
                 body = cache.get(digest)
@@ -200,7 +201,6 @@ def run_sharded_round(
                     to_mine.append((shard, payload, digest))
         stats.cache_hits = len(results)
         stats.cache_misses = len(to_mine)
-        stats.cache_invalid = cache.stats.invalid - invalid_before
         emit(
             "round.shards",
             shards=stats.shards,
@@ -276,7 +276,6 @@ def run_sharded_round(
             _TELEMETRY.count("scale.shards.lost", stats.shards_lost)
             _TELEMETRY.count("scale.cache.hits", stats.cache_hits)
             _TELEMETRY.count("scale.cache.misses", stats.cache_misses)
-            _TELEMETRY.count("scale.cache.invalid", stats.cache_invalid)
             _TELEMETRY.count("scale.lattice_nodes.reused",
                              stats.lattice_nodes_reused)
             _TELEMETRY.count("scale.lattice_nodes.mined",
@@ -319,7 +318,6 @@ def run_sharded_round(
             lost=stats.shards_lost,
             cache_hits=stats.cache_hits,
             cache_misses=stats.cache_misses,
-            cache_invalid=stats.cache_invalid,
             lattice_nodes_mined=stats.lattice_nodes_mined,
             lattice_nodes_reused=stats.lattice_nodes_reused,
             stragglers=stats.stragglers,

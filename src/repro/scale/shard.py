@@ -60,10 +60,9 @@ from repro.telemetry.events import emit
 import hashlib
 import time
 
-#: Version tag of the shard payload/result wire format.  Bump on any
-#: change to the funnel, the payload fields or the candidate wire
-#: format — it is folded into every cache key, so a bump invalidates
-#: all persisted entries instead of silently reviving stale results.
+#: Version tag of the shard payload/result wire format, folded into
+#: every cache key.  Bump it on any change to the funnel, the payload
+#: fields or the candidate wire format.
 SHARD_SCHEMA = "repro.scale.shard/4"
 
 #: Funnel tallies a shard reports: the ``mine.skips`` census, also
@@ -226,7 +225,7 @@ class ShardResult:
     snapshot: Optional[Dict[str, Any]] = None
 
     def to_doc(self) -> Dict[str, Any]:
-        """The JSON body persisted by the fragment cache."""
+        """The body the fragment cache stores for this shard."""
         return {
             "candidates": [_candidate_to_wire(c) for c in self.candidates],
             "lattice_nodes": self.lattice_nodes,

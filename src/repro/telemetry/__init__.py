@@ -34,10 +34,6 @@ from repro.telemetry.export import (
     write_stats,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram
-from repro.telemetry.openmetrics import (
-    openmetrics_text,
-    write_openmetrics,
-)
 from repro.telemetry.progress import EVENTS_SCHEMA, ProgressBus
 from repro.telemetry.remote import (
     SNAPSHOT_SCHEMA,
@@ -74,6 +70,4 @@ __all__ = [
     "counters_summary",
     "write_chrome_trace",
     "write_stats",
-    "openmetrics_text",
-    "write_openmetrics",
 ]

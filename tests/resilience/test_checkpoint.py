@@ -95,6 +95,8 @@ def test_config_roundtrip():
 def test_config_from_dict_drops_unknown_keys():
     data = config_to_dict(PAConfig())
     data["from_the_future"] = 42
+    # written before the persistent fragment cache was removed
+    data["fragment_cache"] = "fc"
     assert config_from_dict(data) == PAConfig()
 
 

@@ -162,15 +162,14 @@ class TestProgressIntegration:
         assert result.saved > 0
 
 
-class TestCacheCensus:
-    def test_census_lands_on_result_and_counters(self, registry):
+class TestCacheCounters:
+    def test_result_matches_the_counters(self, registry):
         __, result = run_crc(workers=1)
-        assert result.cache_census
-        assert result.cache_census["misses"] > 0
-        for key, value in result.cache_census.items():
-            assert registry.counter_value(
-                f"scale.cache.census.{key}"
-            ) == value
+        assert result.cache_misses > 0 and result.cache_hits > 0
+        assert registry.counter_value("scale.cache.hits") == \
+            result.cache_hits
+        assert registry.counter_value("scale.cache.misses") == \
+            result.cache_misses
 
 
 class TestDisabledInert:

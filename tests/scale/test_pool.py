@@ -50,20 +50,6 @@ def test_cache_serves_second_round_identically():
     assert [c.sort_key() for c in cold] == [c.sort_key() for c in warm]
 
 
-def test_delta_planner_sees_second_round_clean():
-    """The round-over-round delta is read off the shared cache: a cold
-    first round misses every shard, an unchanged second round hits
-    every shard."""
-    config = PAConfig(max_nodes=4, workers=1)
-    module = compile_workload("crc")
-    cache = FragmentCache()
-    _, first = run_sharded_round(module, config, RunGovernor(), cache)
-    _, second = run_sharded_round(module, config, RunGovernor(), cache)
-    assert first.cache_misses == first.shards
-    assert second.cache_hits == second.shards
-    assert second.cache_misses == 0
-
-
 def test_expired_governor_salvages_cached_shards():
     """A governor that is already out of budget loses the un-mined
     shards but keeps every cache-served one — per-shard best-so-far."""

@@ -180,3 +180,36 @@ def test_table1_json_export(tmp_path, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--workers", "2"],
+    ["--shard-retries", "1"],
+    ["--shard-timeout", "5"],
+    ["--strict-shards"],
+])
+def test_profile_refuses_scale_flags_under_sfx(duplicated_asm, flags,
+                                               capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["profile", duplicated_asm, "--engine", "sfx", *flags])
+    assert excinfo.value.code not in (0, None)
+    assert "need a graph engine" in str(excinfo.value.code)
+
+
+def test_shard_imbalance_table_sums_shard_done_events():
+    from repro.cli import _shard_imbalance_table
+    from repro.telemetry.core import Telemetry
+
+    registry = Telemetry()
+    registry.enable()
+    registry.take("extraction", {"benefit": 5})
+    assert _shard_imbalance_table(registry) == ""
+    for shard, seconds, nodes in ((0, 0.5, 10), (1, 1.5, 30),
+                                  (0, 0.25, 5)):
+        registry.take("shard.done", {"shard": shard, "seconds": seconds,
+                                     "lattice_nodes": nodes})
+    rows = _shard_imbalance_table(registry).splitlines()
+    # shard, rounds, seconds, share, lattice nodes
+    assert rows[1].split() == ["0", "2", "0.750", "33.3%", "15"]
+    assert rows[2].split() == ["1", "1", "1.500", "66.7%", "30"]
+    assert rows[3] == "imbalance: max/mean = 1.33x over 2 shards"

@@ -4,12 +4,13 @@ module, never of the execution config that produced it.
 The abstraction result is bit-identical for every worker count and
 cache state (the scale engine's contract), so the lint report and the
 audit payload over the abstracted module must serialize to the *same
-bytes* across ``workers=1`` vs ``workers=4`` and cold vs warm fragment
-cache."""
+bytes* across ``workers=1`` vs ``workers=4`` and a cold vs a warm
+fragment cache."""
 
 import json
 
 from repro.pa.driver import PAConfig, run_pa
+from repro.scale.cache import FragmentCache
 from repro.verify.absint import audit_module
 from repro.verify.lint import lint_module
 
@@ -23,29 +24,31 @@ def _verifier_bytes(module) -> bytes:
                       sort_keys=True).encode()
 
 
-def _abstract(workers: int, cache_dir=None) -> bytes:
+def _abstract(workers: int):
     module = module_from_source(SHARED_FRAGMENT_PROGRAM)
-    run_pa(module, PAConfig(
-        workers=workers,
-        fragment_cache=str(cache_dir) if cache_dir else None,
-        time_budget=30.0,
-    ))
-    return _verifier_bytes(module)
+    result = run_pa(module, PAConfig(workers=workers, time_budget=30.0))
+    return _verifier_bytes(module), result
 
 
 def test_findings_identical_across_worker_counts():
-    assert _abstract(workers=1) == _abstract(workers=4)
+    assert _abstract(workers=1)[0] == _abstract(workers=4)[0]
 
 
-def test_findings_identical_cold_vs_warm_cache(tmp_path):
-    cache = tmp_path / "fragcache"
-    cold = _abstract(workers=1, cache_dir=cache)
-    warm = _abstract(workers=1, cache_dir=cache)
+def test_findings_identical_cold_vs_warm_cache(monkeypatch):
+    # run_pa builds its cache through the repro.scale.cache module, so
+    # both runs below share this one (cold, then warm)
+    shared = FragmentCache()
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.scale.cache.FragmentCache", lambda: shared)
+        cold, cold_result = _abstract(workers=1)
+        warm, warm_result = _abstract(workers=1)
+    assert cold_result.cache_misses > 0
+    assert warm_result.cache_misses == 0
     assert cold == warm
-    assert cold == _abstract(workers=1)  # and cache-independent
+    assert cold == _abstract(workers=1)[0]  # and cache-independent
 
 
 def test_serial_engine_matches_scale_engine():
     module = module_from_source(SHARED_FRAGMENT_PROGRAM)
     run_pa(module, PAConfig(time_budget=30.0))
-    assert _verifier_bytes(module) == _abstract(workers=1)
+    assert _verifier_bytes(module) == _abstract(workers=1)[0]
