@@ -15,7 +15,7 @@ Run as a script, the harness writes a schema-versioned benchmark JSON
 
 ``benchmarks/regress.py`` compares two such files with tolerance bands
 (it reads both ``repro.bench/1`` and ``/2``; /2 adds the scale-engine
-observability fields ``workers``/``shards``/``cache_hits``/
+observability fields ``shards``/``cache_hits``/
 ``lattice_nodes_reused`` to every graph-engine cell).
 """
 
@@ -52,7 +52,7 @@ ENGINES = ("sfx", "dgspan", "edgar")
 
 #: Version tag of the ``--bench-out`` JSON schema.  /2 is an additive
 #: minor over /1: graph-engine cells gain the scale observability
-#: fields (workers, shards, cache_hits, lattice_nodes_reused).
+#: fields (shards, cache_hits, lattice_nodes_reused).
 BENCH_SCHEMA = "repro.bench/2"
 
 #: Default grid for the committed regression baseline (BENCH_all.json):
@@ -70,9 +70,7 @@ BASELINE_ENGINES = ("sfx", "edgar")
 #: converging (so their savings would flap across hosts).  Historically
 #: {("bitcnts", "edgar"), ("rijndael", "edgar")} — the sharded scale
 #: engine made both converge well under the 180 s budget, so the set
-#: is empty and the committed baseline covers the full grid.  The
-#: baseline was generated with ``--workers 4``; the results are
-#: worker-count-independent, so any ``--workers`` regenerates it.
+#: is empty and the committed baseline covers the full grid.
 BASELINE_SKIP = frozenset()
 
 
@@ -213,7 +211,6 @@ def bench_results(workloads=BASELINE_WORKLOADS,
                 "instructions_after": result.instructions_after,
                 "seconds": round(elapsed, 3),
                 "lattice_nodes": result.lattice_nodes,
-                "workers": getattr(result, "workers", 0),
                 "shards": getattr(result, "shards", 0),
                 "cache_hits": getattr(result, "cache_hits", 0),
                 "lattice_nodes_reused": getattr(
@@ -244,10 +241,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=ENGINES,
     )
     parser.add_argument("--time-budget", type=float, default=180.0)
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="mine graph-engine cells on N worker "
-                             "processes (0 and 1 = in-process; "
-                             "bit-identical savings for any N)")
     parser.add_argument("--force", action="store_true",
                         help="overwrite an existing output file")
     args = parser.parse_args(argv)
@@ -255,10 +248,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(
             f"refusing to overwrite {args.bench_out} (use --force)"
         )
-    overrides = {"time_budget": args.time_budget,
-                 "workers": args.workers}
     doc = bench_results(tuple(args.workloads), tuple(args.engines),
-                        **overrides)
+                        time_budget=args.time_budget)
     atomic_write_text(
         args.bench_out,
         json.dumps(doc, indent=2, sort_keys=True) + "\n",

@@ -16,13 +16,11 @@ only gets a *tolerance band*: more than ``--time-tolerance`` (default
 ``--fail-on-time`` (for dedicated perf CI on stable hardware).
 
 ``repro.bench/2`` adds scale-engine observability fields to every
-graph-engine cell (``workers``, ``shards``, ``cache_hits``,
+graph-engine cell (``shards``, ``cache_hits``,
 ``lattice_nodes_reused``).  They describe *how* a cell was mined, not
 the result, so they are soft-compared: drift prints a warning, never a
-failure — except ``workers``, whose drift means the two files were not
-produced by the same engine configuration and the seconds band is
-meaningless, which is still only a warning but a louder one.  A /1 file
-simply has no scale fields; comparisons across versions skip them.
+failure.  A /1 file simply has no scale fields; comparisons across
+versions skip them.
 
 Exit status: 0 when every pinned metric matches (warnings allowed),
 1 otherwise.
@@ -44,7 +42,7 @@ RESULT_METRICS = (
 
 #: /2 observability fields: soft-compared (warn on drift, never fail).
 SCALE_METRICS = (
-    "workers", "shards", "cache_hits", "lattice_nodes_reused",
+    "shards", "cache_hits", "lattice_nodes_reused",
 )
 
 
@@ -104,9 +102,6 @@ def compare(baseline: Dict[str, Any], current: Dict[str, Any],
                     warnings.append(
                         f"{name}/{engine}: {metric} drifted "
                         f"{base_value} -> {cur_value}"
-                        + (" (different engine configuration; the "
-                           "seconds band is not comparable)"
-                           if metric == "workers" else "")
                     )
             base_secs = base_cell.get("seconds")
             cur_secs = cur_cell.get("seconds")

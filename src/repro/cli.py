@@ -44,29 +44,25 @@ Output options refuse to overwrite existing files unless ``--force``.
 
 ``pa`` additionally accepts ``--report FILE`` (self-contained HTML run
 report) and ``--ledger-out FILE`` (the decision ledger as JSONL, schema
-``repro.report.ledger/1``), both backed by the provenance records of
+``repro.report.ledger/2``), both backed by the provenance records of
 :mod:`repro.report.ledger`; ``explain`` renders the same records as
 text, either by re-running a workload or replaying ``--ledger FILE``.
 The ledger, the events stream and the stats events are sinks of one
 event model (:mod:`repro.telemetry.events` tabulates which kinds each
 takes).
 
-Scale (see ``src/repro/scale/``): ``pa``, ``table1`` and ``profile``
-accept ``--workers N`` (where the one mining funnel mines the
-independent clusters of the block DFGs: the default ``0`` and ``1``
-in-process, ``N >= 2`` on N worker processes).  Every run keeps a
-content-addressed shard cache in memory, so a round re-mines only the
-shards the last round's extractions changed.  The output is
-bit-identical for every worker count — only wall-clock changes.
+Scale (see ``src/repro/scale/``): the graph engines mine the
+independent clusters of the block DFGs one after another, in-process.
+Every run keeps a content-addressed shard cache in memory, so a round
+re-mines only the shards the last round's extractions changed; the
+output is bit-identical for every cache state.
 
-Observability (see :mod:`repro.telemetry`): the same three commands
-accept ``--progress`` (a live one-line status on stderr) and
-``--events-out FILE`` (a JSONL stream of progress events, schema
-``repro.telemetry.events/2``).  With ``--workers`` the
-``--trace-out`` Chrome trace stitches every worker process's spans in
-under named process rows.  All of it is off by default and none of it
-changes results: the observability flags are load-bearing-free by
-construction (see the bit-identity tests).
+Observability (see :mod:`repro.telemetry`): ``pa``, ``table1`` and
+``profile`` accept ``--progress`` (a live one-line status on stderr)
+and ``--events-out FILE`` (a JSONL stream of progress events, schema
+``repro.telemetry.events/3``).  All of it is off by default and none
+of it changes results: the observability flags are load-bearing-free
+by construction (see the bit-identity tests).
 
 Resilience (see ``src/repro/resilience/``): ``pa --checkpoint FILE``
 rewrites a crash-safe resume file after every committed round and
@@ -168,8 +164,7 @@ def _add_telemetry_args(parser) -> None:
     parser.add_argument(
         "--trace-out", metavar="FILE",
         help="write a Chrome trace_event JSON (chrome://tracing, "
-             "Perfetto); with --workers the trace merges every worker "
-             "process under named process rows",
+             "Perfetto)",
     )
     parser.add_argument(
         "--stats-out", metavar="FILE",
@@ -189,62 +184,6 @@ def _add_telemetry_args(parser) -> None:
         "--force", action="store_true",
         help="overwrite existing output files",
     )
-
-
-def _add_scale_args(parser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="mine the independent clusters of the block DFGs on N "
-             "worker processes (0 and 1 = in-process, the default 0); "
-             "the result is bit-identical for every N",
-    )
-    parser.add_argument(
-        "--shard-retries", type=int, default=None, metavar="N",
-        help="redeliveries per shard before it falls back to an "
-             "in-parent serial re-mine and then quarantine (default "
-             "2).  Retries re-run the same pure mine, so the "
-             "crash/retry schedule never changes results",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-shard soft timeout (2+ workers): a "
-             "shard in flight longer than this has its worker killed "
-             "and is redelivered.  Default: no timeout",
-    )
-    parser.add_argument(
-        "--strict-shards", action="store_true",
-        help="fail the run with a typed error (REPRO-SHARD, exit 7) "
-             "when a shard is quarantined, instead of the default "
-             "policy of dropping it and degrading the run",
-    )
-
-
-def _apply_shard_policy(config, args) -> None:
-    """Fold the supervised executor's policy flags into *config*.
-
-    Like ``--workers`` these are machine-local execution knobs: retry
-    schedules and timeouts re-run the same pure mine, so they cannot
-    change a result — only whether a crashy run completes, degrades or
-    (``--strict-shards``) fails typed.  Unset flags keep the config's
-    (or the resumed checkpoint's) values.
-    """
-    if args.shard_retries is not None:
-        config.shard_retries = args.shard_retries
-    if args.shard_timeout is not None:
-        config.shard_timeout = args.shard_timeout
-    if args.strict_shards:
-        config.strict_shards = True
-
-
-def _refuse_scale_flags_for_sfx(args) -> None:
-    """Exit when a scale flag comes with ``--engine sfx``, which never
-    reaches the shard engine those flags configure."""
-    if args.engine == "sfx" and (
-        args.workers or args.shard_retries is not None
-        or args.shard_timeout is not None or args.strict_shards
-    ):
-        sys.exit("error: --workers/--shard-* need a graph engine; the "
-                 "sfx baseline does not mine shards")
 
 
 def _check_output_paths(args) -> list:
@@ -395,18 +334,8 @@ def _shard_imbalance_table(registry) -> str:
     mean = total / len(seconds)
     peak = max(seconds.values())
     ratio = (peak / mean) if mean else 0.0
-    summary = (f"imbalance: max/mean = {ratio:.2f}x "
-               f"over {len(seconds)} shards")
-    stalled = registry.counter_value("scale.shards.stalled")
-    if stalled:
-        summary += f", {stalled} flagged stalled"
-    retries = registry.counter_value("scale.shard.retries")
-    if retries:
-        summary += f", {retries} redeliveries"
-    quarantined = registry.counter_value("scale.shards.quarantined")
-    if quarantined:
-        summary += f", {quarantined} quarantined"
-    lines.append(summary)
+    lines.append(f"imbalance: max/mean = {ratio:.2f}x "
+                 f"over {len(seconds)} shards")
     return "\n".join(lines)
 
 
@@ -453,7 +382,6 @@ def cmd_pa(args) -> int:
         sys.exit("error: --verify/--checkpoint/--resume need a graph "
                  "engine; the sfx baseline does not go through the "
                  "round loop they hook")
-    _refuse_scale_flags_for_sfx(args)
     for spec in args.fault or ():
         try:
             faultinject.arm(spec)
@@ -483,12 +411,6 @@ def _pa(args) -> int:
         module = module_from_checkpoint(resume)
         config = config_from_dict(resume.config)
         config.checkpoint_path = args.checkpoint
-        # The worker count is a machine-local execution knob — the
-        # output is worker-count-independent, so overriding it cannot
-        # change the resumed result.
-        if args.workers:
-            config.workers = args.workers
-        _apply_shard_policy(config, args)
         print(f"resumed from round {resume.round} ({args.resume})",
               file=sys.stderr)
     else:
@@ -500,9 +422,7 @@ def _pa(args) -> int:
             verify=args.verify,
             verify_max_retries=args.verify_max_retries,
             checkpoint_path=args.checkpoint,
-            workers=args.workers,
         )
-        _apply_shard_policy(config, args)
     # The sanitizer is a passive observer: sanitized runs remain
     # bit-identical to plain ones, so running the oracle pair under it
     # changes nothing unless a counterexample fires.
@@ -554,24 +474,10 @@ def _pa(args) -> int:
           f"instructions (saved {result.saved}) in {result.rounds} rounds "
           f"[{status}]")
     if args.engine != "sfx":
-        print(f"scale: workers={result.workers} shards={result.shards} "
+        print(f"scale: shards={result.shards} "
               f"cache {result.cache_hits} hits / "
               f"{result.cache_misses} misses, "
               f"{result.lattice_nodes_reused} lattice nodes reused",
-              file=sys.stderr)
-    if getattr(result, "stragglers", 0):
-        print(f"note: {result.stragglers} shard(s) went quiet past the "
-              "straggler watchdog threshold (see shard.stalled events)",
-              file=sys.stderr)
-    if getattr(result, "shards_retried", 0):
-        print(f"note: {result.shards_retried} shard(s) needed "
-              "redelivery (worker death/timeout/failure; results are "
-              "unaffected — see scale.retry ledger records)",
-              file=sys.stderr)
-    if getattr(result, "shards_quarantined", 0):
-        print(f"note: {result.shards_quarantined} shard(s) quarantined "
-              "after retries and the serial fallback (see "
-              "scale.quarantine ledger records)",
               file=sys.stderr)
     if getattr(result, "degraded", False):
         # Anytime semantics: degraded is still exit 0 — the module is
@@ -671,11 +577,8 @@ def cmd_table1(args) -> int:
                     if engine == "sfx":
                         result = run_sfx(module)
                     else:
-                        config = PAConfig(
-                            miner=engine, time_budget=args.time_budget,
-                            workers=args.workers)
-                        _apply_shard_policy(config, args)
-                        result = run_pa(module, config)
+                        result = run_pa(module, PAConfig(
+                            miner=engine, time_budget=args.time_budget))
                 verify_workload(name, module)
                 saved[engine] = base - module.num_instructions
                 elapsed = time.perf_counter() - started
@@ -690,15 +593,10 @@ def cmd_table1(args) -> int:
                     deadline_hits=getattr(result, "deadline_hits", 0),
                     mis_budget_exhausted=getattr(
                         result, "mis_budget_exhausted", 0),
-                    workers=getattr(result, "workers", 0),
                     shards=getattr(result, "shards", 0),
                     cache_hits=getattr(result, "cache_hits", 0),
                     lattice_nodes_reused=getattr(
                         result, "lattice_nodes_reused", 0),
-                    shards_retried=getattr(
-                        result, "shards_retried", 0),
-                    shards_quarantined=getattr(
-                        result, "shards_quarantined", 0),
                 )
                 print(f"  {name}/{engine}: saved {saved[engine]} "
                       f"({elapsed:.1f}s)",
@@ -714,7 +612,6 @@ def cmd_profile(args) -> int:
     if args.verify and args.engine == "sfx":
         sys.exit("error: --verify needs a graph engine; the sfx baseline "
                  "does not go through the round loop the validator hooks")
-    _refuse_scale_flags_for_sfx(args)
     with _sinks(args, force_telemetry=True):
         module = _load_source(args.source, args.assembly)
         before = module.num_instructions
@@ -726,9 +623,7 @@ def cmd_profile(args) -> int:
                 max_nodes=args.max_nodes,
                 time_budget=args.time_budget,
                 verify=args.verify,
-                workers=args.workers,
             )
-            _apply_shard_policy(config, args)
             result = run_pa(module, config)
     registry = telemetry.get()
     print(f"{args.source}/{args.engine}: {before} -> "
@@ -958,7 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", metavar="FILE",
                    help="continue a checkpointed run; bit-identical to "
                         "the uninterrupted one")
-    _add_scale_args(p)
     p.add_argument("--fault", action="append", metavar="SPEC",
                    help="arm a deterministic fault point, "
                         "point[:mode[:at]] (repeatable; modes: raise, "
@@ -1031,7 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=float, default=180.0)
     p.add_argument("--json", metavar="FILE",
                    help="write rows + telemetry as stats JSON")
-    _add_scale_args(p)
     _add_telemetry_args(p)
     p.set_defaults(func=cmd_table1)
 
@@ -1048,7 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="translation-validate every round, so the tree "
                         "shows verification cost alongside mining")
-    _add_scale_args(p)
     _add_telemetry_args(p)
     p.set_defaults(func=cmd_profile)
 

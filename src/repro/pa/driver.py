@@ -7,10 +7,9 @@ the highest code-size benefit, and restarts — "after extraction, phase
 (6) is repeated as long as code fragments are found that reduce the
 overall number of instructions in the program".
 
-The mining step of a round is :func:`repro.scale.pool.run_sharded_round`
-for every worker count: it mines the independent clusters of the
-database, reusing unchanged ones from the run's fragment cache (see
-:mod:`repro.scale`).
+The mining step of a round is :func:`repro.scale.pool.run_sharded_round`:
+it mines the independent clusters of the database, reusing unchanged
+ones from the run's fragment cache (see :mod:`repro.scale`).
 """
 
 from __future__ import annotations
@@ -93,26 +92,6 @@ class PAConfig:
     #: completed round (schema ``repro.resilience.ckpt/1``); resuming
     #: from it reproduces the uninterrupted run bit-identically.
     checkpoint_path: Optional[str] = None
-    #: Where the one mining funnel (:mod:`repro.scale`) mines a
-    #: round's shards — the independent clusters of the DFG database,
-    #: each with its own benefit floor, cached by content and merged
-    #: deterministically.  0 and 1 = in-process, N >= 2 = N worker
-    #: processes; the result is bit-identical for every N and every
-    #: cache state.
-    workers: int = 0
-    #: Redeliveries per shard before it falls back to an in-parent
-    #: serial re-mine and then quarantine (see
-    #: :mod:`repro.scale.supervise`).  Retries re-run the same pure
-    #: function, so the crash/retry schedule never changes results.
-    shard_retries: int = 2
-    #: Per-shard soft timeout (seconds; ``workers >= 2``):
-    #: a shard in flight longer than this has its worker killed and is
-    #: redelivered.  None disables the timeout.
-    shard_timeout: Optional[float] = None
-    #: Raise a typed ShardError (exit 7) when a shard is quarantined
-    #: (retries and the serial fallback all failed) instead of the
-    #: default policy of dropping the shard and degrading the run.
-    strict_shards: bool = False
 
 
 @dataclass
@@ -154,23 +133,13 @@ class PAResult:
     rolled_back_rounds: int = 0
     #: Round index this run resumed from, if it was resumed.
     resumed_from_round: Optional[int] = None
-    #: Shard census: ``config.workers``, and the largest per-round
-    #: shard count.
-    workers: int = 0
     shards: int = 0                   #: largest per-round shard count
-    #: shards torn down before completing (governor stop mid-round)
+    #: shards left unmined by a governor stop mid-round
     shards_lost: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     #: lattice nodes served from the fragment cache instead of re-mined
     lattice_nodes_reused: int = 0
-    #: shards the progress watchdog flagged for stale heartbeats
-    stragglers: int = 0
-    #: distinct shards that needed more than one delivery (worker
-    #: death, soft timeout or a failed attempt; see repro.scale.supervise)
-    shards_retried: int = 0
-    #: shards dropped after retries and the serial fallback all failed
-    shards_quarantined: int = 0
 
     @property
     def saved(self) -> int:
@@ -357,7 +326,7 @@ def run_pa(module: Module, config: Optional[PAConfig] = None,
     governor = RunGovernor(time_budget=config.time_budget)
     begin_config = {key: getattr(config, key) for key in (
         "miner", "min_support", "min_nodes", "max_nodes",
-        "mis_exact_limit", "pa_pruning", "batch", "time_budget", "workers",
+        "mis_exact_limit", "pa_pruning", "batch", "time_budget",
     )}
     extra = {} if resume is None else {"resumed_from": resume.round}
     emit(
@@ -427,7 +396,6 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
     from repro.scale.cache import FragmentCache
 
     cache = FragmentCache()
-    result.workers = config.workers
     start_round = 0
     if resume is not None:
         start_round = resume.round + 1
@@ -441,8 +409,6 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
         result.cache_hits = resume.cache_hits
         result.cache_misses = resume.cache_misses
         result.lattice_nodes_reused = resume.lattice_nodes_reused
-        result.shards_retried = resume.shards_retried
-        result.shards_quarantined = resume.shards_quarantined
         result.records = [
             ExtractionRecord(
                 round=r["round"],
@@ -577,13 +543,10 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
         result.lattice_nodes_reused += scale_stats.lattice_nodes_reused
         result.shards = max(result.shards, scale_stats.shards)
         result.shards_lost += scale_stats.shards_lost
-        result.stragglers += scale_stats.stragglers
         result.cache_hits += scale_stats.cache_hits
         result.cache_misses += scale_stats.cache_misses
-        result.shards_retried += scale_stats.shards_retried
-        result.shards_quarantined += scale_stats.shards_quarantined
         if scale_stats.shards_lost:
-            # A torn-down pool dropped shards: whatever this round
+            # A governor stop left shards unmined: whatever this round
             # selects is best-so-far, never silently complete.
             governor.note(
                 "interrupted" if governor.interrupted else "time_budget"
@@ -695,8 +658,6 @@ def _write_run_checkpoint(path: str, module: Module, config: PAConfig,
         cache_hits=result.cache_hits,
         cache_misses=result.cache_misses,
         lattice_nodes_reused=result.lattice_nodes_reused,
-        shards_retried=result.shards_retried,
-        shards_quarantined=result.shards_quarantined,
     )
     _ckpt.write_checkpoint(path, checkpoint)
     emit("checkpoint", round=round_index, path=path)

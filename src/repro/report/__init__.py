@@ -11,7 +11,7 @@ Three layers, consumed by ``repro pa --report`` / ``repro explain``:
 :mod:`repro.report.ledger`
     The decision ledger — the sink of the one event model
     (:mod:`repro.telemetry.events`) that keeps typed provenance records
-    (schema ``repro.report.ledger/1``) from the driver, the miners, the
+    (schema ``repro.report.ledger/2``) from the driver, the miners, the
     MIS solver, the legality checker and the extractor.  Off by
     default, inert when disabled (same guard contract as the telemetry
     registry).

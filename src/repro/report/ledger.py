@@ -28,8 +28,12 @@ from repro.resilience.atomicio import atomic_write_text
 from repro.resilience.faultinject import fault
 from repro.telemetry import events
 
-#: Version tag of the ledger JSONL schema.
-LEDGER_SCHEMA = "repro.report.ledger/1"
+#: Version tag of the ledger JSONL schema.  /2 dropped the record
+#: types ``scale.retry`` and ``scale.quarantine``, ``workers`` from
+#: ``run.begin``'s config and from ``scale.round``, ``scale.round``'s
+#: ``stragglers``/``retries``/``fallbacks``/``quarantined`` and
+#: ``scale.shard``'s ``quarantined``.
+LEDGER_SCHEMA = "repro.report.ledger/2"
 
 #: Per-type record caps.  ``legality`` fires once per classified mined
 #: fragment and ``mis`` once per overlap resolution — tens of thousands
@@ -83,7 +87,7 @@ class Ledger(events.Sink):
         cap = self.caps.get(kind)
         count = self._counts.get(kind, 0)
         if cap is not None and count >= cap:
-            self.take_dropped(kind, 1)
+            self.dropped[kind] = self.dropped.get(kind, 0) + 1
             return
         self._counts[kind] = count + 1
         entry: Dict[str, Any] = {"type": kind}
@@ -91,9 +95,6 @@ class Ledger(events.Sink):
         if kind == "run.end":
             entry["dropped"] = dict(self.dropped)
         self.records.append(entry)
-
-    def take_dropped(self, kind: str, count: int) -> None:
-        self.dropped[kind] = self.dropped.get(kind, 0) + count
 
     # ------------------------------------------------------------------
     # access

@@ -36,13 +36,13 @@ mis_budget_exhausted / verify_retries
 cache_hits / cache_misses / lattice_nodes_reused
                     scale-engine continuity counters (additive minor;
                     default zero when absent)
-shards_retried / shards_quarantined
-                    supervised-executor continuity counters (additive
-                    minor; default zero when absent)
 =================== =================================================
 
-Documents written before the mining engine was unified may carry a
-``carryover`` field (warm-start candidates); it is ignored on load like
+Older documents may carry fields since removed — ``carryover``
+(warm-start candidates of the former serial engine) and the worker
+pool's ``shards_retried`` / ``shards_quarantined`` — and keys since
+removed from ``config`` (``flow_pass``, ``workers``, ``shard_retries``,
+``shard_timeout``, ``strict_shards``).  Both are ignored on load like
 any other unknown field.
 """
 
@@ -136,16 +136,11 @@ class Checkpoint:
     #: pre-scale checkpoints, defaulted to zero on load; older loaders
     #: drop them as unknown fields).  The fragment cache itself is NOT
     #: checkpointed — it is content-addressed, so a resumed run simply
-    #: re-fills it (or reads the persistent directory) and still
-    #: reproduces the uninterrupted run's module bit-identically.
+    #: re-fills it and still reproduces the uninterrupted run's module
+    #: bit-identically.
     cache_hits: int = 0
     cache_misses: int = 0
     lattice_nodes_reused: int = 0
-    #: Supervised-executor continuity counters (same additive-minor
-    #: rules): shards that needed redelivery and shards dropped by
-    #: quarantine, cumulative across the resumed run.
-    shards_retried: int = 0
-    shards_quarantined: int = 0
 
     def to_doc(self) -> Dict[str, Any]:
         return {"schema": CKPT_SCHEMA, **self.__dict__}

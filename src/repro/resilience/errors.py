@@ -23,10 +23,6 @@ exit  code              meaning
 5     REPRO-IMAGE       input image malformed (undecodable, truncated,
                         dangling references) — the loader rejected it
 5     REPRO-COMPILE     mini-C source rejected by the compiler
-7     REPRO-SHARD       a shard was quarantined (retries and the
-                        serial fallback exhausted) and the run was
-                        started with ``--strict-shards``; without the
-                        flag the run degrades instead (exit 0)
 70    REPRO-INTERNAL    unclassified internal error
 130   REPRO-INTERRUPT   interrupted before any round could complete
 ===== ================= ==============================================
@@ -42,7 +38,6 @@ EXIT_VERIFY = 2
 EXIT_CHECKPOINT = 3
 EXIT_FAULT = 4
 EXIT_INPUT = 5
-EXIT_SHARD = 7
 EXIT_INTERNAL = 70
 EXIT_INTERRUPT = 130
 
@@ -68,16 +63,6 @@ class FaultInjected(ReproError):
     exit_code = EXIT_FAULT
 
 
-class ShardError(ReproError):
-    """A shard exhausted its retry budget *and* the in-parent serial
-    fallback, and the user asked for strictness (``--strict-shards``).
-    The default policy quarantines the shard and degrades the run
-    instead — the module stays valid, verified best-so-far."""
-
-    code = "REPRO-SHARD"
-    exit_code = EXIT_SHARD
-
-
 #: code -> (exit code, description) — the documented contract, used by
 #: the README/DESIGN tables and asserted by the resilience tests.
 ERROR_CODES: Dict[str, tuple] = {
@@ -90,9 +75,6 @@ ERROR_CODES: Dict[str, tuple] = {
                                 "rejected it"),
     "REPRO-COMPILE": (EXIT_INPUT, "mini-C source rejected by the "
                                   "compiler"),
-    "REPRO-SHARD": (EXIT_SHARD, "shard quarantined (retries + serial "
-                                "fallback exhausted) under "
-                                "--strict-shards"),
     "REPRO-INTERNAL": (EXIT_INTERNAL, "unclassified internal error"),
     "REPRO-INTERRUPT": (EXIT_INTERRUPT, "interrupted before any round "
                                         "completed"),

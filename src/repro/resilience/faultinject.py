@@ -45,23 +45,11 @@ verify.counterexample
 ledger.write        decision-ledger JSONL writer
 checkpoint.write    checkpoint writer (supports ``corrupt``)
 checkpoint.load     checkpoint loader
-scale.pool          sharded engine, entry of one round's pool
-                    expansion (fires in the parent; worker children
-                    run disarmed)
-scale.progress      progress bus, queue creation and event dispatch
-                    (the bus must degrade to broken — mining never
-                    hangs or dies because its progress feed did)
-scale.worker.crash  supervised executor, probed in the parent per
-                    shard dispatch; the dispatched worker self-kills
-                    via ``os.kill(getpid(), SIGKILL)`` — the shard
-                    must be redelivered, the output bit-identical
-scale.worker.hang   as above, but the worker sleeps forever —
-                    recovery needs ``--shard-timeout`` (or the
-                    governor's deadline teardown)
-scale.shard.poison  as above, but sticky: the shard fails every
-                    redelivery *and* the serial fallback — the
-                    quarantine path (``run.degraded``, or exit 7
-                    under ``--strict-shards``)
+scale.pool          sharded engine, entry of one round's shard
+                    mining (after the cache lookup)
+scale.progress      progress bus, event dispatch (the bus must
+                    degrade to broken — mining never dies because
+                    its progress feed did)
 =================== =================================================
 """
 
@@ -88,9 +76,6 @@ FAULT_POINTS = frozenset({
     "checkpoint.load",
     "scale.pool",
     "scale.progress",
-    "scale.worker.crash",
-    "scale.worker.hang",
-    "scale.shard.poison",
 })
 
 _MODES = ("raise", "interrupt", "deadline", "corrupt")

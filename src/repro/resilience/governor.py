@@ -55,12 +55,6 @@ class RunGovernor:
     # ------------------------------------------------------------------
     # budget state
     # ------------------------------------------------------------------
-    def remaining(self) -> Optional[float]:
-        """Seconds left, or None when unbounded."""
-        if self.deadline is None:
-            return None
-        return self.deadline - self.clock()
-
     def expired(self) -> bool:
         return self.deadline is not None and self.clock() > self.deadline
 

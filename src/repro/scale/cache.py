@@ -4,9 +4,9 @@ Maps a shard payload digest (:meth:`~repro.scale.shard.ShardPayload.digest`)
 to the mined :class:`~repro.scale.shard.ShardResult` body
 (:meth:`~repro.scale.shard.ShardResult.to_doc`).  One table lives for
 one run: it is what makes re-mining incremental *within* the run —
-round N+1 re-uses every shard round N left untouched, at every worker
-count.  Hits and misses are counted by the round
-(:class:`~repro.scale.pool.ScaleStats`), not here.
+round N+1 re-uses every shard round N left untouched.  Hits and
+misses are counted by the round (:class:`~repro.scale.pool.ScaleStats`),
+not here.
 """
 
 from __future__ import annotations

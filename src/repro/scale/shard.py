@@ -2,7 +2,7 @@
 
 This is the one mining engine.  Every round mines the shards of the
 block DFG database, the independent clusters of
-:func:`~repro.scale.cluster.cluster_dfgs`, for every worker count.
+:func:`~repro.scale.cluster.cluster_dfgs`.
 
 A :class:`ShardPayload` is a *self-contained*, content-addressed unit
 of mining work: the shard's instruction lists, the per-block legality
@@ -10,12 +10,10 @@ facts the funnel needs (lr-liveness on exit, the sp-fragile callees the
 shard actually calls), and the mining-relevant config knobs.  Nothing
 in it references global DFG indices, block coordinates or symbol names
 outside the shard (unless a verify-retry blocklist is active, see
-:class:`ShardPayload`), so
-
-* it pickles across a process boundary unchanged (worker pools), and
-* its :meth:`~ShardPayload.digest` is a stable cache key — two shards
-  with identical content mine to identical results no matter where (or
-  in which round, or in which run) their blocks live.
+:class:`ShardPayload`), so its :meth:`~ShardPayload.digest` is a
+stable cache key — two shards with identical content mine to
+identical results no matter where (or in which round) their blocks
+live.
 
 :func:`mine_shard` runs the funnel (floor prune -> legality -> MIS ->
 order consistency -> score) with a shard-local benefit floor, once per
@@ -30,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.binary.program import BasicBlock
-from repro.dfg.builder import build_dfg
 from repro.dfg.graph import DFG
 from repro.isa.instructions import Instruction
 from repro.isa.operands import LabelRef
@@ -144,8 +140,8 @@ class ShardPayload:
     #: canonical fingerprints of candidates a verify-failure recovery
     #: step blocklisted; the funnel skips them before they can set the
     #: floor.  A fingerprint names block coordinates, so a non-empty
-    #: blocklist ships each local graph's ``(function, block)`` origin
-    #: too — both are then part of the digest.
+    #: blocklist records each local graph's ``(function, block)``
+    #: origin too — both are then part of the digest.
     blocklist: Tuple[str, ...] = ()
     origins: Tuple[Tuple[str, int], ...] = ()
 
@@ -185,17 +181,6 @@ class ShardPayload:
         hasher.update("\x1f".join(parts).encode())
         return hasher.hexdigest()
 
-    def build_dfgs(self) -> List[DFG]:
-        """The shard's DFGs, rebuilt from the payload (worker side)."""
-        kinds = frozenset(self.config.mined_kinds)
-        return [
-            build_dfg(BasicBlock([], list(insns)),
-                      origin=(self.origins[local] if self.origins
-                              else ("", local)),
-                      mined_kinds=kinds)
-            for local, insns in enumerate(self.block_insns)
-        ]
-
 
 @dataclass
 class ShardResult:
@@ -219,10 +204,6 @@ class ShardResult:
     #: from :meth:`to_doc`, so a cached entry never replays a stale
     #: timing (cache hits report 0.0).
     mine_seconds: float = 0.0
-    #: the shard's captured metrics and events
-    #: (:func:`repro.telemetry.events.capture`), set when an ordered
-    #: sink is on.  Transient, never persisted.
-    snapshot: Optional[Dict[str, Any]] = None
 
     def to_doc(self) -> Dict[str, Any]:
         """The body the fragment cache stores for this shard."""
@@ -322,8 +303,7 @@ def build_payload(shard, dfgs: Sequence[DFG], lr_live, fragile,
     )
 
 
-def mine_shard(payload: ShardPayload,
-               dfgs: Optional[Sequence[DFG]] = None) -> ShardResult:
+def mine_shard(payload: ShardPayload, dfgs: Sequence[DFG]) -> ShardResult:
     """Run the candidate funnel over one shard, in the calling process.
 
     Fragments are scored as the miner reports them (streaming); the
@@ -343,10 +323,9 @@ def mine_shard(payload: ShardPayload,
     replays the decision (its tally and the events it emitted) for
     every later node with that list; a scored candidate is kept once.
 
-    *dfgs* are the shard's DFGs in payload order; the parent passes
-    the round's own DFGs, a worker rebuilds them from the payload.
-    Deterministic for fixed payload content: no randomness, no global
-    state, stable tie-breaks.  While a sink takes ``candidate`` events
+    *dfgs* are the shard's DFGs in payload order, taken from the
+    round's DFG database.  Deterministic for fixed payload content: no
+    randomness, no global state, stable tie-breaks.  While a sink takes ``candidate`` events
     (the ledger), the funnel emits them and attaches provenance to the
     scored candidates.
 
@@ -359,8 +338,6 @@ def mine_shard(payload: ShardPayload,
     emit("shard.start", shard=payload.shard_index,
          blocks=len(payload.block_insns))
     conf = payload.config
-    if dfgs is None:
-        dfgs = payload.build_dfgs()
     fragile = frozenset(payload.fragile)
     lr_flags = payload.lr_live
     blocklist = frozenset(payload.blocklist)

@@ -35,11 +35,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram
 from repro.telemetry.progress import EVENTS_SCHEMA, ProgressBus
-from repro.telemetry.remote import (
-    SNAPSHOT_SCHEMA,
-    merge_snapshot,
-    snapshot,
-)
 
 __all__ = [
     "GLOBAL",
@@ -60,10 +55,7 @@ __all__ = [
     "observe",
     "STATS_SCHEMA",
     "EVENTS_SCHEMA",
-    "SNAPSHOT_SCHEMA",
     "ProgressBus",
-    "merge_snapshot",
-    "snapshot",
     "chrome_trace",
     "stats_dict",
     "tree_summary",

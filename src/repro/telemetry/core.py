@@ -36,7 +36,6 @@ renderings to the ledger.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import threading
 import time
@@ -65,10 +64,6 @@ class SpanRecord:
     duration: float
     thread: int
     args: Dict[str, Any] = field(default_factory=dict)
-    #: originating process: 0 = this registry's own process, else the
-    #: real pid of the worker the span was stitched in from
-    #: (:mod:`repro.telemetry.remote`).
-    pid: int = 0
 
 
 class _NullSpan:
@@ -135,10 +130,6 @@ class Telemetry(_events.Sink):
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.events: List[Dict[str, Any]] = []
-        #: pid -> process name, for spans stitched in from worker
-        #: processes (:mod:`repro.telemetry.remote`); exporters use it
-        #: to label per-process tracks.
-        self.remote_processes: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -161,44 +152,9 @@ class Telemetry(_events.Sink):
             self.gauges = {}
             self.histograms = {}
             self.events = []
-            self.remote_processes = {}
         # per-thread stacks restart lazily; only this thread's can be
         # cleared here, which is enough for the sequential pipeline
         self._local.stack = []
-
-    @contextlib.contextmanager
-    def isolated(self, enabled: bool):
-        """Record spans and metrics into fresh state for the block.
-
-        Empty span/metric storage and a clean span stack are swapped
-        in, so instrumentation already bound to this registry records
-        into an isolated scope (or nowhere, with ``enabled=False``);
-        the previous state is restored on exit.  The epoch is kept, so
-        a :func:`repro.telemetry.remote.snapshot` of the scope stays
-        comparable with the surrounding state's timestamps.
-        """
-        attrs = ("enabled", "spans", "counters", "gauges", "histograms",
-                 "_serial", "remote_processes")
-        saved = {attr: getattr(self, attr) for attr in attrs}
-        saved_stack = getattr(self._local, "stack", None)
-        with self._lock:
-            self.spans = []
-            self.counters = {}
-            self.gauges = {}
-            self.histograms = {}
-            self._serial = 0
-            self.remote_processes = {}
-        self._local.stack = []
-        self.enabled = enabled
-        try:
-            yield
-        finally:
-            with self._lock:
-                for attr, value in saved.items():
-                    setattr(self, attr, value)
-            self._local.stack = (
-                saved_stack if saved_stack is not None else []
-            )
 
     # ------------------------------------------------------------------
     # spans

@@ -9,18 +9,17 @@ shapes its own records:
 ``ledger``
     :class:`repro.report.ledger.Ledger` — the decision ledger: per-kind
     caps, ``records``, ``write_jsonl`` (schema
-    ``repro.report.ledger/1``).  Records are ``{"type": kind, ...}``.
+    ``repro.report.ledger/2``).  Records are ``{"type": kind, ...}``.
 ``events``
-    :class:`repro.telemetry.progress.ProgressBus` in the parent, a
-    bounded queue to it in a worker — the live TTY line, the JSONL
-    stream (schema ``repro.telemetry.events/2``) and the straggler
-    watchdog.  It stamps ``ts`` and ``pid``; records are
+    :class:`repro.telemetry.progress.ProgressBus` — the live TTY line
+    and the JSONL stream (schema ``repro.telemetry.events/3``).  It
+    stamps ``ts`` and ``pid``; records are
     ``{"kind": kind, "ts": ..., "pid": ..., ...}``.
 ``stats``
     :class:`repro.telemetry.core.Telemetry` — the registry's event
     list, which feeds the stats JSON (schema
-    ``repro.telemetry.stats/3``), OpenMetrics and ``profile``'s shard
-    table.  Records are ``{"name": kind, ...}``, without the
+    ``repro.telemetry.stats/3``) and ``profile``'s shard table.
+    Records are ``{"name": kind, ...}``, without the
     extraction's DOT renderings.  Spans, counters and histograms stay
     registry calls: they are metrics, not events.
 
@@ -30,16 +29,11 @@ across sinks are equal by construction.  With no sink attached,
 :func:`emit` returns after one check; a call site guards its field
 building (:func:`wants`) only where that is costly.
 
-Shards record through one :func:`capture` scope, in the parent and in
-worker processes alike: inside it the *ordered* sinks (ledger, stats)
-are replaced by one buffer that takes their kinds, the stats registry
-records its spans and metrics into isolated state, and the *live*
-events sink keeps receiving.  The scope yields one snapshot of both;
-the parent :func:`replay`\\ s each shard's snapshot in shard order, so
-a cold-cache run records the same ledger, stats and metrics for every
-worker count >= 1.  A :func:`recording` scope keeps what is emitted
-inside it, so that the caller can emit it again: the shard funnel
-replays a repeated decision's records this way.
+Shards are mined one after another, in shard order, and emit straight
+into the attached sinks like every other stage.  A :func:`recording`
+scope keeps what is emitted inside it, so that the caller can emit it
+again: the shard funnel replays a repeated decision's records this
+way.
 
 Kinds (fields are additive; consumers must ignore unknown fields; L =
 ledger, E = events, S = stats; "(capped)" = capped per run in the
@@ -70,12 +64,6 @@ candidate               L     funnel — a candidate in the cost/benefit
                               benefit, verdict (capped)
 shard.done              E S   funnel — shard, seconds, lattice nodes,
                               graphs, distinct candidates, deadline hit
-shard.stalled           E     the events sink's watchdog — a shard
-                              silent past ``stall_after`` (once)
-scale.retry             L E   supervisor — a failed delivery: shard,
-                              attempt, error, retried, backoff
-scale.quarantine        L E   supervisor — an exhausted shard: attempts,
-                              error, recovered by the serial fallback
 mine.skips              L     mining round — rejections per funnel stage
                               and the scored total
 prune                   L     mining round — never-convex, Fig. 9
@@ -85,8 +73,8 @@ scale.shard             L     mining round — per-shard census (its
                               distinct candidates among them)
 scale.round             L     mining round — shard, cache (hits and
                               misses: the measured reuse), lattice
-                              nodes mined and reused, retry census,
-                              the round's distinct candidates
+                              nodes mined and reused, the round's
+                              distinct candidates
 scale.salvage           L     mining round — salvaged and lost shards
 extraction              L S   driver — one applied extraction:
                               mechanism, size, occurrences, benefit,
@@ -119,7 +107,7 @@ bench.engine_run        S     benchmark harness — one run
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Tuple
 
 #: Kinds the decision ledger takes.
 LEDGER_KINDS = frozenset({
@@ -127,16 +115,15 @@ LEDGER_KINDS = frozenset({
     "prune", "legality", "legality.sp_fragile", "mis", "candidate",
     "extraction", "rewrite", "verify.round", "verify.lint",
     "verify.counterexample", "verify.retry", "checkpoint",
-    "scale.shard", "scale.retry", "scale.quarantine", "scale.round",
-    "scale.salvage", "run.degraded", "sanitize.counterexample",
+    "scale.shard", "scale.round", "scale.salvage", "run.degraded",
+    "sanitize.counterexample",
     "variance.variant", "variance.summary", "run.end", "run.abort",
 })
 
 #: Kinds the live events stream takes.
 EVENT_KINDS = frozenset({
     "round.begin", "round.end", "round.shards", "shard.start",
-    "heartbeat", "shard.done", "shard.stalled", "scale.retry",
-    "scale.quarantine", "run.end", "run.abort",
+    "heartbeat", "shard.done", "run.end", "run.abort",
 })
 
 #: Kinds the telemetry registry's event list (stats JSON) takes.
@@ -149,17 +136,11 @@ STATS_KINDS = frozenset({
 class Sink:
     """Something :func:`emit` fans out to.
 
-    ``kinds`` are the kinds it takes; a *live* sink receives as events
-    happen, in any process, while the others are *ordered*: inside a
-    :func:`capture` scope their kinds are buffered and replayed in a
-    fixed order.  ``caps`` bound a capture buffer per kind; ``omits``
-    names the fields it drops, which :func:`keeps` lets an emitter
-    skip building.
+    ``kinds`` are the kinds it takes; ``omits`` names the fields it
+    drops, which :func:`keeps` lets an emitter skip building.
     """
 
     kinds: FrozenSet[str] = frozenset()
-    live = False
-    caps: Dict[str, int] = {}
     #: fields it drops from every record it takes
     omits: FrozenSet[str] = frozenset()
 
@@ -167,10 +148,6 @@ class Sink:
         """Store one event; *record* is shared between sinks, so copy
         before changing it."""
         raise NotImplementedError
-
-    def take_dropped(self, kind: str, count: int) -> None:
-        """*count* events of *kind* were dropped upstream (by a capture
-        buffer's cap)."""
 
 
 _SINKS: List[Sink] = []
@@ -190,12 +167,6 @@ def detach(sink: Sink) -> None:
         _SINKS.remove(sink)
 
 
-def detach_all() -> None:
-    """Drop every sink and the context (a fresh worker process)."""
-    _SINKS.clear()
-    _CONTEXT.clear()
-
-
 def wants(kind: str) -> bool:
     """Would an event of *kind* reach a sink?  The guard for call
     sites whose fields are costly to build."""
@@ -206,9 +177,7 @@ def wants(kind: str) -> bool:
 
 def keeps(kind: str, field: str) -> bool:
     """Would *field* of a *kind* event reach a sink that stores it?
-    The guard for fields costly to build that some sinks drop.  A
-    :func:`capture` buffer drops nothing, so inside one the answer
-    errs towards building."""
+    The guard for fields costly to build that some sinks drop."""
     return any(kind in sink.kinds and field not in sink.omits
                for sink in _SINKS)
 
@@ -254,134 +223,16 @@ def recording():
         _RECORDINGS.pop()  # scopes nest
 
 
-# ----------------------------------------------------------------------
-# shard capture
-# ----------------------------------------------------------------------
-def capture_spec() -> Optional[Dict[str, Any]]:
-    """What a :func:`capture` scope must record for the ordered sinks
-    attached here (``None``: nothing).  ``metrics`` says whether the
-    stats registry is among them, so the scope records its spans,
-    counters, gauges and histograms too.  A plain picklable dict, so it
-    crosses into worker processes."""
-    from repro.telemetry.core import GLOBAL
-
-    ordered = [sink for sink in _SINKS if not sink.live]
-    if not ordered:
-        return None
-    kinds = frozenset().union(*(sink.kinds for sink in ordered))
-    caps: Dict[str, int] = {}
-    for sink in ordered:
-        for kind, cap in sink.caps.items():
-            caps[kind] = min(cap, caps.get(kind, cap))
-    return {"kinds": kinds, "caps": caps, "metrics": GLOBAL in ordered}
-
-
-class _Buffer(Sink):
-    """A capture scope's stand-in for the ordered sinks; ``snapshot``
-    is set when the scope exits."""
-
-    def __init__(self, spec: Dict[str, Any]):
-        self.kinds = spec["kinds"]
-        self.caps = spec["caps"]
-        self.records: List[Tuple[str, Dict[str, Any]]] = []
-        self.dropped: Dict[str, int] = {}
-        self._counts: Dict[str, int] = {}
-        self.snapshot: Optional[Dict[str, Any]] = None
-
-    def take(self, kind: str, record: Dict[str, Any]) -> None:
-        count = self._counts.get(kind, 0)
-        cap = self.caps.get(kind)
-        if cap is not None and count >= cap:
-            self.dropped[kind] = self.dropped.get(kind, 0) + 1
-            return
-        self._counts[kind] = count + 1
-        self.records.append((kind, record))
-
-
-@contextlib.contextmanager
-def capture(spec: Optional[Dict[str, Any]]):
-    """Record the block's events and metrics for a later :func:`replay`.
-
-    The ordered sinks are detached for the block and, when *spec* (a
-    :func:`capture_spec`) is given, the yielded buffer takes their
-    kinds under their caps; live sinks stay attached.  The stats
-    registry records into isolated state when ``spec["metrics"]`` and
-    is silenced otherwise.  The scope starts with an empty context, so
-    a snapshot is the same wherever it was taken — in the parent or in
-    a worker.  When the block completes, the buffer's ``snapshot`` (a
-    plain picklable dict; None without *spec*) is set; on any exit the
-    previous sinks, context and registry state are restored.
-    """
-    from repro.telemetry.core import GLOBAL
-    from repro.telemetry.remote import snapshot
-
-    saved_sinks = list(_SINKS)
-    saved_context = dict(_CONTEXT)
-    buffer = _Buffer(spec or {"kinds": frozenset(), "caps": {}})
-    metrics = spec is not None and spec["metrics"]
-    _SINKS[:] = [sink for sink in saved_sinks if sink.live]
-    if spec is not None:
-        _SINKS.append(buffer)
-    _CONTEXT.clear()
-    try:
-        with GLOBAL.isolated(metrics):
-            yield buffer
-            if spec is not None:
-                buffer.snapshot = {
-                    "records": buffer.records,
-                    "dropped": buffer.dropped,
-                    "metrics": snapshot(GLOBAL) if metrics else None,
-                }
-    finally:
-        _SINKS[:] = saved_sinks
-        _CONTEXT.clear()
-        _CONTEXT.update(saved_context)
-
-
-def replay(snapshot: Optional[Dict[str, Any]]) -> None:
-    """Stitch a :func:`capture` snapshot into this process.
-
-    The metrics merge into the stats registry
-    (:func:`repro.telemetry.remote.merge_snapshot`), then each event is
-    re-emitted to the ordered sinks, merged under the *current* context
-    (the round) and meeting the sinks' own caps; the drops the capture
-    buffer counted are passed on.  Replaying snapshots in a fixed order
-    therefore keeps and drops exactly what one uncaptured stream would
-    have.
-    """
-    if snapshot is None:
-        return
-    from repro.telemetry.core import GLOBAL
-    from repro.telemetry.remote import merge_snapshot
-
-    merge_snapshot(GLOBAL, snapshot["metrics"])
-    ordered = [sink for sink in _SINKS if not sink.live]
-    for kind, captured in snapshot["records"]:
-        record = dict(_CONTEXT)
-        record.update(captured)
-        for sink in ordered:
-            if kind in sink.kinds:
-                sink.take(kind, record)
-    for kind, count in snapshot["dropped"].items():
-        for sink in ordered:
-            if kind in sink.kinds:
-                sink.take_dropped(kind, count)
-
-
 __all__ = [
     "EVENT_KINDS",
     "LEDGER_KINDS",
     "STATS_KINDS",
     "Sink",
     "attach",
-    "capture",
-    "capture_spec",
     "context",
     "detach",
-    "detach_all",
     "emit",
     "keeps",
     "recording",
-    "replay",
     "wants",
 ]

@@ -43,65 +43,38 @@ STATS_SCHEMA = "repro.telemetry.stats/3"
 # ----------------------------------------------------------------------
 def chrome_trace(telemetry: Telemetry,
                  process_name: str = "repro") -> List[Dict[str, Any]]:
-    """The registry's spans as a list of Chrome ``trace_event`` dicts.
-
-    A span with ``pid == 0`` belongs to this registry's own process; a
-    non-zero pid is a worker span stitched in by
-    :mod:`repro.telemetry.remote`, laid out on its own named process
-    track (the label comes from ``telemetry.remote_processes``).  The
-    first metadata row is always the local ``process_name`` row.
-    """
-    local_pid = os.getpid()
-
-    def pid_of(record: SpanRecord) -> int:
-        return getattr(record, "pid", 0) or local_pid
-
-    # Discovery order: the local process first, then remote pids as
-    # their first span appears — stable because merge order is stable.
-    pids: List[int] = [local_pid]
-    threads: Dict[int, List[int]] = {local_pid: []}
+    """The registry's spans as a list of Chrome ``trace_event`` dicts,
+    on one named process row with one named track per thread."""
+    pid = os.getpid()
+    threads: List[int] = []
     for record in telemetry.spans:
-        pid = pid_of(record)
-        if pid not in threads:
-            pids.append(pid)
-            threads[pid] = []
-        if record.thread not in threads[pid]:
-            threads[pid].append(record.thread)
+        if record.thread not in threads:
+            threads.append(record.thread)
 
-    events: List[Dict[str, Any]] = []
-    for pid in pids:
-        label = (process_name if pid == local_pid
-                 else telemetry.remote_processes.get(pid, "worker"))
+    events: List[Dict[str, Any]] = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": process_name},
+        }
+    ]
+    # One thread_name metadata event per distinct thread, so the
+    # chrome://tracing / Perfetto timeline shows readable labels
+    # instead of raw thread idents.  The first-seen thread is the one
+    # that opened the first span — the pipeline's main thread.
+    for index, thread in enumerate(threads):
         events.append(
             {
-                "name": "process_name",
+                "name": "thread_name",
                 "ph": "M",
                 "pid": pid,
-                "tid": 0,
-                "args": {"name": label},
+                "tid": thread,
+                "args": {"name": "main" if index == 0
+                         else f"worker-{index}"},
             }
         )
-    # One thread_name metadata event per distinct (pid, thread) track,
-    # so the chrome://tracing / Perfetto timeline shows readable labels
-    # instead of raw thread idents.  In the local process, the
-    # first-seen thread is the one that opened the first span — the
-    # pipeline's main thread.  Worker processes are single-threaded
-    # miners: their track is simply "mine".
-    for pid in pids:
-        for index, thread in enumerate(threads[pid]):
-            if pid == local_pid:
-                name = "main" if index == 0 else f"worker-{index}"
-            else:
-                name = "mine" if index == 0 else f"mine-{index}"
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": thread,
-                    "args": {"name": name},
-                }
-            )
     for record in telemetry.spans:
         event = {
             "name": record.name,
@@ -109,7 +82,7 @@ def chrome_trace(telemetry: Telemetry,
             "ph": "X",
             "ts": round(record.start * 1e6, 3),
             "dur": round(record.duration * 1e6, 3),
-            "pid": pid_of(record),
+            "pid": pid,
             "tid": record.thread,
         }
         if record.args:

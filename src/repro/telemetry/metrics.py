@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 Number = Union[int, float]
 
@@ -102,40 +102,3 @@ class Histogram:
             "p90": self.percentile(90),
             "p99": self.percentile(99),
         }
-
-    def dump(self) -> Dict[str, Any]:
-        """The full internal state, for cross-process snapshotting
-        (:mod:`repro.telemetry.remote`) — unlike :meth:`as_dict` this
-        keeps the raw sample reservoir so a merge preserves
-        percentiles, not just the count/total/min/max aggregate."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "samples": list(self.samples),
-            "stride": self.stride,
-        }
-
-    def merge(self, data: Dict[str, Any]) -> None:
-        """Fold one :meth:`dump` payload into this histogram.
-
-        Aggregates are exact; the combined reservoir is re-decimated
-        with the same deterministic every-second-sample rule as
-        :meth:`observe`, so merging shard snapshots in a fixed order
-        yields a fixed result.
-        """
-        self.count += int(data["count"])
-        self.total += float(data["total"])
-        for bound, better in (("min", min), ("max", max)):
-            value = data.get(bound)
-            if value is None:
-                continue
-            mine = getattr(self, bound)
-            setattr(self, bound,
-                    value if mine is None else better(mine, value))
-        self.samples.extend(float(v) for v in data.get("samples", ()))
-        self.stride = max(self.stride, int(data.get("stride", 1)))
-        while len(self.samples) > MAX_SAMPLES:
-            self.samples = self.samples[::2]
-            self.stride *= 2

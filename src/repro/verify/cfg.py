@@ -83,9 +83,6 @@ class ComponentContent:
 
     Hashing the nested tuple of instructions is the expensive part of a
     memo lookup, so it happens here, when the component is split off.
-    The hash is not cached on the instructions themselves: they are
-    pickled into worker payloads, where a string hash cached by another
-    process would be stale.  Components never leave the process.
     """
 
     __slots__ = ("items", "_hash")

@@ -119,7 +119,8 @@ class TestPickles:
 def shard_round_trip():
     """crc's shard results, and their candidates revived in process."""
     module, dfgs, shards, payloads = _payloads("crc")
-    results = [mine_shard(payload) for payload in payloads]
+    results = [mine_shard(payload, [dfgs[g] for g in shard.graph_ids])
+               for shard, payload in zip(shards, payloads)]
     candidates = [
         candidate
         for shard, result in zip(shards, results)

@@ -143,17 +143,9 @@ def test_exempt_functions_untouched():
 
 
 def test_unknown_miner_rejected(shared_fragment_module):
-    with pytest.raises(ValueError):
-        run_pa(shared_fragment_module, PAConfig(miner="magic"))
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_unknown_miner_rejected_at_every_worker_count(
-        shared_fragment_module, workers):
-    """The parent validates the miner before any shard is mined: no
-    worker count turns the error into quarantined shards."""
+    """The round validates the miner before any shard is mined and
+    leaves the module untouched."""
     before = shared_fragment_module.render()
     with pytest.raises(ValueError, match="unknown miner"):
-        run_pa(shared_fragment_module,
-               PAConfig(miner="magic", workers=workers))
+        run_pa(shared_fragment_module, PAConfig(miner="magic"))
     assert shared_fragment_module.render() == before

@@ -347,11 +347,11 @@ def test_mine_shard_matches_reference(monkeypatch):
         lr_live_out_blocks(module), sp_fragile_functions(module), config,
     )
     made: list = []
-    fast = mine_shard(payload)
+    fast = mine_shard(payload, dfgs)
     with monkeypatch.context() as patch:
         patch.setattr(shard_mod, "_make_miner",
                       _miner_factory(ReferenceEdgar, made))
-        reference = mine_shard(payload)
+        reference = mine_shard(payload, dfgs)
     assert made and made[0].installed is not None
     assert fast.candidates
     assert fast.candidates == reference.candidates

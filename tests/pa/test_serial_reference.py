@@ -2,7 +2,7 @@
 
 Every round partitions the DFG database into the independent clusters
 of :func:`~repro.scale.cluster.cluster_dfgs` and mines each one with
-its own benefit floor, for every worker count.  The engine reuses a
+its own benefit floor.  The engine reuses a
 cluster's result from the in-memory fragment cache when none of its
 blocks changed.  The reference below mines every cluster from scratch
 in every round, with a fresh miner and a floor of its own, and merges

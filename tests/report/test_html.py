@@ -3,7 +3,7 @@
 from repro.report.html import build_report, write_report
 
 RECORDS = [
-    {"type": "run.begin", "schema": "repro.report.ledger/1",
+    {"type": "run.begin", "schema": "repro.report.ledger/2",
      "engine": "edgar", "source": "golden", "instructions": 42,
      "config": {"batch": False, "max_nodes": 8}},
     {"type": "round.begin", "round": 0, "instructions": 42},
@@ -46,7 +46,7 @@ class TestBuildReport:
     def test_run_header_and_totals(self):
         html = build_report(RECORDS, title="golden report")
         assert "golden report" in html
-        assert "repro.report.ledger/1" in html
+        assert "repro.report.ledger/2" in html
         assert ">42<" in html and ">35<" in html
         assert "total saved</td>" in html
         assert "<td>7</td>" in html

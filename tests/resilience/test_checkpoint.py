@@ -168,10 +168,26 @@ def test_legacy_carryover_field_is_ignored(tmp_path):
     assert resumed.render() == reference.render()
 
 
-def test_legacy_flow_pass_field_is_ignored(tmp_path):
-    """Checkpoints written while the engine had a second, data-flow
-    projection pass carry ``flow_pass`` in their config.  The key is
-    dropped on load, and the resumed run matches the uninterrupted one."""
+#: Fields and config keys of older checkpoints, since removed: the
+#: data-flow projection pass and the worker pool's policy knobs and
+#: continuity counters.
+LEGACY_FIELDS = [
+    pytest.param("config", "flow_pass", True, id="config.flow_pass"),
+    pytest.param("config", "workers", 4, id="config.workers"),
+    pytest.param("config", "shard_retries", 2, id="config.shard_retries"),
+    pytest.param("config", "shard_timeout", 5.0, id="config.shard_timeout"),
+    pytest.param("config", "strict_shards", True,
+                 id="config.strict_shards"),
+    pytest.param(None, "shards_retried", 1, id="shards_retried"),
+    pytest.param(None, "shards_quarantined", 1, id="shards_quarantined"),
+]
+
+
+@pytest.mark.parametrize("section, key, value", LEGACY_FIELDS)
+def test_legacy_checkpoint_field_is_ignored(tmp_path, section, key, value):
+    """A checkpoint carrying a field or config key since removed still
+    loads; the key is dropped, and the resumed run matches the
+    uninterrupted one."""
     reference = module_from_source(GOLDEN_PROGRAM)
     assert run_pa(reference, PAConfig(batch=False)).rounds == 2
 
@@ -180,13 +196,15 @@ def test_legacy_flow_pass_field_is_ignored(tmp_path):
     run_pa(partial, PAConfig(batch=False, max_rounds=1,
                              checkpoint_path=str(path)))
     doc = json.loads(path.read_text())
-    assert "flow_pass" not in doc["config"]
-    doc["config"]["flow_pass"] = True
+    target = doc[section] if section else doc
+    assert key not in target
+    target[key] = value
     path.write_text(json.dumps(doc))
 
     checkpoint = load_checkpoint(str(path))
+    assert not hasattr(checkpoint, key)
     config = config_from_dict(checkpoint.config)
-    assert not hasattr(config, "flow_pass")
+    assert not hasattr(config, key)
     config.max_rounds = PAConfig().max_rounds
     config.checkpoint_path = None
     resumed = module_from_checkpoint(checkpoint)

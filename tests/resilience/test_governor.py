@@ -18,7 +18,6 @@ class FakeClock:
 
 def test_unbounded_by_default():
     governor = RunGovernor()
-    assert governor.remaining() is None
     assert not governor.expired()
     assert not governor.should_stop()
 
@@ -26,7 +25,6 @@ def test_unbounded_by_default():
 def test_deadline_expiry():
     clock = FakeClock()
     governor = RunGovernor(time_budget=10.0, clock=clock)
-    assert governor.remaining() == pytest.approx(10.0)
     assert not governor.should_stop()
     clock.now += 10.5
     assert governor.expired()

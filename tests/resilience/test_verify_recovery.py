@@ -8,10 +8,8 @@ and manufactures an equivalence failure for the first genuinely
 rewritten block), so the recovery path is exercised against a real
 candidate's origin coordinates.
 
-Every check runs at ``--workers 0`` (the default) and ``--workers 1``;
-both mine the clustered shards in-process.  The blocklist acts inside
-the funnel, before a blocklisted winner can set its shard's benefit
-floor.
+The blocklist acts inside the shard funnel, before a blocklisted
+winner can set its shard's benefit floor.
 """
 
 import pytest
@@ -27,15 +25,15 @@ from repro.workloads import compile_workload, verify_workload
 WORKLOAD = "crc"
 
 
-def _config(workers, **overrides):
+def _config(**overrides):
     overrides.setdefault("verify", True)
-    return PAConfig(max_nodes=4, workers=workers, **overrides)
+    return PAConfig(max_nodes=4, **overrides)
 
 
-def _check_rollback_blocklist_retry(workers):
+def test_counterexample_triggers_rollback_blocklist_retry():
     module = compile_workload(WORKLOAD)
     arm("verify.counterexample:corrupt")      # one forged failure
-    result = run_pa(module, _config(workers))  # must not raise
+    result = run_pa(module, _config())  # must not raise
     assert result.verify_retries == 1
     assert result.rolled_back_rounds == 1
     assert result.degraded
@@ -44,9 +42,9 @@ def _check_rollback_blocklist_retry(workers):
     verify_workload(WORKLOAD, module)
 
 
-def _check_retry_skips_the_blocklisted_candidate(workers):
+def test_retry_round_skips_the_blocklisted_candidate():
     reference = compile_workload(WORKLOAD)
-    clean = run_pa(reference, _config(workers))
+    clean = run_pa(reference, _config())
 
     module = compile_workload(WORKLOAD)
     arm("verify.counterexample:corrupt")
@@ -63,7 +61,7 @@ def _check_retry_skips_the_blocklisted_candidate(workers):
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(driver, "apply_batch", recording)
-            recovered = run_pa(module, _config(workers))
+            recovered = run_pa(module, _config())
         (retry,) = ledger.get().records_of("verify.retry")
     finally:
         ledger.disable()
@@ -79,30 +77,30 @@ def _check_retry_skips_the_blocklisted_candidate(workers):
     assert recovered.rounds >= 1
 
 
-def _check_exhausted_retries_abort(workers):
+def test_exhausted_retries_degrade_to_abort():
     module = compile_workload(WORKLOAD)
     before_asm = module.render()
     arm("verify.counterexample:corrupt:0")    # every verify fails
     with pytest.raises(TranslationValidationError):
-        run_pa(module, _config(workers, verify_max_retries=2))
+        run_pa(module, _config(verify_max_retries=2))
     # the failed round was rolled back: the module is untouched
     assert module.render() == before_asm
 
 
-def _check_retry_budget(workers):
+def test_retry_budget_is_configurable():
     module = compile_workload(WORKLOAD)
     arm("verify.counterexample:corrupt:0")
     with pytest.raises(TranslationValidationError):
-        run_pa(module, _config(workers, verify_max_retries=0))
+        run_pa(module, _config(verify_max_retries=0))
 
 
-def _check_retry_ledger_records(workers):
+def test_retry_emits_ledger_records():
     ledger.reset()
     ledger.enable()
     try:
         module = compile_workload(WORKLOAD)
         arm("verify.counterexample:corrupt")
-        run_pa(module, _config(workers))
+        run_pa(module, _config())
         retries = ledger.get().records_of("verify.retry")
         assert len(retries) == 1
         assert retries[0]["round"] == 0
@@ -119,48 +117,9 @@ def _check_retry_ledger_records(workers):
         ledger.reset()
 
 
-CHECKS = [
-    _check_rollback_blocklist_retry,
-    _check_retry_skips_the_blocklisted_candidate,
-    _check_exhausted_retries_abort,
-    _check_retry_budget,
-    _check_retry_ledger_records,
-]
-
-
-def test_counterexample_triggers_rollback_blocklist_retry():
-    _check_rollback_blocklist_retry(0)
-
-
-def test_retry_round_skips_the_blocklisted_candidate():
-    _check_retry_skips_the_blocklisted_candidate(0)
-
-
-def test_exhausted_retries_degrade_to_abort():
-    _check_exhausted_retries_abort(0)
-
-
-def test_retry_budget_is_configurable():
-    _check_retry_budget(0)
-
-
-def test_retry_emits_ledger_records():
-    _check_retry_ledger_records(0)
-
-
-@pytest.mark.parametrize("check", CHECKS,
-                         ids=[c.__name__[len("_check_"):] for c in CHECKS])
-def test_recovery_with_clustered_shards(check):
-    check(1)
-
-
 def test_blocklisted_winner_does_not_set_the_floor():
     """The recovered run keeps everything the blocklisted candidate's
     shard still offers: one forged failure on crc costs at most the
-    blocklisted extraction, at either worker count."""
-    saved = {}
-    for workers in (0, 1):
-        arm("verify.counterexample:corrupt")
-        saved[workers] = run_pa(compile_workload(WORKLOAD),
-                                _config(workers)).saved
-    assert saved[0] == saved[1] > 0
+    blocklisted extraction."""
+    arm("verify.counterexample:corrupt")
+    assert run_pa(compile_workload(WORKLOAD), _config()).saved > 0

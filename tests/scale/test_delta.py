@@ -72,7 +72,7 @@ def test_extraction_invalidates_only_touched_shards():
     miss: only the shards holding rewritten blocks are re-mined.  The
     extraction also renumbers blocks, so a hit does not depend on a
     shard's position."""
-    config = PAConfig(max_nodes=4, workers=1)
+    config = PAConfig(max_nodes=4)
     module = compile_workload("crc")
     before = _digests(module, config)
     cache = FragmentCache()

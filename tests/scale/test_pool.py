@@ -1,7 +1,7 @@
-"""The sharded round engine: deterministic merge regardless of worker
-count, governor-aware teardown with per-shard salvage, the
-``scale.pool`` fault point, and scale-mode driver semantics (carryover
-off, counters populated, checkpoint/resume continuity)."""
+"""The sharded round engine: deterministic merge, governor-aware
+stops with per-shard salvage, the ``scale.pool`` fault point, errors
+that surface, and scale-mode driver semantics (counters populated,
+checkpoint/resume continuity)."""
 
 import pytest
 
@@ -17,7 +17,7 @@ from repro.workloads import compile_workload
 
 
 def test_round_is_deterministic_and_sorted():
-    config = PAConfig(max_nodes=4, workers=1)
+    config = PAConfig(max_nodes=4)
     module = compile_workload("crc")
     first, stats = run_sharded_round(
         module, config, RunGovernor(), FragmentCache()
@@ -35,7 +35,7 @@ def test_round_is_deterministic_and_sorted():
 
 
 def test_cache_serves_second_round_identically():
-    config = PAConfig(max_nodes=4, workers=1)
+    config = PAConfig(max_nodes=4)
     module = compile_workload("crc")
     cache = FragmentCache()
     cold, cold_stats = run_sharded_round(
@@ -53,7 +53,7 @@ def test_cache_serves_second_round_identically():
 def test_expired_governor_salvages_cached_shards():
     """A governor that is already out of budget loses the un-mined
     shards but keeps every cache-served one — per-shard best-so-far."""
-    config = PAConfig(max_nodes=4, workers=1)
+    config = PAConfig(max_nodes=4)
     module = compile_workload("crc")
     cache = FragmentCache()
     run_sharded_round(module, config, RunGovernor(), cache)
@@ -80,7 +80,7 @@ def test_scale_pool_fault_rolls_back_atomically():
     module = compile_workload("crc")
     before = module.render()
     with pytest.raises(FaultInjected):
-        run_pa(module, PAConfig(max_nodes=4, workers=1))
+        run_pa(module, PAConfig(max_nodes=4))
     assert module.render() == before
 
 
@@ -90,7 +90,7 @@ def test_scale_pool_deadline_degrades_cleanly():
     degraded best-so-far instead of crashing."""
     faultinject.arm("scale.pool:deadline")
     module = compile_workload("crc")
-    result = run_pa(module, PAConfig(max_nodes=4, workers=1))
+    result = run_pa(module, PAConfig(max_nodes=4))
     assert result.degraded
     assert "time_budget" in result.degraded_reasons
     assert result.saved == 0
@@ -102,7 +102,7 @@ def test_scale_pool_interrupt_salvages_best_so_far():
     committed extraction (anytime semantics, rolled-back round)."""
     faultinject.arm("scale.pool:interrupt:2")
     module = compile_workload("crc")
-    result = run_pa(module, PAConfig(max_nodes=4, workers=1))
+    result = run_pa(module, PAConfig(max_nodes=4))
     assert result.degraded
     assert "interrupted" in result.degraded_reasons
     assert result.rounds >= 1
@@ -110,52 +110,20 @@ def test_scale_pool_interrupt_salvages_best_so_far():
     assert result.rolled_back_rounds == 1
 
 
-def test_scale_pool_deadline_tears_down_a_real_pool():
-    """Teardown must kill actual worker children.  ``run_pa`` installs
-    the governor's graceful SIGTERM handler in the parent; forked
-    children inherit it, and unless ``_worker_init`` resets SIGTERM to
-    the default action, ``pool.terminate()`` cannot kill them and
-    ``pool.join()`` hangs forever (regression: the CLI chaos path
-    ``scale.pool:deadline --workers 2`` deadlocked)."""
-    faultinject.arm("scale.pool:deadline")
+def test_funnel_error_propagates_and_rolls_back():
+    """No shard error is absorbed: an error the funnel raises mid-shard
+    rolls the round back and surfaces."""
+    faultinject.arm("mine.pass:raise")
     module = compile_workload("crc")
-    result = run_pa(module, PAConfig(max_nodes=4, workers=2))
-    assert result.degraded
-    assert "time_budget" in result.degraded_reasons
-    assert result.saved == 0
-    assert result.shards_lost > 0
-
-
-def test_scale_pool_interrupt_tears_down_a_real_pool():
-    """Same inherited-SIGTERM regression, interrupt flavour: round 2's
-    pool is terminated mid-expansion and round 1's extraction stays."""
-    faultinject.arm("scale.pool:interrupt:2")
-    module = compile_workload("crc")
-    result = run_pa(module, PAConfig(max_nodes=4, workers=2))
-    assert result.degraded
-    assert "interrupted" in result.degraded_reasons
-    assert result.rounds >= 1
-    assert result.saved > 0
-    assert result.rolled_back_rounds == 1
-
-
-def test_multiprocess_matches_in_process():
-    config1 = PAConfig(max_nodes=4, workers=1)
-    config2 = PAConfig(max_nodes=4, workers=2)
-    module1 = compile_workload("crc")
-    module2 = compile_workload("crc")
-    result1 = run_pa(module1, config1)
-    result2 = run_pa(module2, config2)
-    assert module1.render() == module2.render()
-    assert result1.saved == result2.saved
-    assert result1.records == result2.records
-    assert result2.workers == 2
+    before = module.render()
+    with pytest.raises(FaultInjected):
+        run_pa(module, PAConfig(max_nodes=4))
+    assert module.render() == before
 
 
 def test_scale_counters_populated():
     module = compile_workload("crc")
-    result = run_pa(module, PAConfig(max_nodes=4, workers=1))
-    assert result.workers == 1
+    result = run_pa(module, PAConfig(max_nodes=4))
     assert result.shards > 1
     assert result.cache_misses > 0
     assert result.cache_hits > 0          # later rounds reuse shards
@@ -166,13 +134,12 @@ def test_scale_counters_populated():
 def test_checkpoint_resume_restores_scale_counters(tmp_path):
     path = str(tmp_path / "ck.json")
     reference = compile_workload("crc")
-    run_pa(reference, PAConfig(max_nodes=4, workers=1))
+    run_pa(reference, PAConfig(max_nodes=4))
 
     interrupted = compile_workload("crc")
-    run_pa(interrupted, PAConfig(max_nodes=4, workers=1, max_rounds=1,
+    run_pa(interrupted, PAConfig(max_nodes=4, max_rounds=1,
                                  checkpoint_path=path))
     checkpoint = load_checkpoint(path)
-    assert checkpoint.config["workers"] == 1
     assert checkpoint.cache_misses > 0
 
     from repro.pa.driver import config_from_dict

@@ -82,7 +82,8 @@ def test_mine_and_revive_round_trip():
     module, dfgs, shards, payloads = _payloads("crc")
     mined = False
     for shard, payload in zip(shards, payloads):
-        result = mine_shard(payload)
+        result = mine_shard(payload,
+                            [dfgs[g] for g in shard.graph_ids])
         doc = result.to_doc()
         back = ShardResult.from_doc(result.shard_index, doc)
         assert back.to_doc() == doc

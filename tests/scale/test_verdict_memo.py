@@ -18,6 +18,7 @@ tallies and lattice nodes, and, with a ledger sink on, the same
 ``candidate``, ``legality`` and ``mis`` records in the same order.
 """
 
+import contextlib
 from typing import Dict, List, Optional
 
 import pytest
@@ -38,7 +39,7 @@ from repro.pa.legality import (
     LatticeLegality,
     legal_embeddings,
 )
-from repro.scale import supervise
+from repro.scale import pool
 from repro.scale.shard import (
     PRUNE_KEYS,
     TALLY_KEYS,
@@ -50,9 +51,29 @@ from repro.telemetry.events import emit
 from repro.workloads import PROGRAMS, compile_workload
 from tests.pa.test_serial_reference import distinct
 
-#: a capture scope that takes the funnel's ledger kinds, uncapped
-LEDGER_SPEC = {"kinds": frozenset({"candidate", "legality", "mis"}),
-               "caps": {}, "metrics": False}
+
+class _Recorder(events.Sink):
+    """Keeps the funnel's ledger kinds, uncapped."""
+
+    kinds = frozenset({"candidate", "legality", "mis"})
+
+    def __init__(self):
+        self.records = []
+
+    def take(self, kind, record):
+        self.records.append((kind, record))
+
+
+@contextlib.contextmanager
+def _recorded(on):
+    """A :class:`_Recorder` attached for the block when *on*."""
+    recorder = _Recorder()
+    if on:
+        events.attach(recorder)
+    try:
+        yield recorder
+    finally:
+        events.detach(recorder)
 
 
 def reference_mine_shard(payload, dfgs):
@@ -195,16 +216,13 @@ def _check(program, miner, max_nodes, ledger, monkeypatch):
     Returns the number of shards compared and of repeats dropped."""
     config = PAConfig(miner=miner, time_budget=None,
                       **({"max_nodes": max_nodes} if max_nodes else {}))
-    spec = LEDGER_SPEC if ledger else None
-    real = supervise.mine_shard
+    real = pool.mine_shard
     census = {"shards": 0, "repeats": 0}
 
-    def checked(payload, dfgs=None):
-        if dfgs is None:
-            dfgs = payload.build_dfgs()
-        with events.capture(spec) as recorded:
+    def checked(payload, dfgs):
+        with _recorded(ledger) as recorded:
             result = real(payload, dfgs)
-        with events.capture(spec) as ref_recorded:
+        with _recorded(ledger) as ref_recorded:
             candidates, tallies, lattice_nodes = reference_mine_shard(
                 payload, dfgs
             )
@@ -213,13 +231,12 @@ def _check(program, miner, max_nodes, ledger, monkeypatch):
         assert result.tallies == tallies
         assert result.lattice_nodes == lattice_nodes
         if ledger:
-            assert recorded.snapshot["records"] == \
-                ref_recorded.snapshot["records"]
+            assert recorded.records == ref_recorded.records
         census["shards"] += 1
         census["repeats"] += len(candidates) - len(kept)
         return result
 
-    monkeypatch.setattr(supervise, "mine_shard", checked)
+    monkeypatch.setattr(pool, "mine_shard", checked)
     result = run_pa(compile_workload(program), config)
     assert result.saved > 0
     assert census["shards"] > 0

@@ -9,8 +9,6 @@ in each sink that takes round ends.
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.pa import driver
 from repro.report.ledger import read_jsonl
@@ -19,10 +17,10 @@ from repro.report.ledger import read_jsonl
 STAMPS = {"type", "kind", "name", "ts", "pid"}
 
 
-def _run(tmp_path, workers, *extra):
-    paths = {name: tmp_path / f"w{workers}.{name}"
+def _run(tmp_path):
+    paths = {name: tmp_path / f"crc.{name}"
              for name in ("ledger", "events", "stats")}
-    code = main(["pa", "crc", "--workers", str(workers), *extra,
+    code = main(["pa", "crc",
                  "--ledger-out", str(paths["ledger"]),
                  "--events-out", str(paths["events"]),
                  "--stats-out", str(paths["stats"])])
@@ -47,22 +45,8 @@ def _agree(left, right):
         assert {k: a[k] for k in shared} == {k: b[k] for k in shared}
 
 
-def _rounds_of_shard_events(events):
-    """Each events-stream ``shard.done`` keyed by (round, shard): the
-    round is the open ``round.begin`` it arrived under."""
-    keyed = {}
-    current = None
-    for event in events:
-        if event["kind"] == "round.begin":
-            current = event["round"]
-        elif event["kind"] == "shard.done":
-            keyed[(current, event["shard"])] = event
-    return keyed
-
-
-@pytest.mark.parametrize("workers", [0, 2])
-def test_sinks_agree(tmp_path, capsys, workers):
-    ledger, events, stats = _run(tmp_path, workers)
+def test_sinks_agree(tmp_path, capsys):
+    ledger, events, stats = _run(tmp_path)
     capsys.readouterr()
 
     ends = {name: _of(sink, "round.end") for name, sink in
@@ -86,19 +70,13 @@ def test_sinks_agree(tmp_path, capsys, workers):
     assert not [key for r in _of(stats, "extraction") for key in r
                 if key.endswith("_dot")]
 
-    streamed = _rounds_of_shard_events(events)
-    replayed = _of(stats, "shard.done")
-    assert replayed and len(streamed) == len(replayed)
-    _agree([streamed[(r["round"], r["shard"])] for r in replayed],
-           replayed)
-
-
-def test_retry_and_quarantine_agree(tmp_path, capsys):
-    ledger, events, __ = _run(tmp_path, 2, "--fault", "scale.shard.poison")
-    capsys.readouterr()
-    for kind in ("scale.retry", "scale.quarantine"):
-        assert _of(ledger, kind)
-        _agree(_of(ledger, kind), _of(events, kind))
+    # shard events carry the round context in every sink
+    streamed = {(e["round"], e["shard"]): e
+                for e in _of(events, "shard.done")}
+    recorded = _of(stats, "shard.done")
+    assert recorded and len(streamed) == len(recorded)
+    _agree([streamed[(r["round"], r["shard"])] for r in recorded],
+           recorded)
 
 
 DOT_RENDERERS = ("fragment_to_dot", "dfg_to_dot", "collision_to_dot")

@@ -182,20 +182,6 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
-@pytest.mark.parametrize("flags", [
-    ["--workers", "2"],
-    ["--shard-retries", "1"],
-    ["--shard-timeout", "5"],
-    ["--strict-shards"],
-])
-def test_profile_refuses_scale_flags_under_sfx(duplicated_asm, flags,
-                                               capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["profile", duplicated_asm, "--engine", "sfx", *flags])
-    assert excinfo.value.code not in (0, None)
-    assert "need a graph engine" in str(excinfo.value.code)
-
-
 def test_shard_imbalance_table_sums_shard_done_events():
     from repro.cli import _shard_imbalance_table
     from repro.telemetry.core import Telemetry

@@ -1,11 +1,10 @@
 """Determinism parity: the verifier's findings are a function of the
 module, never of the execution config that produced it.
 
-The abstraction result is bit-identical for every worker count and
-cache state (the scale engine's contract), so the lint report and the
-audit payload over the abstracted module must serialize to the *same
-bytes* across ``workers=1`` vs ``workers=4`` and a cold vs a warm
-fragment cache."""
+The abstraction result is bit-identical for every cache state (the
+scale engine's contract), so the lint report and the audit payload
+over the abstracted module must serialize to the *same bytes* after a
+cold and a warm fragment cache."""
 
 import json
 
@@ -24,14 +23,10 @@ def _verifier_bytes(module) -> bytes:
                       sort_keys=True).encode()
 
 
-def _abstract(workers: int):
+def _abstract():
     module = module_from_source(SHARED_FRAGMENT_PROGRAM)
-    result = run_pa(module, PAConfig(workers=workers, time_budget=30.0))
+    result = run_pa(module, PAConfig(time_budget=30.0))
     return _verifier_bytes(module), result
-
-
-def test_findings_identical_across_worker_counts():
-    assert _abstract(workers=1)[0] == _abstract(workers=4)[0]
 
 
 def test_findings_identical_cold_vs_warm_cache(monkeypatch):
@@ -40,15 +35,9 @@ def test_findings_identical_cold_vs_warm_cache(monkeypatch):
     shared = FragmentCache()
     with monkeypatch.context() as patch:
         patch.setattr("repro.scale.cache.FragmentCache", lambda: shared)
-        cold, cold_result = _abstract(workers=1)
-        warm, warm_result = _abstract(workers=1)
+        cold, cold_result = _abstract()
+        warm, warm_result = _abstract()
     assert cold_result.cache_misses > 0
     assert warm_result.cache_misses == 0
     assert cold == warm
-    assert cold == _abstract(workers=1)[0]  # and cache-independent
-
-
-def test_serial_engine_matches_scale_engine():
-    module = module_from_source(SHARED_FRAGMENT_PROGRAM)
-    run_pa(module, PAConfig(time_budget=30.0))
-    assert _verifier_bytes(module) == _abstract(workers=1)[0]
+    assert cold == _abstract()[0]  # and cache-independent
