@@ -31,13 +31,9 @@ class Embedding:
         """The occurrence's graph nodes, built once per embedding.
 
         The cache sits in the instance dict, outside the dataclass
-        fields, so ``==``, ``hash`` and ``repr`` never see it, and
-        :meth:`__reduce__` leaves it out of pickles.
+        fields, so ``==``, ``hash`` and ``repr`` never see it.
         """
         return frozenset(self.nodes)
-
-    def __reduce__(self):
-        return (Embedding, (self.graph, self.nodes))
 
     def overlaps(self, other: "Embedding") -> bool:
         """True if the two occurrences share an instruction.

@@ -12,17 +12,19 @@ for any cache state:
     frequent fragment, so each shard's lattice search is independent.
 :mod:`repro.scale.shard`
     The mining funnel (mine -> legality -> MIS -> order -> score) over
-    one shard, the single miner factory, plus the serialization that
-    keeps shard results in the cache.
+    one shard and the single miner factory.  A shard's result keeps
+    its shard-local candidates and the decision records its mine
+    emitted.
 :mod:`repro.scale.pool`
-    One round: partition, cache lookup, mining the missed shards one
-    after another, deterministic merge.  A governor stop between
-    shards keeps the shards done so far as best-so-far.
+    One round: partition, cache lookup, then the shards in order — a
+    hit replays its decision records, a miss is mined — and a
+    deterministic merge.  A governor stop between shards keeps the
+    shards done so far as best-so-far.
 :mod:`repro.scale.cache`
-    The content-addressed fragment cache: shard results keyed by a
-    canonical content digest, held in memory for the run.  After an
+    The content-addressed fragment cache: live shard results keyed by
+    a canonical content digest, held in memory for the run.  After an
     extraction only the shards holding rewritten blocks miss; every
-    other shard's lattice is reused verbatim, and the round's hits and
+    other shard's result is reused as is, and the round's hits and
     misses are the measured reuse.
 """
 
@@ -30,7 +32,6 @@ from repro.scale.cache import FragmentCache
 from repro.scale.cluster import Shard, cluster_dfgs, edge_signatures
 from repro.scale.pool import ScaleStats, run_sharded_round
 from repro.scale.shard import (
-    SHARD_SCHEMA,
     ShardPayload,
     ShardResult,
     build_payload,
@@ -40,7 +41,6 @@ from repro.scale.shard import (
 
 __all__ = [
     "FragmentCache",
-    "SHARD_SCHEMA",
     "ScaleStats",
     "Shard",
     "ShardPayload",

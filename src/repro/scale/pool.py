@@ -2,8 +2,9 @@
 
 :func:`run_sharded_round` is the mining step of every round: partition
 the DFG database into shards (:func:`~repro.scale.cluster.cluster_dfgs`),
-consult the fragment cache per shard, mine the shards that missed, one
-after another on the round's own DFGs, and merge.
+consult the fragment cache per shard, then walk the shards in order —
+a hit replays its decision records, a miss is mined on the round's own
+DFGs — and merge.
 
 Determinism invariants (the bit-identity gate relies on these):
 
@@ -14,17 +15,17 @@ Determinism invariants (the bit-identity gate relies on these):
   candidate sort key.
 * **Cache state never changes the result.**  A cache key is a complete
   content digest of the work unit (instructions, legality facts,
-  mining config, wire-format schema), so a hit returns exactly what
-  mining would produce.
+  mining config), so a hit returns exactly what mining would produce.
 * **Instrumentation is observational.**  Shards emit their metrics
   and events straight into the attached sinks, in shard order, inside
   the ``scale.mine`` span; with a sink off nothing is recorded for it.
-  The round then emits its ``mine.skips`` and ``prune`` census from
-  the shard tallies and its per-shard ``scale.*`` records.  Only mined
-  shards emit, so a round's ``candidate`` records come only from the
-  shards mined in that round, while its ``mine.skips`` record and the
-  ``pa.candidates.*`` counters also sum the tallies of cache-served
-  shards.
+  A cache hit emits its shard's ``candidate``, ``legality`` and
+  ``mis`` records again at the shard's place, so every round's records
+  cover every shard, as if it had been mined.  The records of work
+  done (``mine.pass``, ``shard.start``, ``heartbeat``, ``shard.done``)
+  and the ``scale.shard.mine_seconds`` histogram come from mined
+  shards only.  The round then emits its ``mine.skips`` and ``prune``
+  census from the shard tallies and its per-shard ``scale.*`` records.
 
 Governor: the active run governor is polled between shards.  On
 SIGINT/SIGTERM/deadline the shards not yet mined are reported lost and
@@ -52,11 +53,10 @@ from repro.telemetry import GLOBAL as _TELEMETRY
 from repro.telemetry.events import emit
 
 from repro.scale.cache import FragmentCache
-from repro.scale.cluster import Shard, cluster_dfgs
+from repro.scale.cluster import cluster_dfgs
 from repro.scale.shard import (
     PRUNE_KEYS,
     TALLY_KEYS,
-    ShardPayload,
     ShardResult,
     _make_miner,
     build_payload,
@@ -138,36 +138,37 @@ def run_sharded_round(
         ]
         digests = [payload.digest() for payload in payloads]
         stats.shards = len(shards)
-        results: Dict[int, ShardResult] = {}
-        to_mine: List[Tuple[Shard, ShardPayload, str]] = []
         with _TELEMETRY.span("scale.cache.lookup"):
-            for shard, payload, digest in zip(shards, payloads, digests):
-                body = cache.get(digest)
-                if body is not None:
-                    result = ShardResult.from_doc(shard.index, body)
-                    results[shard.index] = result
-                    stats.lattice_nodes_reused += result.lattice_nodes
-                else:
-                    to_mine.append((shard, payload, digest))
-        stats.cache_hits = len(results)
-        stats.cache_misses = len(to_mine)
+            cached = [cache.get(digest) for digest in digests]
+        stats.cache_misses = cached.count(None)
+        stats.cache_hits = stats.shards - stats.cache_misses
         emit(
             "round.shards",
             shards=stats.shards,
             cached=stats.cache_hits,
-            to_mine=len(to_mine),
+            to_mine=stats.cache_misses,
         )
-        lost: List[int] = []
-        if to_mine:
+        if stats.cache_misses:
             fault("scale.pool")
-            with _TELEMETRY.span("scale.mine", shards=len(to_mine)):
-                for shard, payload, digest in to_mine:
-                    if governor.should_stop():
-                        lost.append(shard.index)
-                        continue
+        results: Dict[int, ShardResult] = {}
+        lost: List[int] = []
+        # merge: shard order, then one stable best-first sort — the
+        # only ordering downstream ever sees
+        merged: List[Candidate] = []
+        tallies: Dict[str, int] = {}
+        with _TELEMETRY.span("scale.mine", shards=stats.cache_misses):
+            for shard, payload, digest, result in zip(
+                    shards, payloads, digests, cached):
+                if result is not None:
+                    stats.lattice_nodes_reused += result.lattice_nodes
+                    for kind, fields in result.records:
+                        emit(kind, **fields)
+                elif governor.should_stop():
+                    lost.append(shard.index)
+                    continue
+                else:
                     result = mine_shard(
                         payload, [dfgs[g] for g in shard.graph_ids])
-                    results[shard.index] = result
                     stats.shards_mined += 1
                     stats.lattice_nodes_mined += result.lattice_nodes
                     if _TELEMETRY.enabled and result.mine_seconds:
@@ -178,22 +179,15 @@ def run_sharded_round(
                         # usable this round, but never cached
                         stats.deadline_hits += 1
                     else:
-                        cache.put(digest, result.to_doc())
+                        cache.put(digest, result)
+                results[shard.index] = result
+                for key, value in result.tallies.items():
+                    tallies[key] = tallies.get(key, 0) + value
+                merged.extend(
+                    revive_candidates(dfgs, shard.graph_ids,
+                                      result.candidates)
+                )
         stats.shards_lost = len(lost)
-        # merge: shard order, then one stable best-first sort — the
-        # only ordering downstream ever sees
-        merged: List[Candidate] = []
-        tallies: Dict[str, int] = {}
-        for shard in shards:
-            result = results.get(shard.index)
-            if result is None:
-                continue
-            for key, value in result.tallies.items():
-                tallies[key] = tallies.get(key, 0) + value
-            merged.extend(
-                revive_candidates(dfgs, shard.graph_ids,
-                                  result.candidates)
-            )
         merged.sort(key=lambda c: c.sort_key())
         stats.tallies = tallies
         if _TELEMETRY.enabled:
@@ -216,8 +210,7 @@ def run_sharded_round(
             key: tallies.get(attribute, 0)
             for key, attribute in PRUNE_KEYS.items()
         })
-        mined = {s.index for s, __, ___ in to_mine}
-        for shard, digest in zip(shards, digests):
+        for shard, digest, hit in zip(shards, digests, cached):
             result = results.get(shard.index)
             emit(
                 "scale.shard",
@@ -225,7 +218,7 @@ def run_sharded_round(
                 graphs=shard.num_graphs,
                 nodes=shard.num_nodes(dfgs),
                 digest=digest[:12],
-                cached=shard.index not in mined,
+                cached=hit is not None,
                 candidates=(len(result.candidates) if result else None),
                 lattice_nodes=(result.lattice_nodes if result else None),
                 lost=shard.index in lost,

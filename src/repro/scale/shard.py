@@ -18,9 +18,10 @@ live.
 :func:`mine_shard` runs the funnel (floor prune -> legality -> MIS ->
 order consistency -> score) with a shard-local benefit floor, once per
 distinct occurrence list, and returns a :class:`ShardResult` whose
-candidates use *local* graph ids; :func:`revive_candidates` maps them
-back onto the round's global DFG database, re-deriving instruction
-objects and origins.
+candidates use *local* graph ids, together with the decision records
+the mine emitted; :func:`revive_candidates` maps the candidates back
+onto the round's global DFG database, re-deriving instruction objects
+and origins.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ from repro.telemetry.events import emit
 import hashlib
 import time
 
-#: Version tag of the shard payload/result wire format, folded into
-#: every cache key.  Bump it on any change to the funnel, the payload
-#: fields or the candidate wire format.
-SHARD_SCHEMA = "repro.scale.shard/4"
-
 #: Funnel tallies a shard reports: the ``mine.skips`` census, also
 #: replayed into telemetry counters by the parent.
 TALLY_KEYS = (
@@ -75,6 +71,10 @@ PRUNE_KEYS = {
     "cyclic": "pruned_cyclic",
     "illegal": "pruned_illegal",
 }
+
+#: The decision records a shard keeps and a cache hit replays.  The
+#: others a mine emits (``mine.pass``, ``heartbeat``) report work done.
+DECISION_KINDS = frozenset({"candidate", "legality", "mis"})
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,8 @@ class ShardPayload:
         """The content-addressed cache key of this work unit.
 
         hashlib (not ``hash()``, which is per-process salted) over the
-        schema tag, the mining config, and each block's rendered
-        instruction text + lr flag, plus the restricted fragile set
+        mining config and each block's rendered instruction text + lr
+        flag, plus the restricted fragile set
         (and the blocklist with the origins, when there is one).
         Rendered text is a faithful canonical form — the checkpoint
         layer already relies on the render -> reparse round trip being
@@ -159,7 +159,6 @@ class ShardPayload:
         hasher = hashlib.sha256()
         conf = self.config
         parts = [
-            SHARD_SCHEMA,
             conf.miner,
             str(conf.min_support),
             str(conf.min_nodes),
@@ -184,81 +183,28 @@ class ShardPayload:
 
 @dataclass
 class ShardResult:
-    """What one mined shard reports back.
+    """What one mined shard reports back; the fragment cache keeps it
+    as is for the rest of the run.
 
     ``candidates`` hold *local* graph ids; instructions and origins are
     re-derived against the live module at revival, which is what makes
-    the result position-independent and cacheable (:meth:`to_doc`
-    keeps neither).
+    the result position-independent and reusable in a later round.
     """
 
-    shard_index: int
     candidates: List[Candidate] = field(default_factory=list)
     lattice_nodes: int = 0
     #: the :data:`TALLY_KEYS` counts and the miner's prune counts
     #: (keyed by the :data:`PRUNE_KEYS` attribute names)
     tallies: Dict[str, int] = field(default_factory=dict)
+    #: the :data:`DECISION_KINDS` records the mine emitted to a sink,
+    #: in order, each with its ``mine_pass`` (see
+    #: :func:`~repro.telemetry.events.recording`): a cache hit emits
+    #: them again under the round that reuses the shard
+    records: List[Tuple[str, Dict[str, Any]]] = field(default_factory=list)
     #: the mine was truncated by the deadline — partial, never cached
     deadline_hit: bool = False
-    #: wall-clock of this mine.  Transient observability — excluded
-    #: from :meth:`to_doc`, so a cached entry never replays a stale
-    #: timing (cache hits report 0.0).
+    #: wall-clock of this mine; observed for mined shards only
     mine_seconds: float = 0.0
-
-    def to_doc(self) -> Dict[str, Any]:
-        """The body the fragment cache stores for this shard."""
-        return {
-            "candidates": [_candidate_to_wire(c) for c in self.candidates],
-            "lattice_nodes": self.lattice_nodes,
-            "tallies": dict(self.tallies),
-        }
-
-    @classmethod
-    def from_doc(cls, shard_index: int,
-                 doc: Dict[str, Any]) -> "ShardResult":
-        return cls(
-            shard_index=shard_index,
-            candidates=[_candidate_from_wire(d) for d in doc["candidates"]],
-            lattice_nodes=int(doc["lattice_nodes"]),
-            tallies={k: int(v) for k, v in doc["tallies"].items()},
-        )
-
-
-def _candidate_to_wire(candidate: Candidate) -> Dict[str, Any]:
-    fragment = candidate.fragment
-    return {
-        "method": candidate.method.value,
-        "benefit": candidate.benefit,
-        "embeddings": [[e.graph, list(e.nodes)]
-                       for e in candidate.embeddings],
-        "union_edges": sorted(list(e) for e in candidate.union_edges),
-        "fragment": {
-            "labels": list(fragment.node_labels),
-            "edges": [list(e) for e in fragment.edges],
-            "support": fragment.support,
-        },
-    }
-
-
-def _candidate_from_wire(data: Dict[str, Any]) -> Candidate:
-    """A cached candidate, local ids; revival fills in instructions."""
-    embeddings = [Embedding(graph, tuple(nodes))
-                  for graph, nodes in data["embeddings"]]
-    frag = data["fragment"]
-    return Candidate(
-        fragment=Fragment(
-            code=(),
-            node_labels=list(frag["labels"]),
-            edges=[tuple(e) for e in frag["edges"]],
-            embeddings=embeddings,
-            support=frag["support"],
-        ),
-        method=ExtractionMethod(data["method"]),
-        insns=[],
-        embeddings=embeddings,
-        benefit=data["benefit"],
-        union_edges={tuple(e) for e in data["union_edges"]},
-    )
 
 
 def shard_call_targets(block_insns: Sequence[Sequence[Instruction]]
@@ -328,6 +274,10 @@ def mine_shard(payload: ShardPayload, dfgs: Sequence[DFG]) -> ShardResult:
     randomness, no global state, stable tie-breaks.  While a sink takes ``candidate`` events
     (the ledger), the funnel emits them and attaches provenance to the
     scored candidates.
+
+    The ``candidate``, ``legality`` and ``mis`` records the funnel
+    emits are kept in the result's ``records`` for a cache hit to
+    replay.
 
     The active run governor is polled throughout, so a deadline or
     interrupt unwinds cleanly mid-shard; the result is then flagged
@@ -493,7 +443,8 @@ def mine_shard(payload: ShardPayload, dfgs: Sequence[DFG]) -> ShardResult:
     try:
         with _TELEMETRY.span("scale.shard.mine",
                              shard=payload.shard_index,
-                             graphs=len(dfgs)):
+                             graphs=len(dfgs)), \
+                _events.recording() as emitted:
             if miner.max_nodes > 4:
                 # Quick shallow pre-pass: small fragments with many
                 # occurrences are found in milliseconds and set a
@@ -514,10 +465,11 @@ def mine_shard(payload: ShardPayload, dfgs: Sequence[DFG]) -> ShardResult:
     for attribute in PRUNE_KEYS.values():
         tallies[attribute] = getattr(miner, attribute)
     result = ShardResult(
-        shard_index=payload.shard_index,
         candidates=candidates,
         lattice_nodes=miner.visited_nodes,
         tallies=tallies,
+        records=[(kind, fields) for kind, fields in emitted
+                 if kind in DECISION_KINDS],
         deadline_hit=miner.deadline_hit,
         mine_seconds=time.perf_counter() - started,
     )

@@ -33,7 +33,7 @@ Shards are mined one after another, in shard order, and emit straight
 into the attached sinks like every other stage.  A :func:`recording`
 scope keeps what is emitted inside it, so that the caller can emit it
 again: the shard funnel replays a repeated decision's records this
-way.
+way, and a mining round replays a cache-served shard's records.
 
 Kinds (fields are additive; consumers must ignore unknown fields; L =
 ledger, E = events, S = stats; "(capped)" = capped per run in the
@@ -151,9 +151,12 @@ class Sink:
 
 
 _SINKS: List[Sink] = []
+_UNSET = object()
 _CONTEXT: Dict[str, Any] = {}
-#: the event lists of the open :func:`recording` scopes
-_RECORDINGS: List[List[Tuple[str, Dict[str, Any]]]] = []
+#: the open :func:`recording` scopes: each one's event list and the
+#: context it was opened under
+_RECORDINGS: List[Tuple[List[Tuple[str, Dict[str, Any]]],
+                        Dict[str, Any]]] = []
 
 
 def attach(sink: Sink) -> None:
@@ -189,8 +192,11 @@ def emit(kind: str, **fields) -> None:
     sinks = [sink for sink in _SINKS if kind in sink.kinds]
     if not sinks:
         return
-    for recorded in _RECORDINGS:
-        recorded.append((kind, fields))
+    for recorded, opened_under in _RECORDINGS:
+        kept = {key: value for key, value in _CONTEXT.items()
+                if opened_under.get(key, _UNSET) != value}
+        kept.update(fields)
+        recorded.append((kind, kept))
     record = dict(_CONTEXT)
     record.update(fields)
     for sink in sinks:
@@ -212,11 +218,12 @@ def context(**fields):
 @contextlib.contextmanager
 def recording():
     """Keep the events the block emits to a sink, each as its kind and
-    its own fields (without the context), in the yielded list.
-    Emitting them again replays the block's events under the context
-    of the replay."""
+    its own fields, in the yielded list.  Of the context, an event
+    keeps only the keys set inside the block.  Emitting them again
+    replays the block's events under the context of the replay, with
+    those inner keys restored."""
     recorded: List[Tuple[str, Dict[str, Any]]] = []
-    _RECORDINGS.append(recorded)
+    _RECORDINGS.append((recorded, dict(_CONTEXT)))
     try:
         yield recorded
     finally:

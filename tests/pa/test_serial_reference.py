@@ -47,10 +47,12 @@ from repro.workloads import compile_workload
 
 
 def reference_cluster(config: PAConfig, dfgs, graph_ids: Sequence[int],
-                      lr_live, fragile, flow=None):
+                      lr_live, fragile, flow=None, blocklist=()):
     """The funnel over one cluster, from scratch: ``(candidates,
     lattice nodes)``.  *dfgs* (and *flow*, the data-flow projection)
-    are the whole round's; candidates come back in global graph ids."""
+    are the whole round's; candidates come back in global graph ids.
+    A candidate whose fingerprint is in *blocklist* is skipped before
+    it can raise the floor."""
     graphs = [dfgs[g] for g in graph_ids]
     miner = _make_miner(config)
     best: List[Optional[Candidate]] = [None]
@@ -100,6 +102,8 @@ def reference_cluster(config: PAConfig, dfgs, graph_ids: Sequence[int],
         candidate = score(frag, method, insns, chosen, union, origins)
         if candidate is None:
             return
+        if candidate.fingerprint() in blocklist:
+            return
         collected.append(candidate)
         if best[0] is None or candidate.sort_key() < best[0].sort_key():
             best[0] = candidate
@@ -123,7 +127,7 @@ def reference_cluster(config: PAConfig, dfgs, graph_ids: Sequence[int],
 
 
 def reference_collect(module, config: PAConfig, memo: AnalysisMemo,
-                      flow_pass: bool = False):
+                      flow_pass: bool = False, blocklist=()):
     """One round: every cluster mined from scratch, merged in cluster
     order, then one stable best-first sort.  ``(candidates, lattice
     nodes)``."""
@@ -139,7 +143,8 @@ def reference_collect(module, config: PAConfig, memo: AnalysisMemo,
     lattice_nodes = 0
     for shard in cluster_dfgs(dfgs):
         candidates, nodes = reference_cluster(
-            config, dfgs, shard.graph_ids, lr_live, fragile, flow
+            config, dfgs, shard.graph_ids, lr_live, fragile, flow,
+            frozenset(blocklist)
         )
         merged.extend(candidates)
         lattice_nodes += nodes

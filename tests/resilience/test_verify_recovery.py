@@ -18,9 +18,18 @@ from repro.report import ledger
 from repro.pa import driver
 from repro.pa.driver import PAConfig, run_pa
 from repro.resilience.faultinject import arm
+from repro.resilience.governor import RunGovernor
+from repro.scale.cache import FragmentCache
+from repro.scale.pool import run_sharded_round
+from repro.verify.dataflow import AnalysisMemo
 from repro.verify.lint import lint_module
 from repro.verify.validate import TranslationValidationError
 from repro.workloads import compile_workload, verify_workload
+from tests.pa.test_serial_reference import (
+    _summary,
+    distinct,
+    reference_collect,
+)
 
 WORKLOAD = "crc"
 
@@ -117,9 +126,30 @@ def test_retry_emits_ledger_records():
         ledger.reset()
 
 
+#: (program, max_nodes) rounds whose winner gets blocklisted
+BLOCKLIST_ROUNDS = [("crc", 4), ("crc", 8), ("dijkstra", None)]
+
+
 def test_blocklisted_winner_does_not_set_the_floor():
-    """The recovered run keeps everything the blocklisted candidate's
-    shard still offers: one forged failure on crc costs at most the
-    blocklisted extraction."""
-    arm("verify.counterexample:corrupt")
-    assert run_pa(compile_workload(WORKLOAD), _config()).saved > 0
+    """A round mined with its winner blocklisted keeps everything else
+    the winner's shard offers: it equals the from-scratch reference
+    that skips the winner before it can raise the floor (repeats
+    dropped).  A floor set by the winner would hide its runners-up:
+    on crc at ``max_nodes`` 4 the clean round has one candidate, and
+    the blocklisted one has 14."""
+    for program, max_nodes in BLOCKLIST_ROUNDS:
+        config = PAConfig(time_budget=None,
+                          **({"max_nodes": max_nodes} if max_nodes else {}))
+        module = compile_workload(program)
+        clean, __ = run_sharded_round(module, config, RunGovernor(),
+                                      FragmentCache())
+        winner = clean[0].fingerprint()
+        recovered, __ = run_sharded_round(module, config, RunGovernor(),
+                                          FragmentCache(), AnalysisMemo(),
+                                          blocklist=[winner])
+        reference, __ = reference_collect(module, config, AnalysisMemo(),
+                                          blocklist=[winner])
+        assert winner not in {c.fingerprint() for c in recovered}
+        assert _summary(recovered) == _summary(distinct(reference)), (
+            f"{program} at max_nodes {max_nodes}")
+        assert len(recovered) >= len(clean)

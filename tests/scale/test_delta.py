@@ -12,10 +12,8 @@ from repro.resilience.governor import RunGovernor
 from repro.scale.cache import FragmentCache
 from repro.scale.cluster import cluster_dfgs
 from repro.scale.pool import run_sharded_round
-from repro.scale.shard import build_payload
+from repro.scale.shard import ShardResult, build_payload
 from repro.workloads import compile_workload
-
-_BODY = {"candidates": [], "lattice_nodes": 0, "tallies": {}}
 
 
 def _digests(module, config):
@@ -37,7 +35,7 @@ def _round(cache, digests):
             hit.append(index)
         else:
             missed.append(index)
-            cache.put(digest, dict(_BODY))
+            cache.put(digest, ShardResult())
     return hit, missed
 
 

@@ -1,6 +1,6 @@
 """Shard payloads: content digests change exactly when a fact that can
-change the shard's mining outcome changes, and the wire format revives
-candidates that match in-process mining."""
+change the shard's mining outcome changes, and a shard result's local
+candidates revive onto the round's DFG database."""
 
 import dataclasses
 
@@ -10,7 +10,6 @@ from repro.pa.legality import sp_fragile_functions
 from repro.pa.liveness import lr_live_out_blocks
 from repro.scale.cluster import cluster_dfgs
 from repro.scale.shard import (
-    ShardResult,
     build_payload,
     mine_shard,
     revive_candidates,
@@ -84,15 +83,16 @@ def test_mine_and_revive_round_trip():
     for shard, payload in zip(shards, payloads):
         result = mine_shard(payload,
                             [dfgs[g] for g in shard.graph_ids])
-        doc = result.to_doc()
-        back = ShardResult.from_doc(result.shard_index, doc)
-        assert back.to_doc() == doc
-        revived = revive_candidates(dfgs, shard.graph_ids, back.candidates)
+        revived = revive_candidates(dfgs, shard.graph_ids,
+                                    result.candidates)
         assert len(revived) == len(result.candidates)
-        for candidate in revived:
+        for local, candidate in zip(result.candidates, revived):
             mined = True
             assert candidate.insns, "revival must re-derive instructions"
             assert candidate.origins, "revival must re-derive origins"
-            for embedding in candidate.embeddings:
-                assert embedding.graph in shard.graph_ids
+            assert [e.nodes for e in candidate.embeddings] == [
+                e.nodes for e in local.embeddings]
+            for embedding, before in zip(candidate.embeddings,
+                                         local.embeddings):
+                assert embedding.graph == shard.graph_ids[before.graph]
     assert mined, "crc must produce at least one shard candidate"

@@ -43,7 +43,6 @@ from repro.scale import pool
 from repro.scale.shard import (
     PRUNE_KEYS,
     TALLY_KEYS,
-    _candidate_to_wire,
     _make_miner,
 )
 from repro.telemetry import events
@@ -207,8 +206,12 @@ def reference_mine_shard(payload, dfgs):
     return collected, tallies, miner.visited_nodes
 
 
-def _wire(candidates):
-    return [(_candidate_to_wire(c), c.provenance) for c in candidates]
+def _fields(candidates):
+    """What a shard result's candidates carry: everything revival and
+    the ledger read, with shard-local graph ids."""
+    return [(c.method, c.benefit, c.embeddings, c.union_edges,
+             c.fragment.node_labels, c.fragment.edges, c.fragment.support,
+             c.provenance) for c in candidates]
 
 
 def _check(program, miner, max_nodes, ledger, monkeypatch):
@@ -227,7 +230,7 @@ def _check(program, miner, max_nodes, ledger, monkeypatch):
                 payload, dfgs
             )
         kept = distinct(candidates)
-        assert _wire(result.candidates) == _wire(kept)
+        assert _fields(result.candidates) == _fields(kept)
         assert result.tallies == tallies
         assert result.lattice_nodes == lattice_nodes
         if ledger:
